@@ -20,6 +20,9 @@
 //   * arrival_storm           — serving-layer arrival generation + token
 //     bucket admission (requests/s): the host-side cost of planning an
 //     open-loop multi-tenant serving point (dvx::serve, DESIGN.md §14).
+//   * bfs_dv_point            — one whole fast fig8 Data Vortex BFS point
+//     (graph edges/s): Kronecker build, distribution and the simulated
+//     search with its surprise-FIFO traffic, end to end.
 //
 // These are wall-clock measurements of the *simulator* (the one place host
 // time is allowed); the measured work is fully deterministic (fixed seeds,
@@ -40,6 +43,7 @@
 #include <thread>
 #include <vector>
 
+#include "apps/bfs.hpp"
 #include "apps/gups.hpp"
 #include "dvnet/cycle_switch.hpp"
 #include "dvnet/fabric_model.hpp"
@@ -305,6 +309,26 @@ BenchResult arrival_storm() {
   return {"arrival_storm", "requests/s", work, s, work / s};
 }
 
+/// End-to-end fig8 canary: the fast-mode Data Vortex BFS point at 16 nodes
+/// (scale 13, edge factor 16, two searches, seed 2) through apps::run_bfs_dv,
+/// cluster construction included. Rated per generated graph edge, so the
+/// rate is a whole figure point's host cost, not one layer's.
+BenchResult bfs_dv_point() {
+  namespace apps = dvx::apps;
+  const apps::BfsParams params{.scale = 13, .edge_factor = 16, .searches = 2, .seed = 2};
+
+  const auto t0 = Clock::now();
+  runtime::Cluster cluster(runtime::ClusterConfig{.nodes = 16});
+  const apps::BfsResult result = apps::run_bfs_dv(cluster, params);
+  const double s = seconds_since(t0);
+  if (!(result.harmonic_mean_teps > 0)) {
+    std::cerr << "dvx_perf: bfs_dv_point traversed nothing\n";
+    std::exit(1);
+  }
+  const double work = static_cast<double>(result.graph_edges);
+  return {"bfs_dv_point", "edges/s", work, s, work / s};
+}
+
 using BenchFn = BenchResult (*)();
 struct BenchEntry {
   const char* name;
@@ -318,6 +342,7 @@ constexpr BenchEntry kBenches[] = {
     {"fabric_torus", fabric_torus},
     {"cluster_gups_sharded", cluster_gups_sharded},
     {"arrival_storm", arrival_storm},
+    {"bfs_dv_point", bfs_dv_point},
 };
 
 int usage(int code) {

@@ -16,6 +16,10 @@ std::vector<LocalGraph> build_distribution(const kernels::KroneckerParams& kp, i
     throw std::invalid_argument("bfs: vertices must divide rank count");
   }
   const std::uint64_t vpr = verts / static_cast<std::uint64_t>(ranks);
+  // Ranks and vertices are both powers of two, so the owner rank and the
+  // local index of a vertex are a shift and a mask, not a 64-bit divide.
+  const int vpr_shift = std::countr_zero(vpr);
+  const std::uint64_t vpr_mask = vpr - 1;
 
   // Per-rank degree count pass, then fill pass.
   std::vector<LocalGraph> out(static_cast<std::size_t>(ranks));
@@ -25,12 +29,12 @@ std::vector<LocalGraph> build_distribution(const kernels::KroneckerParams& kp, i
     out[static_cast<std::size_t>(r)].row_ptr.assign(vpr + 1, 0);
   }
   const std::uint64_t ne = gen.edges();
-  auto owner = [&](std::uint64_t v) { return static_cast<int>(v / vpr); };
+  auto owner = [&](std::uint64_t v) { return static_cast<std::size_t>(v >> vpr_shift); };
   for (std::uint64_t i = 0; i < ne; ++i) {
     const auto e = gen.edge(i);
     if (e.u == e.v) continue;
-    ++out[static_cast<std::size_t>(owner(e.u))].row_ptr[e.u % vpr + 1];
-    ++out[static_cast<std::size_t>(owner(e.v))].row_ptr[e.v % vpr + 1];
+    ++out[owner(e.u)].row_ptr[(e.u & vpr_mask) + 1];
+    ++out[owner(e.v)].row_ptr[(e.v & vpr_mask) + 1];
   }
   for (auto& g : out) {
     for (std::uint64_t v = 0; v < vpr; ++v) g.row_ptr[v + 1] += g.row_ptr[v];
@@ -45,14 +49,14 @@ std::vector<LocalGraph> build_distribution(const kernels::KroneckerParams& kp, i
     const auto e = gen.edge(i);
     if (e.u == e.v) continue;
     {
-      auto& g = out[static_cast<std::size_t>(owner(e.u))];
-      auto& c = cursor[static_cast<std::size_t>(owner(e.u))];
-      g.col[c[e.u % vpr]++] = e.v;
+      auto& g = out[owner(e.u)];
+      auto& c = cursor[owner(e.u)];
+      g.col[c[e.u & vpr_mask]++] = e.v;
     }
     {
-      auto& g = out[static_cast<std::size_t>(owner(e.v))];
-      auto& c = cursor[static_cast<std::size_t>(owner(e.v))];
-      g.col[c[e.v % vpr]++] = e.u;
+      auto& g = out[owner(e.v)];
+      auto& c = cursor[owner(e.v)];
+      g.col[c[e.v & vpr_mask]++] = e.u;
     }
   }
   return out;

@@ -30,22 +30,21 @@ std::uint64_t KroneckerGenerator::scramble(std::uint64_t v) const {
 
 Edge KroneckerGenerator::edge(std::uint64_t index) const {
   sim::Xoshiro256 rng(sim::mix64(index * 0x2545f4914f6cdd1dULL + params_.seed));
+  // One draw r picks the quadrant A (0,0) | B (0,1) | C (1,0) | D (1,1) by
+  // the cumulative thresholds below: u is set in C and D (r >= a+b), v in B
+  // and D, where an odd number of the three thresholds lie at or below r.
+  // Comparisons, not branches: the quadrant is random, so a branch on it
+  // would mispredict on a large share of the bits.
+  const double ab = params_.a + params_.b;
+  const double abc = ab + params_.c;
   std::uint64_t u = 0, v = 0;
   for (int bit = 0; bit < params_.scale; ++bit) {
     const double r = rng.uniform();
-    std::uint64_t ui = 0, vi = 0;
-    if (r < params_.a) {
-      // quadrant A: (0, 0)
-    } else if (r < params_.a + params_.b) {
-      vi = 1;  // quadrant B: (0, 1)
-    } else if (r < params_.a + params_.b + params_.c) {
-      ui = 1;  // quadrant C: (1, 0)
-    } else {
-      ui = 1;
-      vi = 1;  // quadrant D: (1, 1)
-    }
-    u = (u << 1) | ui;
-    v = (v << 1) | vi;
+    const bool ge_a = r >= params_.a;
+    const bool ge_ab = r >= ab;
+    const bool ge_abc = r >= abc;
+    u = (u << 1) | static_cast<std::uint64_t>(ge_ab);
+    v = (v << 1) | static_cast<std::uint64_t>(ge_a ^ ge_ab ^ ge_abc);
   }
   return Edge{scramble(u), scramble(v)};
 }

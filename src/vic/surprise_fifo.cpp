@@ -1,5 +1,6 @@
 #include "vic/surprise_fifo.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -22,51 +23,85 @@ SurpriseFifo::SurpriseFifo(sim::Engine& engine, std::size_t capacity, int node)
 
 void SurpriseFifo::deposit(sim::Time at, Packet p) {
   DVX_SHARD_GUARDED("vic.SurpriseFifo", node_);
-  if (heap_.size() >= capacity_) {
+  if (buffered() >= capacity_) {
     ++dropped_;
     if (obs_dropped_ != nullptr) obs_dropped_->inc();
     return;
   }
   if (at < engine_.now()) at = engine_.now();
-  heap_.push(Entry{at, seq_++, p});
+  if (pending_.empty() && (sorted_.empty() || at >= sorted_.back().at)) {
+    sorted_.push_back(Entry{at, p});
+  } else {
+    if (pending_.empty() || at < pending_min_) pending_min_ = at;
+    pending_.push_back(Entry{at, p});
+  }
   ++deposited_;
   if (obs_deposits_ != nullptr) {
     obs_deposits_->inc();
-    obs_depth_->sample(static_cast<double>(heap_.size()));
+    obs_depth_->sample(static_cast<double>(buffered()));
   }
   // Windowed engines deposit from the window-close resolution, where the
   // engine clock sits at the window floor — behind the waiters' shard
   // clocks. Notifying at the (physical, >= window end) arrival time keeps
   // the wake-up legal on every shard; serial mode keeps the immediate
-  // notify so waiters re-evaluate the heap right away.
+  // notify so waiters re-evaluate the FIFO right away.
   cond_.notify_all(engine_.sharding().windowed ? at : engine_.now());
+}
+
+sim::Time SurpriseFifo::earliest() const noexcept {
+  if (pending_.empty()) return sorted_[head_].at;
+  if (head_ == sorted_.size()) return pending_min_;
+  return std::min(sorted_[head_].at, pending_min_);
+}
+
+void SurpriseFifo::merge_pending() {
+  // Both steps are stable: the sort keeps deposit order among equal
+  // arrivals, and the merge keeps sorted_'s (older) entries ahead of
+  // pending_'s on equal arrivals.
+  const auto by_arrival = [](const Entry& a, const Entry& b) { return a.at < b.at; };
+  std::stable_sort(pending_.begin(), pending_.end(), by_arrival);
+  const auto mid = sorted_.insert(sorted_.end(), pending_.begin(), pending_.end());
+  std::inplace_merge(sorted_.begin() + static_cast<std::ptrdiff_t>(head_), mid,
+                     sorted_.end(), by_arrival);
+  pending_.clear();
 }
 
 std::vector<Packet> SurpriseFifo::poll() {
   DVX_SHARD_GUARDED("vic.SurpriseFifo", node_);
   std::vector<Packet> out;
-  while (!heap_.empty() && heap_.top().at <= engine_.now()) {
-    out.push_back(heap_.top().packet);
-    heap_.pop();
+  const sim::Time now = engine_.now();
+  if (buffered() > 0 && earliest() <= now) {
+    if (!pending_.empty()) merge_pending();
+    std::size_t end = head_;
+    while (end < sorted_.size() && sorted_[end].at <= now) ++end;
+    out.reserve(end - head_);
+    for (std::size_t i = head_; i < end; ++i) out.push_back(sorted_[i].packet);
+    head_ = end;
+    // Drop the drained prefix once it outweighs the live entries, so the
+    // copy is paid for by the polls that drained it.
+    if (2 * head_ >= sorted_.size()) {
+      sorted_.erase(sorted_.begin(), sorted_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
   }
   drained_ += out.size();
   // Message conservation: every deposited packet is drained, still
   // buffered, or was counted as dropped — nothing vanishes silently.
-  DVX_CHECK_EQ(deposited_, drained_ + heap_.size())
+  DVX_CHECK_EQ(deposited_, drained_ + buffered())
       << "surprise FIFO lost packets. ";
   return out;
 }
 
 bool SurpriseFifo::ready() const {
   DVX_SHARD_ACCESS("vic.SurpriseFifo", node_, kRead);
-  return !heap_.empty() && heap_.top().at <= engine_.now();
+  return buffered() > 0 && earliest() <= engine_.now();
 }
 
 sim::Coro<std::vector<Packet>> SurpriseFifo::wait_packets() {
   for (;;) {
     if (ready()) co_return poll();
-    if (!heap_.empty()) {
-      co_await cond_.wait_until(heap_.top().at);
+    if (buffered() > 0) {
+      co_await cond_.wait_until(earliest());
     } else {
       co_await cond_.wait();
     }

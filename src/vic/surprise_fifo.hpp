@@ -9,7 +9,6 @@
 // here exposes packets by arrival time without an extra read latency.
 
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -45,23 +44,26 @@ class SurpriseFifo {
   /// True if a packet is visible at the current virtual time.
   bool ready() const;
 
-  std::size_t buffered() const noexcept { return heap_.size(); }
+  std::size_t buffered() const noexcept {
+    return sorted_.size() - head_ + pending_.size();
+  }
   std::size_t capacity() const noexcept { return capacity_; }
   std::uint64_t dropped() const noexcept { return dropped_; }
   std::uint64_t total_deposited() const noexcept { return deposited_; }
   std::uint64_t total_drained() const noexcept { return drained_; }
 
  private:
+  // Packets leave in (arrival, deposit seq) order; the seq is implicit in
+  // each entry's position (DESIGN.md §10.5).
   struct Entry {
     sim::Time at;
-    std::uint64_t seq;  // preserves deposit order among equal arrival times
     Packet packet;
   };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const noexcept {
-      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
-    }
-  };
+
+  /// Arrival of the next packet to leave; requires buffered() > 0.
+  sim::Time earliest() const noexcept;
+  /// Folds pending_ into sorted_ behind older entries of equal arrival.
+  void merge_pending();
 
   sim::Engine& engine_;
   sim::Condition cond_;
@@ -71,9 +73,16 @@ class SurpriseFifo {
   obs::Gauge* obs_depth_ = nullptr;
   obs::Counter* obs_deposits_ = nullptr;
   obs::Counter* obs_dropped_ = nullptr;
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  // sorted_[head_..] is in (arrival, deposit seq) order and is empty (with
+  // head_ == 0) once drained. A deposit joins it directly while pending_ is
+  // empty and the arrival is no earlier than its last entry; every other
+  // deposit goes to pending_, in deposit order, so each pending entry is
+  // younger than each sorted one. pending_min_ is pending_'s earliest arrival.
+  std::vector<Entry> sorted_;
+  std::size_t head_ = 0;
+  std::vector<Entry> pending_;
+  sim::Time pending_min_ = 0;
   std::size_t capacity_;
-  std::uint64_t seq_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t deposited_ = 0;
   std::uint64_t drained_ = 0;

@@ -4,12 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "apps/bfs.hpp"
+#include "apps/bfs_common.hpp"
 #include "apps/fft1d.hpp"
 #include "apps/gups.hpp"
+#include "kernels/csr.hpp"
+#include "kernels/kronecker.hpp"
 #include "runtime/cluster.hpp"
 
 namespace apps = dvx::apps;
+namespace kernels = dvx::kernels;
 namespace runtime = dvx::runtime;
 
 namespace {
@@ -110,6 +116,28 @@ TEST(BfsApp, DataVortexBeatsMpiAtScale) {
   const auto dv = apps::run_bfs_dv(c8, bp);
   const auto mpi = apps::run_bfs_mpi(c8, bp);
   EXPECT_GT(dv.harmonic_mean_teps, mpi.harmonic_mean_teps);
+}
+
+TEST(BfsDistribution, MatchesCsrAtEveryRankCount) {
+  // Each rank's adjacency must hold every vertex's neighbours in the order
+  // a whole-graph CSR built from the same edge list gives them.
+  const kernels::KroneckerParams kp{.scale = 15, .edge_factor = 16, .seed = 2};
+  const kernels::KroneckerGenerator gen(kp);
+  const kernels::Csr full(gen.vertices(), gen.slice(0, gen.edges()));
+  for (const int ranks : {1, 2, 8, 32}) {
+    const auto graphs = apps::bfs_detail::build_distribution(kp, ranks);
+    ASSERT_EQ(graphs.size(), static_cast<std::size_t>(ranks));
+    const std::uint64_t vpr = gen.vertices() / static_cast<std::uint64_t>(ranks);
+    for (std::uint64_t v = 0; v < gen.vertices(); ++v) {
+      const auto& g = graphs[v / vpr];
+      ASSERT_EQ(g.first_vertex, v - v % vpr);
+      const auto local = g.neighbors(v % vpr);
+      const auto reference = full.neighbors(v);
+      ASSERT_TRUE(std::equal(local.begin(), local.end(), reference.begin(),
+                             reference.end()))
+          << "vertex " << v << " at " << ranks << " ranks";
+    }
+  }
 }
 
 }  // namespace

@@ -138,6 +138,36 @@ TEST(Kronecker, RejectsBadParams) {
                std::invalid_argument);
 }
 
+/// FNV-1a over the full edge list, each endpoint as 8 little-endian bytes.
+std::uint64_t edge_list_digest(const kernels::KroneckerGenerator& gen) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::uint64_t w) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (w >> (8 * byte)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const kernels::Edge& e : gen.slice(0, gen.edges())) {
+    mix(e.u);
+    mix(e.v);
+  }
+  return h;
+}
+
+// The generator is a pure function of its parameters, and the BFS figures
+// depend on every edge, so these digests must never move.
+TEST(Kronecker, EdgeListDigestIsPinned) {
+  EXPECT_EQ(edge_list_digest(kernels::KroneckerGenerator(
+                {.scale = 15, .edge_factor = 16, .seed = 2})),
+            0xaad7c73f001329dfULL);
+  EXPECT_EQ(edge_list_digest(kernels::KroneckerGenerator(
+                {.scale = 13, .edge_factor = 16, .seed = 5})),
+            0x664e60886f8e38dbULL);
+  EXPECT_EQ(edge_list_digest(kernels::KroneckerGenerator(
+                {.scale = 12, .edge_factor = 8, .seed = 3, .a = 0.45, .b = 0.25, .c = 0.15})),
+            0x5a4e4d7760216f2cULL);
+}
+
 TEST(Csr, BuildsUndirectedAndDropsSelfLoops) {
   const std::vector<kernels::Edge> edges = {{0, 1}, {1, 2}, {2, 2}, {0, 1}};
   kernels::Csr g(4, edges);

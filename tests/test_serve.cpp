@@ -202,7 +202,9 @@ TEST(ServeSession, MpiServesEverythingWithoutAdmission) {
   EXPECT_EQ(rep.served(), trace.offered());
   EXPECT_GT(rep.roi_seconds, 0.0);
   for (const serve::TenantOutcome& t : rep.tenants) {
-    if (t.served > 0) EXPECT_GT(t.latency.p99_ns(), 0.0) << t.name;
+    if (t.served > 0) {
+      EXPECT_GT(t.latency.p99_ns(), 0.0) << t.name;
+    }
   }
 }
 
@@ -213,7 +215,9 @@ TEST(ServeSession, DvServesEverythingWithoutAdmission) {
   EXPECT_EQ(rep.offered(), trace.offered());
   EXPECT_EQ(rep.served(), trace.offered());
   for (const serve::TenantOutcome& t : rep.tenants) {
-    if (t.served > 0) EXPECT_GT(t.latency.p99_ns(), 0.0) << t.name;
+    if (t.served > 0) {
+      EXPECT_GT(t.latency.p99_ns(), 0.0) << t.name;
+    }
   }
 }
 

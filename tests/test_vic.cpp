@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <queue>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -202,6 +204,128 @@ TEST(SurpriseFifo, OverflowDropsAndCounts) {
   EXPECT_EQ(fifo.dropped(), 6u);
   EXPECT_EQ(fifo.total_deposited(), 4u);
 }
+
+/// The FIFO's contract as a plain heap over (arrival, deposit seq), with the
+/// same clamp-to-now and drop-when-full rules.
+class ReferenceFifo {
+ public:
+  explicit ReferenceFifo(std::size_t capacity) : capacity_(capacity) {}
+
+  void deposit(sim::Time now, sim::Time at, std::uint64_t payload) {
+    if (heap_.size() >= capacity_) {
+      ++dropped_;
+      return;
+    }
+    heap_.push(Entry{std::max(at, now), seq_++, payload});
+  }
+  std::vector<std::uint64_t> poll(sim::Time now) {
+    std::vector<std::uint64_t> out;
+    while (ready(now)) {
+      out.push_back(heap_.top().payload);
+      heap_.pop();
+    }
+    return out;
+  }
+  bool ready(sim::Time now) const { return !heap_.empty() && heap_.top().at <= now; }
+  sim::Time earliest() const { return heap_.top().at; }
+  std::size_t buffered() const { return heap_.size(); }
+  std::uint64_t dropped() const { return dropped_; }
+
+ private:
+  struct Entry {
+    sim::Time at;
+    std::uint64_t seq;
+    std::uint64_t payload;
+  };
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+    }
+  };
+  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  std::size_t capacity_;
+  std::uint64_t seq_ = 0;
+  std::uint64_t dropped_ = 0;
+};
+
+std::vector<std::uint64_t> payloads(const std::vector<vic::Packet>& packets) {
+  std::vector<std::uint64_t> out;
+  for (const vic::Packet& p : packets) out.push_back(p.payload);
+  return out;
+}
+
+class SurpriseFifoOrder : public ::testing::TestWithParam<std::uint64_t> {};
+
+// One seeded stream of deposits, polls, waits and idle time, fed to the FIFO
+// and to the reference heap: every output, visibility answer and wake-up
+// time must agree.
+TEST_P(SurpriseFifoOrder, MatchesReferenceHeap) {
+  constexpr std::size_t kCapacity = 48;
+  Engine e;
+  vic::SurpriseFifo fifo(e, kCapacity);
+  ReferenceFifo ref(kCapacity);
+  struct Coverage {
+    int out_of_order = 0, equal_time = 0, clamped = 0, polls = 0, waits = 0;
+  } seen;
+  e.spawn([](Engine& eng, vic::SurpriseFifo& f, ReferenceFifo& r, Coverage& cov,
+             std::uint64_t seed) -> Coro<void> {
+    sim::Xoshiro256 rng(seed);
+    sim::Time last_at = 0;
+    std::uint64_t next_payload = 0;
+    for (int step = 0; step < 20000; ++step) {
+      // Every thousand steps end in a flood of deposits with nothing
+      // drained, so the FIFO fills and drops.
+      const bool flood = step % 1000 >= 900;
+      const std::uint64_t op = rng.below(flood ? 55 : 100);
+      if (op < 55) {
+        // Arrivals mostly run forward in small steps, sometimes repeat the
+        // last one, and sometimes land behind it or behind now.
+        const std::uint64_t kind = rng.below(10);
+        sim::Time at = last_at;
+        if (kind < 5) {
+          at = std::max(last_at, eng.now()) + sim::ns(static_cast<double>(rng.below(20)));
+        } else if (kind < 8) {
+          at = eng.now() + sim::ns(static_cast<double>(rng.below(300)));
+        } else if (kind < 9) {
+          at = eng.now() - sim::ns(static_cast<double>(1 + rng.below(50)));
+        }
+        cov.equal_time += at == last_at ? 1 : 0;
+        cov.out_of_order += at < last_at ? 1 : 0;
+        cov.clamped += at < eng.now() ? 1 : 0;
+        last_at = at;
+        f.deposit(at, vic::Packet{{}, next_payload});
+        r.deposit(eng.now(), at, next_payload);
+        ++next_payload;
+      } else if (op < 80) {
+        co_await eng.delay(sim::ns(static_cast<double>(rng.below(60))));
+      } else if (op < 95) {
+        ++cov.polls;
+        EXPECT_EQ(payloads(f.poll()), r.poll(eng.now())) << "step " << step;
+      } else if (f.buffered() > 0) {
+        ++cov.waits;
+        const sim::Time wake = r.ready(eng.now()) ? eng.now() : r.earliest();
+        const auto got = payloads(co_await f.wait_packets());
+        EXPECT_EQ(eng.now(), wake) << "step " << step;
+        EXPECT_EQ(got, r.poll(eng.now())) << "step " << step;
+      }
+      EXPECT_EQ(f.ready(), r.ready(eng.now())) << "step " << step;
+      EXPECT_EQ(f.buffered(), r.buffered()) << "step " << step;
+      if (::testing::Test::HasFailure()) co_return;
+    }
+  }(e, fifo, ref, seen, GetParam()));
+  e.run();
+  EXPECT_EQ(fifo.dropped(), ref.dropped());
+  EXPECT_EQ(fifo.total_deposited(), fifo.total_drained() + fifo.buffered());
+  // The stream reached every path the contract covers.
+  EXPECT_GT(seen.out_of_order, 0);
+  EXPECT_GT(seen.equal_time, 0);
+  EXPECT_GT(seen.clamped, 0);
+  EXPECT_GT(seen.polls, 0);
+  EXPECT_GT(seen.waits, 0);
+  EXPECT_GT(fifo.dropped(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SurpriseFifoOrder, ::testing::Values(1u, 7u, 42u));
 
 TEST(PcieLink, DirectionsAreIndependent) {
   vic::PcieLink link(vic::PcieParams{});
