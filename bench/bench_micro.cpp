@@ -8,7 +8,6 @@
 
 #include "dvnet/cycle_switch.hpp"
 #include "dvnet/fabric_model.hpp"
-#include "kernels/fft.hpp"
 #include "kernels/gups_table.hpp"
 #include "kernels/kronecker.hpp"
 #include "kernels/stencil.hpp"
@@ -69,17 +68,6 @@ void BM_FabricModelBurst(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FabricModelBurst);
-
-void BM_LocalFft(benchmark::State& state) {
-  const std::size_t n = 1u << static_cast<unsigned>(state.range(0));
-  std::vector<kernels::Complex> data(n, kernels::Complex(1.0, -0.5));
-  for (auto _ : state) {
-    kernels::fft(data);
-    benchmark::DoNotOptimize(data.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_LocalFft)->Arg(10)->Arg(14);
 
 void BM_KroneckerEdges(benchmark::State& state) {
   kernels::KroneckerGenerator gen({.scale = 16, .edge_factor = 16});

@@ -23,6 +23,11 @@
 //   * bfs_dv_point            — one whole fast fig8 Data Vortex BFS point
 //     (graph edges/s): Kronecker build, distribution and the simulated
 //     search with its surprise-FIFO traffic, end to end.
+//   * fft_mpi_point           — one whole full-size fig7 MPI/IB FFT-1D point
+//     (transformed points/s): 2^20 points over 8 nodes, the six-step
+//     numerics and the three pack/alltoall/unpack transposes, end to end.
+//   * local_fft               — node-local FFT numerics (points/s): 1024 rows
+//     of 1024 points through kernels::fft_rows, the fig7/fig9 row stage.
 //
 // These are wall-clock measurements of the *simulator* (the one place host
 // time is allowed); the measured work is fully deterministic (fixed seeds,
@@ -34,6 +39,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -44,9 +50,11 @@
 #include <vector>
 
 #include "apps/bfs.hpp"
+#include "apps/fft1d.hpp"
 #include "apps/gups.hpp"
 #include "dvnet/cycle_switch.hpp"
 #include "dvnet/fabric_model.hpp"
+#include "kernels/fft.hpp"
 #include "runtime/cluster.hpp"
 #include "runtime/report.hpp"
 #include "serve/admission.hpp"
@@ -329,6 +337,47 @@ BenchResult bfs_dv_point() {
   return {"bfs_dv_point", "edges/s", work, s, work / s};
 }
 
+/// End-to-end fig7 canary: the full-size FFT-1D point (2^20 points) over
+/// MPI on an 8-node InfiniBand cluster through apps::run_fft_mpi, cluster
+/// construction included: the host FFT numerics plus the three simulated
+/// pack/alltoall/unpack transposes. A fast fig7 point lasts only tens of ms,
+/// too short to time stably.
+BenchResult fft_mpi_point() {
+  namespace apps = dvx::apps;
+  const apps::FftParams params{.log_size = 20};
+
+  const auto t0 = Clock::now();
+  runtime::Cluster cluster(runtime::ClusterConfig{.nodes = 8});
+  const apps::FftResult result = apps::run_fft_mpi(cluster, params);
+  const double s = seconds_since(t0);
+  if (!(result.gflops() > 0)) {
+    std::cerr << "dvx_perf: fft_mpi_point transformed nothing\n";
+    std::exit(1);
+  }
+  const double work = static_cast<double>(std::int64_t{1} << params.log_size);
+  return {"fft_mpi_point", "points/s", work, s, work / s};
+}
+
+/// Node-local FFT throughput: 1024 seeded rows of 1024 points transformed
+/// in place by one kernels::fft_rows call, as one fig7 row stage does.
+BenchResult local_fft() {
+  constexpr std::int64_t kLen = 1024;
+  constexpr std::int64_t kRows = 1024;
+  std::vector<dvx::kernels::Complex> data(static_cast<std::size_t>(kLen * kRows));
+  sim::Xoshiro256 rng(5);
+  for (auto& x : data) x = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+
+  const auto t0 = Clock::now();
+  dvx::kernels::fft_rows(data, kLen);
+  const double s = seconds_since(t0);
+  if (!std::isfinite(std::abs(data.front()))) {
+    std::cerr << "dvx_perf: local_fft produced a non-finite value\n";
+    std::exit(1);
+  }
+  const double work = static_cast<double>(data.size());
+  return {"local_fft", "points/s", work, s, work / s};
+}
+
 using BenchFn = BenchResult (*)();
 struct BenchEntry {
   const char* name;
@@ -343,6 +392,8 @@ constexpr BenchEntry kBenches[] = {
     {"cluster_gups_sharded", cluster_gups_sharded},
     {"arrival_storm", arrival_storm},
     {"bfs_dv_point", bfs_dv_point},
+    {"fft_mpi_point", fft_mpi_point},
+    {"local_fft", local_fft},
 };
 
 int usage(int code) {

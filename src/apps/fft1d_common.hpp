@@ -48,10 +48,7 @@ inline std::vector<Complex> make_local_input(int rank, const Shape& s) {
 inline sim::Coro<void> fft_rows(runtime::NodeCtx& node, std::vector<Complex>& data,
                                 std::int64_t row_len) {
   const std::int64_t rows = static_cast<std::int64_t>(data.size()) / row_len;
-  for (std::int64_t r = 0; r < rows; ++r) {
-    kernels::fft(std::span<Complex>(data.data() + r * row_len,
-                                    static_cast<std::size_t>(row_len)));
-  }
+  kernels::fft_rows(data, row_len);
   co_await node.compute_flops(static_cast<double>(rows) * kernels::fft_flops(row_len));
 }
 
@@ -59,13 +56,7 @@ inline sim::Coro<void> fft_rows(runtime::NodeCtx& node, std::vector<Complex>& da
 inline sim::Coro<void> twiddle_rows(runtime::NodeCtx& node, std::vector<Complex>& data,
                                     std::int64_t first_row, std::int64_t row_len,
                                     std::int64_t n) {
-  const std::int64_t rows = static_cast<std::int64_t>(data.size()) / row_len;
-  for (std::int64_t r = 0; r < rows; ++r) {
-    for (std::int64_t c = 0; c < row_len; ++c) {
-      data[static_cast<std::size_t>(r * row_len + c)] *=
-          kernels::twiddle(first_row + r, c, n);
-    }
-  }
+  kernels::twiddle_rows(data, first_row, row_len, n);
   co_await node.compute_flops(8.0 * static_cast<double>(data.size()));
 }
 

@@ -12,7 +12,7 @@ namespace {
 
 void check_shape(std::size_t local_size, std::int64_t rows, std::int64_t cols, int ranks) {
   if (rows % ranks != 0 || cols % ranks != 0) {
-    throw std::invalid_argument("transpose: rows and cols must divide the rank count");
+    throw std::invalid_argument("transpose: the rank count must divide rows and cols");
   }
   if (static_cast<std::int64_t>(local_size) != rows / ranks * cols) {
     throw std::invalid_argument("transpose: local block size mismatch");

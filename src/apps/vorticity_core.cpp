@@ -37,10 +37,7 @@ std::vector<Complex> initial_rows(int rank, int ranks, std::int64_t n, double de
 sim::Coro<void> fft_local_rows(runtime::NodeCtx& node, std::vector<Complex>& data,
                                std::int64_t n, bool inverse) {
   const std::int64_t rows = static_cast<std::int64_t>(data.size()) / n;
-  for (std::int64_t r = 0; r < rows; ++r) {
-    kernels::fft(std::span<Complex>(data.data() + r * n, static_cast<std::size_t>(n)),
-                 inverse);
-  }
+  kernels::fft_rows(data, n, inverse);
   co_await node.compute_flops(static_cast<double>(rows) * kernels::fft_flops(n));
 }
 

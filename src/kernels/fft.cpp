@@ -7,38 +7,67 @@
 
 namespace dvx::kernels {
 
+namespace {
+
+/// The first `count` powers of W_n = exp(sign*2*pi*i/n), each from its own
+/// cos/sin pair, so no entry inherits another's rounding error.
+std::vector<Complex> unit_roots(std::int64_t count, std::int64_t n, double sign) {
+  std::vector<Complex> out(static_cast<std::size_t>(count));
+  for (std::int64_t k = 0; k < count; ++k) {
+    const double ang =
+        sign * 2.0 * std::numbers::pi * static_cast<double>(k) / static_cast<double>(n);
+    out[static_cast<std::size_t>(k)] = Complex(std::cos(ang), std::sin(ang));
+  }
+  return out;
+}
+
+/// a*b without the NaN/Inf recovery path of std::complex's operator*.
+inline Complex mul(Complex a, Complex b) {
+  return Complex(a.real() * b.real() - a.imag() * b.imag(),
+                 a.real() * b.imag() + a.imag() * b.real());
+}
+
+}  // namespace
+
 void fft(std::span<Complex> data, bool inverse) {
-  const std::size_t n = data.size();
-  if (n == 0) return;
-  if (!std::has_single_bit(n)) {
-    throw std::invalid_argument("fft: size must be a power of two");
+  fft_rows(data, static_cast<std::int64_t>(data.size()), inverse);
+}
+
+void fft_rows(std::span<Complex> data, std::int64_t n, bool inverse) {
+  if (data.empty()) return;
+  if (n <= 0 || !std::has_single_bit(static_cast<std::uint64_t>(n)) ||
+      data.size() % static_cast<std::size_t>(n) != 0) {
+    throw std::invalid_argument(
+        "fft: row length must be a power of two that divides the data size");
   }
-  // Bit-reversal permutation.
-  for (std::size_t i = 1, j = 0; i < n; ++i) {
-    std::size_t bit = n >> 1;
-    for (; (j & bit) != 0; bit >>= 1) j ^= bit;
-    j ^= bit;
-    if (i < j) std::swap(data[i], data[j]);
+  const auto len = static_cast<std::size_t>(n);
+  // W_n^k for k < n/2: the length-2h stage takes W_{2h}^k = W_n^{k*n/(2h)}.
+  const auto w = unit_roots(n / 2, n, inverse ? 1.0 : -1.0);
+  // rev[i] is i with its log2(n) bits reversed.
+  std::vector<std::size_t> rev(len, 0);
+  const int bits = std::countr_zero(len);
+  for (std::size_t i = 1; i < len; ++i) {
+    rev[i] = (rev[i >> 1] >> 1) | ((i & 1) << (bits - 1));
   }
-  // Butterflies.
-  const double sign = inverse ? 1.0 : -1.0;
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const double ang = sign * 2.0 * std::numbers::pi / static_cast<double>(len);
-    const Complex wlen(std::cos(ang), std::sin(ang));
-    for (std::size_t i = 0; i < n; i += len) {
-      Complex w(1.0, 0.0);
-      for (std::size_t k = 0; k < len / 2; ++k) {
-        const Complex u = data[i + k];
-        const Complex v = data[i + k + len / 2] * w;
-        data[i + k] = u + v;
-        data[i + k + len / 2] = u - v;
-        w *= wlen;
+  const double inv = 1.0 / static_cast<double>(n);
+  for (std::size_t row = 0; row < data.size(); row += len) {
+    Complex* x = data.data() + row;
+    for (std::size_t i = 1; i < len; ++i) {
+      if (i < rev[i]) std::swap(x[i], x[rev[i]]);
+    }
+    for (std::size_t half = 1, stride = len / 2; half < len; half <<= 1, stride >>= 1) {
+      for (std::size_t i = 0; i < len; i += 2 * half) {
+        for (std::size_t k = 0; k < half; ++k) {
+          const Complex u = x[i + k];
+          const Complex v = mul(x[i + k + half], w[k * stride]);
+          x[i + k] = u + v;
+          x[i + k + half] = u - v;
+        }
       }
     }
-  }
-  if (inverse) {
-    const double inv = 1.0 / static_cast<double>(n);
-    for (auto& x : data) x *= inv;
+    if (inverse) {
+      for (std::size_t i = 0; i < len; ++i) x[i] *= inv;
+    }
   }
 }
 
@@ -75,6 +104,35 @@ Complex twiddle(std::int64_t j, std::int64_t k, std::int64_t n, bool inverse) {
   return Complex(std::cos(ang), std::sin(ang));
 }
 
+void twiddle_rows(std::span<Complex> data, std::int64_t first_row, std::int64_t row_len,
+                  std::int64_t n, bool inverse) {
+  if (n <= 0 || !std::has_single_bit(static_cast<std::uint64_t>(n))) {
+    throw std::invalid_argument("twiddle_rows: N must be a power of two");
+  }
+  if (row_len <= 0 || data.size() % static_cast<std::size_t>(row_len) != 0) {
+    throw std::invalid_argument("twiddle_rows: row length must divide the data");
+  }
+  // W_N^e = W_N^{e mod F} * W_{N/F}^{e / F}: a fine table of F entries and a
+  // coarse one of N/F, F = 2^ceil(log2(N)/2).
+  const double sign = inverse ? 1.0 : -1.0;
+  const int fine_bits = (std::countr_zero(static_cast<std::uint64_t>(n)) + 1) / 2;
+  const std::int64_t coarse_n = n >> fine_bits;
+  const auto fine = unit_roots(std::int64_t{1} << fine_bits, n, sign);
+  const auto coarse = unit_roots(coarse_n, coarse_n, sign);
+  const std::uint64_t fine_mask = (std::uint64_t{1} << fine_bits) - 1;
+  const std::uint64_t mask = static_cast<std::uint64_t>(n) - 1;
+  const auto len = static_cast<std::size_t>(row_len);
+  for (std::size_t r = 0, at = 0; at < data.size(); ++r, at += len) {
+    // Exponents step by the global row index; N divides 2^64, so the
+    // wrapping sum reduced by the mask is exact.
+    const std::uint64_t step = static_cast<std::uint64_t>(first_row) + r;
+    std::uint64_t e = 0;
+    for (std::size_t c = 0; c < len; ++c, e = (e + step) & mask) {
+      data[at + c] = mul(data[at + c], mul(fine[e & fine_mask], coarse[e >> fine_bits]));
+    }
+  }
+}
+
 std::vector<Complex> transpose(std::span<const Complex> m, std::int64_t rows,
                                std::int64_t cols) {
   if (static_cast<std::int64_t>(m.size()) != rows * cols) {
@@ -99,21 +157,13 @@ std::vector<Complex> six_step_fft(std::span<const Complex> data, std::int64_t n1
   // Step 1: transpose to n2 x n1.
   auto work = transpose(data, n1, n2);
   // Step 2: n2 local FFTs of length n1 (the rows of the transposed matrix).
-  for (std::int64_t r = 0; r < n2; ++r) {
-    fft(std::span<Complex>(work.data() + r * n1, static_cast<std::size_t>(n1)), inverse);
-  }
+  fft_rows(work, n1, inverse);
   // Step 3: twiddle element (r, c) by W_N^{r*c}.
-  for (std::int64_t r = 0; r < n2; ++r) {
-    for (std::int64_t c = 0; c < n1; ++c) {
-      work[static_cast<std::size_t>(r * n1 + c)] *= twiddle(r, c, n, inverse);
-    }
-  }
+  twiddle_rows(work, 0, n1, n, inverse);
   // Step 4: transpose back to n1 x n2.
   work = transpose(work, n2, n1);
   // Step 5: n1 local FFTs of length n2.
-  for (std::int64_t r = 0; r < n1; ++r) {
-    fft(std::span<Complex>(work.data() + r * n2, static_cast<std::size_t>(n2)), inverse);
-  }
+  fft_rows(work, n2, inverse);
   // Step 6: final transpose for natural output order.
   return transpose(work, n1, n2);
 }

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "apps/heat.hpp"
 #include "apps/snap.hpp"
 #include "apps/vorticity.hpp"
@@ -144,6 +146,16 @@ TEST(VorticityApp, DecompositionInvariance) {
   const auto a = apps::run_vorticity_mpi(c1, small_vort());
   const auto b = apps::run_vorticity_dv(c8, small_vort());
   EXPECT_NEAR(a.omega_checksum, b.omega_checksum, 1e-9 * std::abs(a.omega_checksum));
+}
+
+TEST(VorticityApp, RankCountThatDoesNotDivideTheGridIsRejected) {
+  auto cluster = make_cluster(3);
+  try {
+    apps::run_vorticity_dv(cluster, small_vort());
+    FAIL() << "3 ranks over a 64-point grid must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "transpose: the rank count must divide rows and cols");
+  }
 }
 
 TEST(VorticityApp, RestructuredSolverWinsOnDataVortex) {

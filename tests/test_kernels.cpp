@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <set>
 
@@ -85,6 +86,91 @@ TEST(Fft, TransposeRoundTrips) {
 TEST(Fft, FlopConventionIs5NLogN) {
   EXPECT_DOUBLE_EQ(kernels::fft_flops(1 << 10), 5.0 * 1024 * 10);
   EXPECT_DOUBLE_EQ(kernels::fft_flops(1), 0.0);
+}
+
+// x_j = W_n^{-k0*j} (exponent reduced mod n) transforms to n at bin k0 and
+// 0 elsewhere, exactly, so the error of a full-size transform is measurable.
+std::vector<Complex> pure_tone(std::int64_t n, std::int64_t k0) {
+  std::vector<Complex> x(static_cast<std::size_t>(n));
+  for (std::int64_t j = 0; j < n; ++j) {
+    x[static_cast<std::size_t>(j)] = kernels::twiddle(k0, j, n, /*inverse=*/true);
+  }
+  return x;
+}
+
+std::vector<Complex> spike(std::int64_t n, std::int64_t k0, double height) {
+  std::vector<Complex> x(static_cast<std::size_t>(n));
+  x[static_cast<std::size_t>(k0)] = height;
+  return x;
+}
+
+TEST(Fft, PureToneIsExactToRoundingAtFullSize) {
+  for (const int log_n : {16, 20}) {
+    const std::int64_t n = std::int64_t{1} << log_n;
+    const double bound = 1e-14 * static_cast<double>(n);
+    const std::int64_t k0 = 0x2f1b7 % n;
+    const auto tone = pure_tone(n, k0);
+    auto x = tone;
+    kernels::fft(x);
+    EXPECT_LT(kernels::max_abs_diff(x, spike(n, k0, static_cast<double>(n))), bound)
+        << "forward n=2^" << log_n;
+    // The inverse divides by n; scale its error back to the forward's.
+    auto back = spike(n, k0, static_cast<double>(n));
+    kernels::fft(back, /*inverse=*/true);
+    EXPECT_LT(static_cast<double>(n) * kernels::max_abs_diff(back, tone), bound)
+        << "inverse n=2^" << log_n;
+  }
+  const std::int64_t n = std::int64_t{1} << 20;
+  const std::int64_t k0 = 0x2f1b7 % n;
+  const auto six = kernels::six_step_fft(pure_tone(n, k0), 1024, 1024);
+  EXPECT_LT(kernels::max_abs_diff(six, spike(n, k0, static_cast<double>(n))),
+            1e-14 * static_cast<double>(n));
+}
+
+TEST(Fft, BatchRowsAreBitIdenticalToSingleRows) {
+  constexpr std::int64_t kLen = 1024;
+  constexpr std::int64_t kRows = 8;
+  for (const bool inverse : {false, true}) {
+    const auto orig = random_signal(static_cast<std::size_t>(kLen * kRows), 41);
+    auto batch = orig;
+    kernels::fft_rows(batch, kLen, inverse);
+    auto single = orig;
+    for (std::int64_t r = 0; r < kRows; ++r) {
+      kernels::fft(std::span<Complex>(single).subspan(static_cast<std::size_t>(r * kLen),
+                                                      static_cast<std::size_t>(kLen)),
+                   inverse);
+    }
+    EXPECT_EQ(std::memcmp(batch.data(), single.data(), batch.size() * sizeof(Complex)), 0)
+        << "inverse=" << inverse;
+  }
+  std::vector<Complex> ragged(12);
+  EXPECT_THROW(kernels::fft_rows(ragged, 8), std::invalid_argument);
+}
+
+TEST(Fft, TableTwiddlesMatchTheReference) {
+  for (const int log_n : {8, 13, 20}) {
+    const std::int64_t n = std::int64_t{1} << log_n;
+    const std::int64_t n1 = std::int64_t{1} << ((log_n + 1) / 2);  // row length
+    const std::int64_t n2 = n / n1;                                 // rows
+    const std::int64_t rows = std::min<std::int64_t>(n2, 64);
+    for (const std::int64_t first_row : {std::int64_t{0}, n2 / 2}) {
+      for (const bool inverse : {false, true}) {
+        std::vector<Complex> got(static_cast<std::size_t>(rows * n1), Complex(1.0, 0.0));
+        kernels::twiddle_rows(got, first_row, n1, n, inverse);
+        double err = 0.0;
+        for (std::int64_t r = 0; r < rows; ++r) {
+          for (std::int64_t c = 0; c < n1; ++c) {
+            err = std::max(err, std::abs(got[static_cast<std::size_t>(r * n1 + c)] -
+                                         kernels::twiddle(first_row + r, c, n, inverse)));
+          }
+        }
+        EXPECT_LT(err, 2e-15) << "n=2^" << log_n << " first_row=" << first_row
+                              << " inverse=" << inverse;
+      }
+    }
+  }
+  std::vector<Complex> v(12);
+  EXPECT_THROW(kernels::twiddle_rows(v, 0, 4, 12), std::invalid_argument);
 }
 
 TEST(Kronecker, DeterministicAndInRange) {
