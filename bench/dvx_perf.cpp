@@ -26,6 +26,8 @@
 //   * fft_mpi_point           — one whole full-size fig7 MPI/IB FFT-1D point
 //     (transformed points/s): 2^20 points over 8 nodes, the six-step
 //     numerics and the three pack/alltoall/unpack transposes, end to end.
+//   * fft_dv_point            — the same fig7 point over Data Vortex: the
+//     numerics plus three scatter transposes carried as DV-memory runs.
 //   * local_fft               — node-local FFT numerics (points/s): 1024 rows
 //     of 1024 points through kernels::fft_rows, the fig7/fig9 row stage.
 //
@@ -358,6 +360,26 @@ BenchResult fft_mpi_point() {
   return {"fft_mpi_point", "points/s", work, s, work / s};
 }
 
+/// End-to-end fig7 canary over Data Vortex: the full-size FFT-1D point on 8
+/// nodes through apps::run_fft_dv, cluster construction included: the same
+/// numerics as fft_mpi_point, with three scatter transposes whose words
+/// cross the fabric as DV-memory runs.
+BenchResult fft_dv_point() {
+  namespace apps = dvx::apps;
+  const apps::FftParams params{.log_size = 20};
+
+  const auto t0 = Clock::now();
+  runtime::Cluster cluster(runtime::ClusterConfig{.nodes = 8});
+  const apps::FftResult result = apps::run_fft_dv(cluster, params);
+  const double s = seconds_since(t0);
+  if (!(result.gflops() > 0)) {
+    std::cerr << "dvx_perf: fft_dv_point transformed nothing\n";
+    std::exit(1);
+  }
+  const double work = static_cast<double>(std::int64_t{1} << params.log_size);
+  return {"fft_dv_point", "points/s", work, s, work / s};
+}
+
 /// Node-local FFT throughput: 1024 seeded rows of 1024 points transformed
 /// in place by one kernels::fft_rows call, as one fig7 row stage does.
 BenchResult local_fft() {
@@ -393,6 +415,7 @@ constexpr BenchEntry kBenches[] = {
     {"arrival_storm", arrival_storm},
     {"bfs_dv_point", bfs_dv_point},
     {"fft_mpi_point", fft_mpi_point},
+    {"fft_dv_point", fft_dv_point},
     {"local_fft", local_fft},
 };
 

@@ -97,8 +97,10 @@ HeatResult run_heat_dv(runtime::Cluster& cluster, const HeatParams& params) {
         for (int step = 0; step < params.steps; ++step) {
           const int ctr = (step % 2 == 0) ? kCtrEven : kCtrOdd;
 
-          // Build ONE batch carrying every face to every neighbor.
-          std::vector<vic::Packet> batch;
+          // Build ONE send carrying every face to every neighbor, one run
+          // per face.
+          std::vector<vic::Run> runs;
+          std::vector<std::uint64_t> payload;
           std::int64_t packed_cells = 0;
           for (int f = 0; f < 6; ++f) {
             const int nb = b.neighbor[static_cast<std::size_t>(f)];
@@ -111,16 +113,11 @@ HeatResult run_heat_dv(runtime::Cluster& cluster, const HeatParams& params) {
             const std::uint32_t dst = face_offset(nb_block, f ^ 1, step);
             const auto face = u.pack_face(f);
             packed_cells += static_cast<std::int64_t>(face.size());
-            for (std::size_t i = 0; i < face.size(); ++i) {
-              batch.push_back(vic::Packet{
-                  vic::Header{static_cast<std::uint16_t>(nb), vic::DestKind::kDvMemory,
-                              static_cast<std::uint8_t>(ctr),
-                              dst + static_cast<std::uint32_t>(i)},
-                  std::bit_cast<std::uint64_t>(face[i])});
-            }
+            runs.push_back(vic::Run{nb, ctr, dst, static_cast<std::uint32_t>(face.size())});
+            for (const double v : face) payload.push_back(std::bit_cast<std::uint64_t>(v));
           }
           co_await node.compute_stream(16.0 * static_cast<double>(packed_cells));
-          co_await ctx.send_dma_batch(batch);
+          co_await ctx.send_dma_runs(runs, payload);
 
           co_await ctx.counter_wait_zero(ctr);
           // Re-arm for step+2: neighbors cannot reach it before they receive

@@ -181,18 +181,15 @@ SnapResult run_snap_dv(runtime::Cluster& cluster, const SnapParams& params) {
                     co_await ctx.counter_set_local(kCreditZ(k, sgn[2]), 1);
                   }
                 }
-                std::vector<vic::Packet> batch;
-                batch.reserve(out_y.size() + out_z.size());
+                std::vector<vic::Run> runs;
+                std::vector<std::uint64_t> payload;
+                payload.reserve(out_y.size() + out_z.size());
                 if (down_y >= 0) {
                   const auto nb = snap_detail::block_for(down_y, p, params);
-                  for (std::size_t i = 0; i < out_y.size(); ++i) {
-                    batch.push_back(vic::Packet{
-                        vic::Header{static_cast<std::uint16_t>(down_y),
-                                    vic::DestKind::kDvMemory,
-                                    static_cast<std::uint8_t>(kData(k)),
-                                    slot_base_for(nb, k) +
-                                        static_cast<std::uint32_t>(i)},
-                        std::bit_cast<std::uint64_t>(out_y[i])});
+                  runs.push_back(vic::Run{down_y, kData(k), slot_base_for(nb, k),
+                                          static_cast<std::uint32_t>(out_y.size())});
+                  for (const double v : out_y) {
+                    payload.push_back(std::bit_cast<std::uint64_t>(v));
                   }
                 }
                 if (down_z >= 0) {
@@ -206,17 +203,13 @@ SnapResult run_snap_dv(runtime::Cluster& cluster, const SnapParams& params) {
                       nb_has_y ? static_cast<std::uint32_t>(
                                      (x1c - x0c) * nb.nz_l * params.nang * params.ng)
                                : 0;
-                  for (std::size_t i = 0; i < out_z.size(); ++i) {
-                    batch.push_back(vic::Packet{
-                        vic::Header{static_cast<std::uint16_t>(down_z),
-                                    vic::DestKind::kDvMemory,
-                                    static_cast<std::uint8_t>(kData(k)),
-                                    slot_base_for(nb, k) + zoff +
-                                        static_cast<std::uint32_t>(i)},
-                        std::bit_cast<std::uint64_t>(out_z[i])});
+                  runs.push_back(vic::Run{down_z, kData(k), slot_base_for(nb, k) + zoff,
+                                          static_cast<std::uint32_t>(out_z.size())});
+                  for (const double v : out_z) {
+                    payload.push_back(std::bit_cast<std::uint64_t>(v));
                   }
                 }
-                co_await ctx.send_dma_batch(batch);
+                co_await ctx.send_dma_runs(runs, payload);
               }
             }
           }

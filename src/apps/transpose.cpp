@@ -108,15 +108,19 @@ sim::Coro<std::vector<kernels::Complex>> transpose_dv(
 
   // Scatter every element straight to its transposed slot on the owner VIC.
   // The header pattern is invocation-invariant -> cached headers, payload-only
-  // PCIe traffic (send_dma_batch models exactly that).
+  // PCIe traffic (send_dma_runs models exactly that): each local column bound
+  // for an owner is one run of rows_local elements, contiguous in the
+  // owner's DV memory.
   // Emission order matters twice: owners are visited in rank-rotated order
   // so the P concurrent scatters do not all hammer ejection port 0 first,
   // and columns (destination rows) go group-major so a receiver's first
   // sub-counter fires after ~1/groups of the stream — that is what lets the
   // drain DMA chase the arrivals.
   std::vector<kernels::Complex> out(static_cast<std::size_t>(cols_block * rows));
-  std::vector<vic::Packet> batch;
-  batch.reserve(static_cast<std::size_t>(rows_local * (cols - cols_block) * 2));
+  std::vector<vic::Run> runs;
+  runs.reserve(static_cast<std::size_t>((p - 1) * cols_block));
+  std::vector<std::uint64_t> payload;
+  payload.reserve(static_cast<std::size_t>(rows_local * (cols - cols_block) * 2));
   const std::int64_t r0 = static_cast<std::int64_t>(rank) * rows_local;
   // Self block: a plain host copy, never on the wire.
   for (std::int64_t r = 0; r < rows_local; ++r) {
@@ -135,19 +139,13 @@ sim::Coro<std::vector<kernels::Complex>> transpose_dv(
     const int owner = (rank + shift) % p;
     for (std::int64_t cl = 0; cl < cols_block; ++cl) {
       const std::int64_t c = static_cast<std::int64_t>(owner) * cols_block + cl;
-      const auto ctr = static_cast<std::uint8_t>(counter + group_of(cl));
+      runs.push_back(vic::Run{owner, counter + group_of(cl),
+                              static_cast<std::uint32_t>(dv_base + (cl * rows + r0) * 2),
+                              static_cast<std::uint32_t>(rows_local * 2)});
       for (std::int64_t r = 0; r < rows_local; ++r) {
-        const auto slot =
-            static_cast<std::uint32_t>(dv_base + (cl * rows + (r0 + r)) * 2);
         const auto& z = local[static_cast<std::size_t>(r * cols + c)];
-        batch.push_back(vic::Packet{
-            vic::Header{static_cast<std::uint16_t>(owner), vic::DestKind::kDvMemory,
-                        ctr, slot},
-            std::bit_cast<std::uint64_t>(z.real())});
-        batch.push_back(vic::Packet{
-            vic::Header{static_cast<std::uint16_t>(owner), vic::DestKind::kDvMemory,
-                        ctr, slot + 1},
-            std::bit_cast<std::uint64_t>(z.imag())});
+        payload.push_back(std::bit_cast<std::uint64_t>(z.real()));
+        payload.push_back(std::bit_cast<std::uint64_t>(z.imag()));
       }
     }
   }
@@ -155,13 +153,13 @@ sim::Coro<std::vector<kernels::Complex>> transpose_dv(
   // (its rows minus the self block) must equal what each receiver's group
   // counters were armed for ((rows - rows_local) * cols_block words per
   // rank) — the sender- and receiver-side accountings of the same traffic.
-  DVX_CHECK_EQ(batch.size(),
+  DVX_CHECK_EQ(payload.size(),
                static_cast<std::size_t>(rows_local * (cols - cols_block) * 2))
-      << "transpose_dv: scatter batch does not cover the remote blocks. ";
+      << "transpose_dv: scatter payload does not cover the remote blocks. ";
   DVX_CHECK_EQ(static_cast<std::uint64_t>(rows_local * (cols - cols_block) * 2),
                static_cast<std::uint64_t>((rows - rows_local) * cols_block * 2))
       << "transpose_dv: sender/receiver word accounting diverged. ";
-  co_await ctx.send_dma_batch(batch);
+  co_await ctx.send_dma_runs(runs, payload);
 
   // Drain group by group: each read overlaps the later groups' arrivals.
   std::vector<std::uint64_t> words(static_cast<std::size_t>(in_words));
@@ -177,12 +175,17 @@ sim::Coro<std::vector<kernels::Complex>> transpose_dv(
   }
   co_await ctx.engine().resume_at(last_read);
 
-  // Decode remote slots; self rows [r0, r0 + rows_local) were copied above.
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const auto gr = static_cast<std::int64_t>(i) % rows;
-    if (gr >= r0 && gr < r0 + rows_local) continue;
-    out[i] = kernels::Complex(std::bit_cast<double>(words[2 * i]),
-                              std::bit_cast<double>(words[2 * i + 1]));
+  // Decode remote slots row by row; each output row's self columns
+  // [r0, r0 + rows_local) were copied above.
+  const auto decode = [&](std::int64_t begin, std::int64_t end) {
+    for (auto i = static_cast<std::size_t>(begin); i < static_cast<std::size_t>(end); ++i) {
+      out[i] = kernels::Complex(std::bit_cast<double>(words[2 * i]),
+                                std::bit_cast<double>(words[2 * i + 1]));
+    }
+  };
+  for (std::int64_t row = 0; row < cols_block * rows; row += rows) {
+    decode(row, row + r0);
+    decode(row + r0 + rows_local, row + rows);
   }
   co_await node.compute_stream(16.0 * static_cast<double>(out.size()));  // decode pass
   co_return out;

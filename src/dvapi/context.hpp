@@ -81,10 +81,25 @@ class DvContext {
   /// bandwidth; the fabric (4.4 GB/s/port) becomes the bottleneck.
   sim::Coro<void> send_dma_batch(std::span<const vic::Packet> batch);
 
+  /// DMA/Cached send of DV-memory runs: run k carries the next
+  /// `runs[k].words` words of `payload`. Timing, bursts and effects are
+  /// those of send_dma_batch over the equivalent packets, but only payload
+  /// words are built and staged. Throws std::invalid_argument, before any
+  /// PCIe time is charged, when a run names a destination outside
+  /// [0, nodes()) or a counter outside [0, kNumGroupCounters) other than
+  /// vic::kNoCounter, or when the runs do not cover `payload` exactly.
+  /// The send reads `runs` and `payload` at every DMA-entry hand-off, after
+  /// it has suspended: both must stay alive and unchanged until the awaited
+  /// call returns.
+  sim::Coro<void> send_dma_runs(std::span<const vic::Run> runs,
+                                std::span<const std::uint64_t> payload);
+
   // --- remote memory ---------------------------------------------------------
 
   /// Writes `words` into `dst`'s DV memory at `addr` (DMA/Cached path). Each
-  /// word optionally decrements group counter `counter` on arrival.
+  /// word optionally decrements group counter `counter` on arrival. The
+  /// one-run case of send_dma_runs, with its argument checks; like it,
+  /// `words` must stay alive and unchanged until the awaited put returns.
   sim::Coro<void> put(int dst, std::uint32_t addr, std::span<const std::uint64_t> words,
                       int counter = vic::kNoCounter);
 
@@ -156,6 +171,12 @@ class DvContext {
  private:
   sim::Coro<void> pio_batch(std::span<const vic::Packet> batch,
                             std::int64_t bytes_per_packet);
+  /// The DMA/Cached pacing loop shared by send_dma_batch and send_dma_runs:
+  /// `words` payload words cross PCIe in one DMA transfer, and
+  /// `hand_off(first, n)` passes each DMA entry's words to the fabric at the
+  /// virtual time the entry lands on the card.
+  template <typename HandOff>
+  sim::Coro<void> dma_send(std::size_t words, HandOff hand_off);
   void trace_state(sim::NodeState s, sim::Time begin);
 
   sim::Engine& engine_;

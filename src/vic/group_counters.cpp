@@ -29,7 +29,7 @@ void GroupCounter::set(sim::Time at, std::uint64_t v) {
   cond_.notify_all(engine_.sharding().windowed ? settle_ : engine_.now());
 }
 
-void GroupCounter::decrement(sim::Time at_last, std::uint64_t n) {
+void GroupCounter::decrement(const ArrivalRamp& arrivals, std::uint64_t n) {
   if (n == 0) return;
   if (value_ == 0) {
     // Hardware hazard reproduced: arrivals against a zero counter are lost
@@ -40,8 +40,13 @@ void GroupCounter::decrement(sim::Time at_last, std::uint64_t n) {
   const std::uint64_t applied = std::min(value_, n);
   lost_ += n - applied;
   value_ -= applied;
-  settle_ = std::max(settle_, std::max(at_last, engine_.now()));
-  cond_.notify_all(engine_.sharding().windowed ? settle_ : engine_.now());
+  const sim::Time floor = std::max(settle_, engine_.now());
+  // notify_all hands its waiter list off, so only the first applied word's
+  // notify can wake anyone; arrivals are nondecreasing, so the last applied
+  // word sets the settle time.
+  cond_.notify_all(engine_.sharding().windowed ? std::max(floor, arrivals.at(0))
+                                               : engine_.now());
+  settle_ = std::max(floor, arrivals.at(static_cast<std::int64_t>(applied) - 1));
 }
 
 sim::Coro<bool> GroupCounter::wait_zero(sim::Duration timeout) {

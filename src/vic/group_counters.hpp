@@ -37,6 +37,26 @@ inline constexpr int kBarrierCounterB = kNumGroupCounters - 1;
 /// First counter id free for applications.
 inline constexpr int kFirstUserCounter = 1;
 
+/// Arrival times of consecutive words within one fabric burst of `span`
+/// words: word k of a run that starts `offset` words into the burst lands
+/// at first + (last - first) * (offset + k) / (span - 1), which is
+/// nondecreasing in k. A single time converts to a one-word ramp.
+struct ArrivalRamp {
+  sim::Time first = 0;
+  sim::Time last = 0;
+  std::int64_t span = 1;
+  std::int64_t offset = 0;
+
+  ArrivalRamp(sim::Time at) : first(at), last(at) {}
+  ArrivalRamp(sim::Time first_at, sim::Time last_at, std::int64_t burst_words,
+              std::int64_t first_word)
+      : first(first_at), last(last_at), span(burst_words), offset(first_word) {}
+
+  sim::Time at(std::int64_t k) const noexcept {
+    return span <= 1 ? first : first + (last - first) * (offset + k) / (span - 1);
+  }
+};
+
 class GroupCounter {
  public:
   /// `node` labels wait metrics (the owning VIC's id); all 64 counters of a
@@ -46,8 +66,12 @@ class GroupCounter {
   /// Sets the counter to `v`, effective at time `at`.
   void set(sim::Time at, std::uint64_t v);
 
-  /// Registers `n` packet arrivals whose last word lands at time `at_last`.
-  void decrement(sim::Time at_last, std::uint64_t n = 1);
+  /// Registers `n` packet arrivals, word k landing at `arrivals.at(k)`.
+  /// Exactly what `n` one-word decrements in arrival order do: min(value, n)
+  /// apply and the rest are lost; waiters are notified once, at the first
+  /// word's settle time (the later notifies would find no waiters), and the
+  /// settle time becomes the last applied word's arrival.
+  void decrement(const ArrivalRamp& arrivals, std::uint64_t n = 1);
 
   /// Waits until the counter settles at zero. `timeout` < 0 waits forever.
   /// Returns true on zero, false on timeout (mirrors the dvapi call).

@@ -36,6 +36,19 @@ struct Packet {
   std::uint64_t payload = 0;
 };
 
+/// A run of DV-memory words for one VIC: `words` payload words land at
+/// `addr`, `addr + 1`, ... on VIC `dst`, and each decrements group counter
+/// `counter` on arrival (kNoCounter: none). It carries what `words`
+/// consecutive kDvMemory packets would, without the per-word headers: on
+/// the cached-header DMA path (paper §III) only payloads cross PCIe. The
+/// payload travels beside the runs, which consume it in order.
+struct Run {
+  int dst = 0;
+  int counter = kNoCounter;
+  std::uint32_t addr = 0;
+  std::uint32_t words = 0;
+};
+
 /// Encodes a header into its 64-bit wire form:
 /// [63:48] dst_vic | [47:46] kind | [45:38] counter | [31:0] addr.
 constexpr std::uint64_t encode_header(const Header& h) {

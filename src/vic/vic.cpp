@@ -27,8 +27,9 @@ void Vic::deliver(const Packet& p, sim::Time arrival) {
       << "packet for VIC " << p.header.dst_vic << " delivered to VIC " << id_;
   switch (p.header.kind) {
     case DestKind::kDvMemory:
-      memory_.write(p.header.addr, p.payload);
-      break;
+      deliver_run(p.header.counter, p.header.addr,
+                  std::span<const std::uint64_t>(&p.payload, 1), arrival);
+      return;
     case DestKind::kFifo:
       fifo_.deposit(arrival, p);
       break;
@@ -49,6 +50,16 @@ void Vic::deliver(const Packet& p, sim::Time arrival) {
   if (p.header.counter != kNoCounter && p.header.kind != DestKind::kGroupCounter) {
     counters_.at(static_cast<int>(p.header.counter)).decrement(arrival);
   }
+}
+
+void Vic::deliver_run(int counter, std::uint32_t addr,
+                      std::span<const std::uint64_t> words, const ArrivalRamp& arrivals) {
+  DVX_SHARD_GUARDED("vic.Vic", id_);
+  const check::ScopedNode check_node(id_);
+  // Nothing runs between the words of a run, so one block write and one
+  // counted decrement leave what the per-word writes and decrements would.
+  memory_.write_block(addr, words);
+  if (counter != kNoCounter) counters_.at(counter).decrement(arrivals, words.size());
 }
 
 DvFabric::DvFabric(sim::Engine& engine, int nodes, DvFabricParams params)
@@ -106,30 +117,46 @@ void DvFabric::audit(std::int64_t now_ps) {
   }
 }
 
+DvFabric::StagedBurst& DvFabric::stage(int src, sim::Time ready) {
+  // Each src rank is dispatched by exactly one shard, so the per-src seq
+  // counter and the ledger slot are both single-writer.
+  const int cur = sim::Engine::current_shard();
+  auto& box = staged_[static_cast<std::size_t>(cur < 0 ? 0 : cur)];
+  return box.emplace_back(
+      StagedBurst{ready, src, stage_seq_[static_cast<std::size_t>(src)]++, {}, {}, {}});
+}
+
 dvnet::BurstTiming DvFabric::transmit(int src, std::span<const Packet> packets,
                                       sim::Time ready) {
   if (packets.empty()) return dvnet::BurstTiming{ready, ready};
-  if (windowed_) {
-    if (resolving_) {
-      // A query reply emitted while the resolution replays deliveries: defer
-      // it to the in-resolution fixpoint queue (its ready time is already a
-      // physical arrival >= the closing window's end).
-      resolve_pending_.push_back(StagedBurst{
-          ready, src, 0, std::vector<Packet>(packets.begin(), packets.end())});
-      return dvnet::BurstTiming{ready, ready};
-    }
-    // Rank context: stage into the calling shard's ledger. Each src rank is
-    // dispatched by exactly one shard, so the per-src seq counter and the
-    // ledger slot are both single-writer.
-    DVX_SHARD_ACCESS("vic.DvFabric", src, kWrite);
-    const int cur = sim::Engine::current_shard();
-    auto& box = staged_[static_cast<std::size_t>(cur < 0 ? 0 : cur)];
-    box.push_back(
-        StagedBurst{ready, src, stage_seq_[static_cast<std::size_t>(src)]++,
-                    std::vector<Packet>(packets.begin(), packets.end())});
+  if (!windowed_) return transmit_now(src, packets, ready);
+  if (resolving_) {
+    // A query reply emitted while the resolution replays deliveries: defer
+    // it to the in-resolution fixpoint queue (its ready time is already a
+    // physical arrival >= the closing window's end).
+    resolve_pending_.push_back(StagedBurst{
+        ready, src, 0, std::vector<Packet>(packets.begin(), packets.end()), {}, {}});
     return dvnet::BurstTiming{ready, ready};
   }
-  return transmit_now(src, packets, ready);
+  // Rank context: stage into the calling shard's ledger.
+  DVX_SHARD_ACCESS("vic.DvFabric", src, kWrite);
+  stage(src, ready).packets.assign(packets.begin(), packets.end());
+  return dvnet::BurstTiming{ready, ready};
+}
+
+dvnet::BurstTiming DvFabric::transmit(int src, std::span<const Run> runs,
+                                      std::span<const std::uint64_t> payload,
+                                      sim::Time ready) {
+  if (payload.empty()) return dvnet::BurstTiming{ready, ready};
+  if (!windowed_) return transmit_now(src, runs, payload, ready);
+  // Rank context only: the resolution re-enters transmit with query
+  // replies, which are packets.
+  DVX_CHECK(!resolving_) << "DV-memory runs transmitted during resolution";
+  DVX_SHARD_GUARDED("vic.DvFabric", src);
+  StagedBurst& b = stage(src, ready);
+  b.runs.assign(runs.begin(), runs.end());
+  b.payload.assign(payload.begin(), payload.end());
+  return dvnet::BurstTiming{ready, ready};
 }
 
 dvnet::BurstTiming DvFabric::transmit_now(int src, std::span<const Packet> packets,
@@ -137,34 +164,76 @@ dvnet::BurstTiming DvFabric::transmit_now(int src, std::span<const Packet> packe
   DVX_SHARD_GUARDED("vic.DvFabric", -1);
   if (packets.empty()) return dvnet::BurstTiming{ready, ready};
   dvnet::BurstTiming whole{0, 0};
-  bool first_run = true;
+  bool first_burst = true;
   std::size_t i = 0;
   while (i < packets.size()) {
-    // Coalesce a run of packets to the same destination into one burst.
+    // Coalesce packets to the same destination into one burst.
     std::size_t j = i + 1;
     const int dst = packets[i].header.dst_vic;
     while (j < packets.size() && packets[j].header.dst_vic == dst) ++j;
     const auto n = static_cast<std::int64_t>(j - i);
     const auto timing = model_.send_burst(src, dst, n, ready);
-    if (first_run) {
+    if (first_burst) {
       whole.first_arrival = timing.first_arrival;
-      first_run = false;
+      first_burst = false;
     }
     whole.last_arrival = std::max(whole.last_arrival, timing.last_arrival);
 
-    // Apply per-packet effects; arrival times interpolated across the run.
+    // Apply per-packet effects; arrival times interpolated across the burst.
     Vic& target = vic(dst);
+    const ArrivalRamp arrivals(timing.first_arrival, timing.last_arrival, n, 0);
     for (std::size_t k = i; k < j; ++k) {
-      const auto idx = static_cast<std::int64_t>(k - i);
-      const sim::Time at =
-          n == 1 ? timing.first_arrival
-                 : timing.first_arrival +
-                       (timing.last_arrival - timing.first_arrival) * idx / (n - 1);
-      target.deliver(packets[k], at);
+      target.deliver(packets[k], arrivals.at(static_cast<std::int64_t>(k - i)));
     }
     i = j;
   }
   return whole;
+}
+
+dvnet::BurstTiming DvFabric::transmit_now(int src, std::span<const Run> runs,
+                                          std::span<const std::uint64_t> payload,
+                                          sim::Time ready) {
+  DVX_SHARD_GUARDED("vic.DvFabric", -1);
+  if (payload.empty()) return dvnet::BurstTiming{ready, ready};
+  dvnet::BurstTiming whole{0, 0};
+  bool first_burst = true;
+  std::size_t i = 0;
+  std::size_t word = 0;
+  while (i < runs.size()) {
+    // Consecutive runs to the same destination share one burst, as their
+    // packets would.
+    std::size_t j = i;
+    const int dst = runs[i].dst;
+    std::int64_t n = 0;
+    while (j < runs.size() && runs[j].dst == dst) n += runs[j++].words;
+    const auto timing = model_.send_burst(src, dst, n, ready);
+    if (first_burst) {
+      whole.first_arrival = timing.first_arrival;
+      first_burst = false;
+    }
+    whole.last_arrival = std::max(whole.last_arrival, timing.last_arrival);
+
+    Vic& target = vic(dst);
+    std::int64_t offset = 0;
+    for (; i < j; ++i) {
+      const Run& r = runs[i];
+      DVX_CHECK(r.words > 0) << "empty DV-memory run for VIC " << dst;
+      target.deliver_run(r.counter, r.addr, payload.subspan(word, r.words),
+                         ArrivalRamp(timing.first_arrival, timing.last_arrival, n, offset));
+      offset += r.words;
+      word += r.words;
+    }
+  }
+  DVX_CHECK_EQ(word, payload.size()) << "runs do not cover their payload. ";
+  return whole;
+}
+
+void DvFabric::replay(const StagedBurst& b) {
+  if (b.runs.empty()) {
+    transmit_now(b.src, b.packets, b.ready);
+  } else {
+    transmit_now(b.src, b.runs, b.payload, b.ready);
+  }
 }
 
 void DvFabric::resolve_window() {
@@ -185,15 +254,13 @@ void DvFabric::resolve_window() {
                 return a.seq < b.seq;
               });
     resolving_ = true;
-    for (const StagedBurst& b : batch) {
-      transmit_now(b.src, b.packets, b.ready);
-    }
+    for (const StagedBurst& b : batch) replay(b);
     // Fixpoint over query replies: delivering a kQuery packet re-transmits
     // through the fabric; those bursts append to resolve_pending_ and are
     // replayed in emission order (itself canonical) until none remain.
     for (std::size_t i = 0; i < resolve_pending_.size(); ++i) {
       const StagedBurst b = std::move(resolve_pending_[i]);
-      transmit_now(b.src, b.packets, b.ready);
+      replay(b);
     }
     resolve_pending_.clear();
     resolving_ = false;

@@ -8,11 +8,15 @@
 // and moves packets between them.
 //
 // Data-vs-time convention: packet *data effects* (DV-memory writes, counter
-// sets) are applied eagerly when the sender transmits, while their *timing*
-// is carried by arrival times on group counters and the FIFO. A conforming
-// Data Vortex program only reads data after synchronizing on a counter,
-// barrier, or FIFO arrival, so the early visibility is unobservable; it is
-// what lets the simulator move bursts in O(1) instead of per-packet events.
+// sets) are applied as soon as the fabric moves the burst, ahead of the
+// words' arrival times, while their *timing* is carried by arrival times on
+// group counters and the FIFO. Every cluster run is windowed, so a burst
+// moves when resolve_window replays it at the close of the window it was
+// transmitted in; only hand-built unwindowed fabrics (unit tests) move it at
+// transmit. A conforming Data Vortex program only reads data after
+// synchronizing on a counter, barrier, or FIFO arrival, so the early
+// visibility is unobservable; it is what lets the simulator move bursts in
+// O(1) instead of per-packet events, and DV-memory runs in one block write.
 
 #include <cstdint>
 #include <memory>
@@ -54,9 +58,18 @@ class Vic {
   DmaEngine& dma_to_vic() noexcept { return dma_down_; }
   DmaEngine& dma_from_vic() noexcept { return dma_up_; }
 
-  /// Network ingress: applies one packet whose last bit lands at `arrival`.
-  /// Query packets trigger a host-free reply through the fabric.
+  /// Network ingress: applies one packet whose last bit lands at `arrival`;
+  /// a DV-memory packet is a one-word run (below). Query packets trigger a
+  /// host-free reply through the fabric.
   void deliver(const Packet& p, sim::Time arrival);
+
+  /// Network ingress of one DV-memory run: `words` land at `addr`, `addr+1`,
+  /// ..., word k at `arrivals.at(k)`, each decrementing `counter`
+  /// (kNoCounter: none). One bounds-checked block write and one counted
+  /// decrement, with exactly the effects of delivering the words as
+  /// packets one at a time.
+  void deliver_run(int counter, std::uint32_t addr,
+                   std::span<const std::uint64_t> words, const ArrivalRamp& arrivals);
 
  private:
   sim::Engine& engine_;
@@ -110,6 +123,13 @@ class DvFabric : public check::InvariantAuditor {
   dvnet::BurstTiming transmit(int src, std::span<const Packet> packets,
                               sim::Time ready);
 
+  /// The run form of transmit: run k carries the next `runs[k].words` words
+  /// of `payload`, and every run is non-empty. Moves exactly what the
+  /// equivalent kDvMemory packets would, in the same bursts, with the same
+  /// timing and staging rules; only the payload words are staged.
+  dvnet::BurstTiming transmit(int src, std::span<const Run> runs,
+                              std::span<const std::uint64_t> payload, sim::Time ready);
+
   /// Switches the fabric into windowed-partition mode for `shards` engine
   /// shards. Call after Engine::configure_sharding({.windowed = true}) and
   /// before any traffic; registers the window-close resolution hook with the
@@ -146,7 +166,10 @@ class DvFabric : public check::InvariantAuditor {
     sim::Time ready;
     int src;
     std::uint64_t seq;  ///< per-src monotone stage order
-    std::vector<Packet> packets;  ///< owned copy: caller spans die early
+    // Owned copies (caller spans die early): packets, or runs over payload.
+    std::vector<Packet> packets;
+    std::vector<Run> runs;
+    std::vector<std::uint64_t> payload;
   };
   struct BarrierArrival {
     sim::Time at;
@@ -155,6 +178,11 @@ class DvFabric : public check::InvariantAuditor {
 
   dvnet::BurstTiming transmit_now(int src, std::span<const Packet> packets,
                                   sim::Time ready);
+  dvnet::BurstTiming transmit_now(int src, std::span<const Run> runs,
+                                  std::span<const std::uint64_t> payload,
+                                  sim::Time ready);
+  StagedBurst& stage(int src, sim::Time ready);
+  void replay(const StagedBurst& b);
   void resolve_window();
   void resolve_barrier_arrivals();
 

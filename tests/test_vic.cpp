@@ -138,17 +138,33 @@ TEST(GroupCounter, DecrementAgainstZeroIsLost) {
 }
 
 TEST(GroupCounter, BatchDecrementUsesLastArrival) {
+  // A 100-word run landing from 1 us to 7 us: the waiter resumes when the
+  // last word lands.
   Engine e;
   vic::GroupCounter gc(e);
   sim::Time woke = -1;
   e.spawn([](Engine& eng, vic::GroupCounter& c, sim::Time& t) -> Coro<void> {
     c.set(eng.now(), 100);
-    c.decrement(sim::us(7), 100);
+    c.decrement(vic::ArrivalRamp(sim::us(1), sim::us(7), 100, 0), 100);
     co_await c.wait_zero();
     t = eng.now();
   }(e, gc, woke));
   e.run();
   EXPECT_EQ(woke, sim::us(7));
+}
+
+TEST(GroupCounter, BatchDecrementSettlesOnLastAppliedWord) {
+  // Words 60..99 of a 100-word burst against a counter expecting 25: the
+  // 25th word zeroes it and sets the settle time; the other 15 are lost.
+  Engine e;
+  vic::GroupCounter gc(e);
+  const vic::ArrivalRamp ramp(sim::us(1), sim::us(100), 100, 60);
+  gc.set(0, 25);
+  gc.decrement(ramp, 40);
+  EXPECT_EQ(gc.value(), 0u);
+  EXPECT_EQ(gc.lost_decrements(), 15u);
+  EXPECT_EQ(gc.settle_time(), ramp.at(24));
+  EXPECT_EQ(ramp.at(24), sim::us(1) + (sim::us(100) - sim::us(1)) * 84 / 99);
 }
 
 TEST(GroupCounterFile, ReservedIdsAndBounds) {
