@@ -30,6 +30,9 @@
 //     numerics plus three scatter transposes carried as DV-memory runs.
 //   * local_fft               — node-local FFT numerics (points/s): 1024 rows
 //     of 1024 points through kernels::fft_rows, the fig7/fig9 row stage.
+//   * kronecker_edges         — Graph500 Kronecker edge generation
+//     (edges/s): every edge of the scale-16, edge-factor-16 generator
+//     through kernels::KroneckerGenerator::edge, fig8's graph-build step.
 //
 // These are wall-clock measurements of the *simulator* (the one place host
 // time is allowed); the measured work is fully deterministic (fixed seeds,
@@ -57,6 +60,7 @@
 #include "dvnet/cycle_switch.hpp"
 #include "dvnet/fabric_model.hpp"
 #include "kernels/fft.hpp"
+#include "kernels/kronecker.hpp"
 #include "runtime/cluster.hpp"
 #include "runtime/report.hpp"
 #include "serve/admission.hpp"
@@ -400,6 +404,30 @@ BenchResult local_fft() {
   return {"local_fft", "points/s", work, s, work / s};
 }
 
+/// Kronecker edge throughput: all 2^20 edges of the scale-16, edge-factor-16
+/// generator, one KroneckerGenerator::edge call each. The endpoints fold
+/// into an order-sensitive checksum pinned to the generator's output, so
+/// the loop cannot be optimised away and a changed edge stream fails loudly.
+BenchResult kronecker_edges() {
+  constexpr std::uint64_t kChecksum = 727895861368997495;
+  const dvx::kernels::KroneckerGenerator gen({.scale = 16, .edge_factor = 16});
+
+  const auto t0 = Clock::now();
+  std::uint64_t sum = 0;
+  for (std::uint64_t i = 0; i < gen.edges(); ++i) {
+    const dvx::kernels::Edge e = gen.edge(i);
+    sum = sum * 31 + (e.u << 32 | e.v);
+  }
+  const double s = seconds_since(t0);
+  if (sum != kChecksum) {
+    std::cerr << "dvx_perf: kronecker_edges checksum " << sum << " != " << kChecksum
+              << "\n";
+    std::exit(1);
+  }
+  const double work = static_cast<double>(gen.edges());
+  return {"kronecker_edges", "edges/s", work, s, work / s};
+}
+
 using BenchFn = BenchResult (*)();
 struct BenchEntry {
   const char* name;
@@ -417,6 +445,7 @@ constexpr BenchEntry kBenches[] = {
     {"fft_mpi_point", fft_mpi_point},
     {"fft_dv_point", fft_dv_point},
     {"local_fft", local_fft},
+    {"kronecker_edges", kronecker_edges},
 };
 
 int usage(int code) {

@@ -11,8 +11,8 @@
 //     (deflection adds ~2 hops statistically under contention, per §II).
 // FabricModel encodes exactly that: per-port next-free times enforce the
 // serialization, a calibrated hop count supplies the latency. The
-// bench_ablation_fabric binary and dvnet tests cross-check this model
-// against the cycle-accurate CycleSwitch.
+// `dvx_bench --figure ablation_fabric` study and dvnet tests cross-check
+// this model against the cycle-accurate CycleSwitch.
 
 #include <cstdint>
 #include <map>

@@ -461,10 +461,4 @@ int run_cli(int argc, const char* const* argv) {
   return run_with(std::move(opt));
 }
 
-int run_figures(const std::vector<std::string>& figures) {
-  CliOptions opt;
-  opt.figures = figures;
-  return run_with(std::move(opt));
-}
-
 }  // namespace dvx::exp

@@ -1,7 +1,6 @@
 #pragma once
-// The unified benchmark driver behind the `dvx_bench` binary (and the
-// legacy per-figure wrapper binaries). One command reproduces any paper
-// figure:
+// The unified benchmark driver behind the `dvx_bench` binary. One command
+// reproduces any paper figure:
 //
 //   dvx_bench --list
 //   dvx_bench --figure fig6 --nodes 4,8,16,32 --fast --json out.json
@@ -24,11 +23,6 @@ namespace dvx::exp {
 /// Full CLI entry point; argv[0] is ignored. Returns a process exit code
 /// (0 = success, 1 = a figure failed to run, 2 = usage error).
 int run_cli(int argc, const char* const* argv);
-
-/// Legacy-wrapper entry: runs the given figures with default options
-/// (fast mode from DVX_BENCH_FAST, default node sweeps, tables to stdout,
-/// per-figure BENCH_*.json files).
-int run_figures(const std::vector<std::string>& figures);
 
 /// Embedding/testing entry point, also the core of run_cli: plans every
 /// workload, executes all points on a `jobs`-wide PointScheduler, then

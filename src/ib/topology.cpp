@@ -56,8 +56,8 @@ MsgTiming Fabric::send_message(int src, int dst, std::int64_t bytes, sim::Time r
     return MsgTiming{done, done};
   }
 
-  // Everything below mutates the shared link/NIC ledgers: windowed runs
-  // reach here only from the canonical window-close replay.
+  // Everything below mutates the shared link/NIC ledgers: MpiWorld reaches
+  // it only from the canonical window-close replay.
   DVX_SHARD_GUARDED("ib.Fabric", -1);
 
   // Message-rate gate: the NIC cannot start messages faster than msg_rate.

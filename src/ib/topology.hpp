@@ -13,10 +13,9 @@
 //
 // Like the Data Vortex FabricModel, this is pure timing math over per-link
 // next-free times, with messages chunked at MTU granularity so concurrent
-// flows interleave; the DES guarantees nondecreasing call times (in windowed
-// partition mode the MPI world's canonical window-close replay preserves
-// that order). It is one implementation of the net::Interconnect seam the
-// MPI runtime is built on.
+// flows interleave; the DES guarantees nondecreasing call times (the MPI
+// world's canonical window-close replay preserves that order). It is one
+// implementation of the net::Interconnect seam the MPI runtime is built on.
 
 #include <atomic>
 #include <cstdint>

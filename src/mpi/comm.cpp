@@ -27,21 +27,16 @@ MpiWorld::MpiWorld(sim::Engine& engine, std::unique_ptr<net::Interconnect> fabri
   }
 }
 
-MpiWorld::~MpiWorld() {
-  if (windowed_) engine_.remove_window_hook(this);
-}
+MpiWorld::~MpiWorld() { engine_.remove_window_hook(this); }
 
 // dvx-analyze: allow(shard-partitioned) -- config-time, before any rank runs
 void MpiWorld::configure_partition(std::vector<int> node_to_shard) {
   DVX_CHECK(static_cast<int>(node_to_shard.size()) == ranks_)
       << "node->shard map must cover every rank";
-  DVX_CHECK(engine_.sharding().windowed)
-      << "MpiWorld::configure_partition requires a windowed engine";
   int shards = 0;
   for (int s : node_to_shard) shards = std::max(shards, s + 1);
   DVX_CHECK(shards >= 1 && shards <= engine_.shards())
       << "node->shard map names a shard the engine does not have";
-  windowed_ = true;
   node_to_shard_ = std::move(node_to_shard);
   staged_.assign(static_cast<std::size_t>(engine_.shards()), {});
   stage_seq_.assign(static_cast<std::size_t>(ranks_), 0);
@@ -54,19 +49,16 @@ void MpiWorld::account(const WireOp& op, const net::MsgTiming& t) {
     (op.eager ? obs_eager_msgs_ : obs_rendezvous_msgs_)->inc();
   }
   if (op.traced && tracer_ != nullptr) {
-    // The message line carries the ORIGINAL send time: in windowed mode the
-    // engine clock at resolution sits at the window floor, not at op.ready.
+    // The message line carries the ORIGINAL send time: the engine clock at
+    // resolution sits at the window floor, not at op.ready.
     tracer_->record_message(op.src, op.dst, op.ready, t.last_arrival, op.bytes,
                             op.tag);
   }
 }
 
 void MpiWorld::fabric_send(WireOp op, std::function<void(const net::MsgTiming&)> k) {
-  if (!windowed_) {
-    const net::MsgTiming t = fabric_->send_message(op.src, op.dst, op.bytes, op.ready);
-    account(op, t);
-    if (k) k(t);
-    return;
+  if (staged_.empty()) {
+    throw std::logic_error("MpiWorld: traffic before configure_partition");
   }
   const int cur = sim::Engine::current_shard();
   auto& box = staged_[static_cast<std::size_t>(cur < 0 ? 0 : cur)];

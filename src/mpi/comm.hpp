@@ -106,13 +106,14 @@ class Comm {
 /// Owns the per-rank endpoints, the interconnect the bytes travel over, and
 /// runs the eager/rendezvous protocol.
 ///
-/// Partitioned operation (DESIGN.md §15): configure_partition() rank-
-/// partitions the world across engine shards. Endpoint tables are per rank
-/// and only ever touched on the owning rank's shard (protocol events are
-/// scheduled onto the destination's shard explicitly); the shared
-/// interconnect is reached exclusively through fabric_send(), which stages
-/// non-loopback wire transfers into per-shard ledgers resolved at the
-/// engine's window barrier in canonical (ready, src, per-src seq) order.
+/// Partitioned operation (DESIGN.md §15): the world is rank-partitioned
+/// across engine shards. Endpoint tables are per rank and only ever touched
+/// on the owning rank's shard (protocol events are scheduled onto the
+/// destination's shard explicitly); the shared interconnect is reached
+/// exclusively through fabric_send(), which stages non-loopback wire
+/// transfers into per-shard ledgers resolved at the engine's window barrier
+/// in canonical (ready, src, per-src seq) order. A world carries no traffic
+/// until configure_partition() sets up the ledgers.
 // dvx-analyze: shard-partitioned
 class MpiWorld {
  public:
@@ -127,12 +128,12 @@ class MpiWorld {
   sim::Tracer* tracer() noexcept { return tracer_; }
   Comm comm(int rank) { return Comm(*this, rank); }
 
-  /// Switches the world into windowed-partition mode: rank r's protocol
-  /// events run on shard node_to_shard[r], wire transfers are staged and
-  /// resolved at window closes. Call after Engine::configure_sharding
-  /// ({.windowed = true}) and before any traffic.
+  /// Partitions the world: rank r's protocol events run on shard
+  /// node_to_shard[r], wire transfers are staged and resolved at window
+  /// closes. Call after Engine::configure_sharding({.windowed = true}) and
+  /// before any traffic; point-to-point traffic before it throws
+  /// std::logic_error.
   void configure_partition(std::vector<int> node_to_shard);
-  bool windowed() const noexcept { return windowed_; }
 
   // Protocol entry points (used by Comm).
   Request start_send(int src, int dst, int tag, std::vector<std::uint64_t> data);
@@ -186,18 +187,16 @@ class MpiWorld {
     std::function<void(const net::MsgTiming&)> k;  ///< nullable continuation
   };
 
-  /// Single gateway to the interconnect. Non-windowed: synchronous
-  /// send_message, inline accounting, k invoked immediately. Windowed:
-  /// loopback (src == dst; purely local timing) still computes synchronously
-  /// on the calling shard, while remote transfers stage {op, seq, k} and the
-  /// window-close resolution replays them in (ready, src, seq) order.
+  /// Single gateway to the interconnect. Loopback (src == dst; purely local
+  /// timing) computes synchronously on the calling shard, while remote
+  /// transfers stage {op, seq, k} and the window-close resolution replays
+  /// them in (ready, src, seq) order.
   void fabric_send(WireOp op, std::function<void(const net::MsgTiming&)> k);
   void account(const WireOp& op, const net::MsgTiming& t);
   void resolve_window();
-  /// Destination shard for rank r's protocol events (-1 = default shard
-  /// resolution outside partition mode).
+  /// Destination shard for rank r's protocol events.
   int shard_of(int rank) const noexcept {
-    return windowed_ ? node_to_shard_[static_cast<std::size_t>(rank)] : -1;
+    return node_to_shard_[static_cast<std::size_t>(rank)];
   }
 
   void deliver_eager(int dst, Message msg);
@@ -217,8 +216,7 @@ class MpiWorld {
   obs::Counter* obs_rendezvous_msgs_ = nullptr;
   std::vector<Endpoint> endpoints_;
 
-  // Windowed-partition state (empty/false outside partition mode).
-  bool windowed_ = false;
+  // Partition state (empty until configure_partition).
   std::vector<int> node_to_shard_;
   std::vector<std::vector<StagedOp>> staged_;  ///< per shard
   std::vector<std::uint64_t> stage_seq_;       ///< per src rank

@@ -12,18 +12,18 @@
 //     the caller (mpi::MpiWorld, a workload) owns the event scheduling.
 //   * Determinism: the result may depend only on constructor parameters and
 //     the sequence of prior send_message calls. Implementations must not
-//     read wall-clock time or unseeded entropy (tools/lint_determinism.py
-//     enforces the ban), so the same call sequence yields byte-identical
-//     timings on every host.
+//     read wall-clock time or unseeded entropy (the `determinism` rule group
+//     of tools/dvx_analyze enforces the ban), so the same call sequence
+//     yields byte-identical timings on every host.
 //   * The DES guarantees nondecreasing `ready` values per source; models
-//     may rely on that the way ib::Fabric's link bank does. In windowed
-//     partition mode (DESIGN.md §15) mpi::MpiWorld stages wire transfers
-//     and replays them at window closes sorted by (ready, src, seq); since
-//     every event left pending after window W is at or past W's end, ready
-//     values stay nondecreasing across batches too, and the property holds
-//     globally. Loopback (src == dst) calls are the one exception: they run
-//     concurrently on the calling shard mid-window, so that branch may
-//     touch only thread-safe state (see ib/torus byte tallies).
+//     may rely on that the way ib::Fabric's link bank does. mpi::MpiWorld
+//     (DESIGN.md §15) stages wire transfers and replays them at window
+//     closes sorted by (ready, src, seq); since every event left pending
+//     after window W is at or past W's end, ready values stay nondecreasing
+//     across batches too, and the property holds globally. Loopback
+//     (src == dst) calls are the one exception: they run concurrently on
+//     the calling shard mid-window, so that branch may touch only
+//     thread-safe state (see ib/torus byte tallies).
 //
 // Adding a backend = implement this class, add an exp::Backend id, and
 // register the construction in runtime::Cluster. Nothing in src/mpi changes.
@@ -63,9 +63,9 @@ class Interconnect {
   /// Conservative lower bound on cross-node delivery latency: no message
   /// injected at time t may arrive at another node before t + lookahead().
   /// A sharded sim::Engine uses this as its synchronization window width
-  /// (DESIGN.md §12), so the bound must be safe, not tight — 0 (the
-  /// default) means "no bound known" and forces serial execution.
-  virtual sim::Duration lookahead() const noexcept { return 0; }
+  /// (DESIGN.md §12), so the bound must be safe, not tight, and positive:
+  /// runtime::Cluster rejects a backend without one.
+  virtual sim::Duration lookahead() const noexcept = 0;
 };
 
 }  // namespace dvx::net

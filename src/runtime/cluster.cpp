@@ -72,15 +72,10 @@ RunResult collect(sim::Engine& engine, std::deque<NodeCtx>& ctxs) {
   // are harvested here rather than self-attached.
   if (obs::Registry* m = obs::metrics()) {
     m->counter("sim.engine.events")->add(engine.events_processed());
-    // The per-shard max queue depth depends on how nodes were laid out
-    // across shards, so windowed (partitioned) runs must not export it:
-    // metrics snapshots are byte-identical at any --engine-threads value.
-    if (!engine.sharding().windowed) {
-      m->gauge("sim.engine.queue_depth")
-          ->sample(static_cast<double>(engine.max_queue_depth()));
-    }
-    // The conservative window bound, for sanity-checking sharded runs. The
-    // thread count is deliberately NOT exported, for the same reason.
+    // The conservative window bound, for sanity-checking sharded runs.
+    // Neither the thread count nor the per-shard max queue depth, which
+    // depends on the shard layout, is exported: metrics snapshots are
+    // byte-identical at any --engine-threads value.
     m->gauge("sim.engine.lookahead_ps")
         ->sample(static_cast<double>(engine.sharding().lookahead));
   }
@@ -121,8 +116,7 @@ void report_shard_plan(const ClusterConfig& config, const ShardPlan& plan) {
   std::ostringstream os;
   os << "dvx: cluster sharding: nodes=" << config.nodes
      << " shards=" << plan.shards << " threads=" << plan.threads
-     << " lookahead_ps=" << plan.lookahead
-     << (plan.windowed ? " windowed" : " serial");
+     << " lookahead_ps=" << plan.lookahead;
   static std::mutex mu;
   static std::set<std::string>* seen = new std::set<std::string>();
   const std::lock_guard<std::mutex> lock(mu);
@@ -137,7 +131,7 @@ ShardPlan apply_sharding(sim::Engine& engine, const ClusterConfig& config,
   engine.configure_sharding({.shards = plan.shards,
                              .threads = plan.threads,
                              .lookahead = plan.lookahead,
-                             .windowed = plan.windowed});
+                             .windowed = true});
   return plan;
 }
 
@@ -145,17 +139,18 @@ ShardPlan apply_sharding(sim::Engine& engine, const ClusterConfig& config,
 
 ShardPlan Cluster::resolve_sharding(const ClusterConfig& config,
                                     sim::Duration lookahead) {
+  if (lookahead <= 0) {
+    throw std::invalid_argument(
+        "Cluster: the fabric has no positive lookahead, so it cannot be windowed");
+  }
   ShardPlan plan;
   plan.threads =
       config.engine_threads > 0 ? config.engine_threads : default_engine_threads();
   plan.lookahead = lookahead;
-  if (lookahead > 0) {
-    // Windowed even at one shard: every layout then shares the same
-    // window-close resolution semantics, which is what makes shards=1 and
-    // shards=N trajectories byte-identical (DESIGN.md §15).
-    plan.windowed = true;
-    plan.shards = std::min(plan.threads, config.nodes);
-  }
+  // Windowed even at one shard: every layout then shares the same
+  // window-close resolution semantics, which is what makes shards=1 and
+  // shards=N trajectories byte-identical (DESIGN.md §15).
+  plan.shards = std::min(plan.threads, config.nodes);
   return plan;
 }
 
@@ -177,7 +172,7 @@ RunResult Cluster::run_dv(const DvProgram& program) {
   sim::Engine engine;
   vic::DvFabric fabric(engine, config_.nodes, config_.dv);
   const ShardPlan plan = apply_sharding(engine, config_, fabric.min_remote_latency());
-  if (plan.windowed) fabric.configure_partition(plan.shards);
+  fabric.configure_partition(plan.shards);
   const std::vector<int> node_shard = shard_map(config_.nodes, plan.shards);
   CostModel cost(config_.cost);
   std::deque<dvapi::DvContext> dv_ctxs;
@@ -218,7 +213,7 @@ RunResult Cluster::run_mpi(const MpiProgram& program) {
   const std::vector<int> node_shard = shard_map(config_.nodes, plan.shards);
   mpi::MpiWorld world(engine, std::move(fabric), config_.nodes, config_.mpi,
                       capture.tracer_or_null());
-  if (plan.windowed) world.configure_partition(node_shard);
+  world.configure_partition(node_shard);
   CostModel cost(config_.cost);
   std::deque<NodeCtx> node_ctxs;
   for (int r = 0; r < config_.nodes; ++r) {

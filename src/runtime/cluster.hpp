@@ -48,13 +48,12 @@ struct ClusterConfig {
 
 /// Resolved execution plan for one cluster run: how many shards the fabric
 /// is partitioned into, how many worker threads drive them, and the
-/// conservative window bound. A pure function of (ClusterConfig, fabric
-/// lookahead) — see Cluster::resolve_sharding.
+/// conservative window bound. Every cluster run is windowed. A pure function
+/// of (ClusterConfig, fabric lookahead) — see Cluster::resolve_sharding.
 struct ShardPlan {
   int shards = 1;
   int threads = 1;
   sim::Duration lookahead = 0;
-  bool windowed = false;
 };
 
 /// Process-wide default for ClusterConfig::engine_threads == 0: the
@@ -90,10 +89,11 @@ class Cluster {
 
   /// The execution plan a cluster with this config uses for a fabric with
   /// the given conservative lookahead bound: threads from the config (else
-  /// the process default), shards = min(threads, nodes), windowed whenever
-  /// the bound is positive. Cluster runs are windowed even at shards == 1,
-  /// so every shard count shares one resolution semantics and sweeps are
-  /// byte-identical across --engine-threads values (DESIGN.md §15).
+  /// the process default), shards = min(threads, nodes). Cluster runs are
+  /// windowed even at shards == 1, so every shard count shares one
+  /// resolution semantics and sweeps are byte-identical across
+  /// --engine-threads values (DESIGN.md §15). Throws std::invalid_argument
+  /// when the bound is not positive: such a fabric cannot be windowed.
   static ShardPlan resolve_sharding(const ClusterConfig& config,
                                     sim::Duration lookahead);
 

@@ -141,7 +141,7 @@ MsgTiming Fabric::send_message(int src, int dst, std::int64_t bytes,
   }
 
   // Everything below mutates the shared link/NIC ledgers, conservation
-  // counters and obs instruments: windowed runs reach here only from the
+  // counters and obs instruments: MpiWorld reaches it only from the
   // canonical window-close replay.
   DVX_SHARD_GUARDED("torus.Fabric", -1);
 

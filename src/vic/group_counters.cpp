@@ -22,11 +22,10 @@ GroupCounter::GroupCounter(sim::Engine& engine, int node)
 void GroupCounter::set(sim::Time at, std::uint64_t v) {
   value_ = v;
   settle_ = std::max(settle_, std::max(at, engine_.now()));
-  // Waiters re-evaluate immediately; they sleep towards the settle time.
-  // Windowed engines mutate counters from the window-close resolution (clock
-  // at the window floor, behind the waiters' shards), so the notify carries
-  // the physical settle time instead.
-  cond_.notify_all(engine_.sharding().windowed ? settle_ : engine_.now());
+  // Network sets arrive from the window-close resolution, whose clock sits
+  // at the window floor, behind the waiters' shards; the notify therefore
+  // carries the physical settle time.
+  cond_.notify_all(settle_);
 }
 
 void GroupCounter::decrement(const ArrivalRamp& arrivals, std::uint64_t n) {
@@ -42,10 +41,9 @@ void GroupCounter::decrement(const ArrivalRamp& arrivals, std::uint64_t n) {
   value_ -= applied;
   const sim::Time floor = std::max(settle_, engine_.now());
   // notify_all hands its waiter list off, so only the first applied word's
-  // notify can wake anyone; arrivals are nondecreasing, so the last applied
-  // word sets the settle time.
-  cond_.notify_all(engine_.sharding().windowed ? std::max(floor, arrivals.at(0))
-                                               : engine_.now());
+  // (physical) arrival can wake anyone; arrivals are nondecreasing, so the
+  // last applied word sets the settle time.
+  cond_.notify_all(std::max(floor, arrivals.at(0)));
   settle_ = std::max(floor, arrivals.at(static_cast<std::int64_t>(applied) - 1));
 }
 

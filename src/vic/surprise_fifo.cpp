@@ -40,12 +40,11 @@ void SurpriseFifo::deposit(sim::Time at, Packet p) {
     obs_deposits_->inc();
     obs_depth_->sample(static_cast<double>(buffered()));
   }
-  // Windowed engines deposit from the window-close resolution, where the
-  // engine clock sits at the window floor — behind the waiters' shard
-  // clocks. Notifying at the (physical, >= window end) arrival time keeps
-  // the wake-up legal on every shard; serial mode keeps the immediate
-  // notify so waiters re-evaluate the FIFO right away.
-  cond_.notify_all(engine_.sharding().windowed ? at : engine_.now());
+  // Deposits come from the window-close resolution, where the engine clock
+  // sits at the window floor — behind the waiters' shard clocks. Notifying
+  // at the (physical, >= window end) arrival time keeps the wake-up legal
+  // on every shard.
+  cond_.notify_all(at);
 }
 
 sim::Time SurpriseFifo::earliest() const noexcept {

@@ -71,8 +71,7 @@ DvFabric::DvFabric(sim::Engine& engine, int nodes, DvFabricParams params)
           fp.geometry = dvnet::Geometry::for_ports(nodes, fp.geometry.angles);
         }
         return fp;
-      }()),
-      barrier_cond_(engine) {
+      }()) {
   if (nodes <= 0) throw std::invalid_argument("DvFabric: need at least one node");
   vics_.reserve(static_cast<std::size_t>(nodes));
   for (int i = 0; i < nodes; ++i) {
@@ -83,15 +82,12 @@ DvFabric::DvFabric(sim::Engine& engine, int nodes, DvFabricParams params)
 
 DvFabric::~DvFabric() {
   engine_.remove_auditor(this);
-  if (windowed_) engine_.remove_window_hook(this);
+  engine_.remove_window_hook(this);
 }
 
 // dvx-analyze: allow(shard-partitioned) -- config-time, before any rank runs
 void DvFabric::configure_partition(int shards) {
   DVX_CHECK(shards >= 1) << "partition needs at least one shard";
-  DVX_CHECK(engine_.sharding().windowed)
-      << "DvFabric::configure_partition requires a windowed engine";
-  windowed_ = true;
   staged_.assign(static_cast<std::size_t>(shards), {});
   barrier_staged_.assign(static_cast<std::size_t>(shards), {});
   stage_seq_.assign(static_cast<std::size_t>(nodes()), 0);
@@ -117,6 +113,12 @@ void DvFabric::audit(std::int64_t now_ps) {
   }
 }
 
+void DvFabric::require_partition() const {
+  if (staged_.empty()) {
+    throw std::logic_error("DvFabric: traffic before configure_partition");
+  }
+}
+
 DvFabric::StagedBurst& DvFabric::stage(int src, sim::Time ready) {
   // Each src rank is dispatched by exactly one shard, so the per-src seq
   // counter and the ledger slot are both single-writer.
@@ -126,29 +128,26 @@ DvFabric::StagedBurst& DvFabric::stage(int src, sim::Time ready) {
       StagedBurst{ready, src, stage_seq_[static_cast<std::size_t>(src)]++, {}, {}, {}});
 }
 
-dvnet::BurstTiming DvFabric::transmit(int src, std::span<const Packet> packets,
-                                      sim::Time ready) {
-  if (packets.empty()) return dvnet::BurstTiming{ready, ready};
-  if (!windowed_) return transmit_now(src, packets, ready);
+void DvFabric::transmit(int src, std::span<const Packet> packets, sim::Time ready) {
+  require_partition();
+  if (packets.empty()) return;
   if (resolving_) {
     // A query reply emitted while the resolution replays deliveries: defer
     // it to the in-resolution fixpoint queue (its ready time is already a
     // physical arrival >= the closing window's end).
     resolve_pending_.push_back(StagedBurst{
         ready, src, 0, std::vector<Packet>(packets.begin(), packets.end()), {}, {}});
-    return dvnet::BurstTiming{ready, ready};
+    return;
   }
   // Rank context: stage into the calling shard's ledger.
   DVX_SHARD_ACCESS("vic.DvFabric", src, kWrite);
   stage(src, ready).packets.assign(packets.begin(), packets.end());
-  return dvnet::BurstTiming{ready, ready};
 }
 
-dvnet::BurstTiming DvFabric::transmit(int src, std::span<const Run> runs,
-                                      std::span<const std::uint64_t> payload,
-                                      sim::Time ready) {
-  if (payload.empty()) return dvnet::BurstTiming{ready, ready};
-  if (!windowed_) return transmit_now(src, runs, payload, ready);
+void DvFabric::transmit(int src, std::span<const Run> runs,
+                        std::span<const std::uint64_t> payload, sim::Time ready) {
+  require_partition();
+  if (payload.empty()) return;
   // Rank context only: the resolution re-enters transmit with query
   // replies, which are packets.
   DVX_CHECK(!resolving_) << "DV-memory runs transmitted during resolution";
@@ -156,15 +155,10 @@ dvnet::BurstTiming DvFabric::transmit(int src, std::span<const Run> runs,
   StagedBurst& b = stage(src, ready);
   b.runs.assign(runs.begin(), runs.end());
   b.payload.assign(payload.begin(), payload.end());
-  return dvnet::BurstTiming{ready, ready};
 }
 
-dvnet::BurstTiming DvFabric::transmit_now(int src, std::span<const Packet> packets,
-                                          sim::Time ready) {
+void DvFabric::transmit_now(int src, std::span<const Packet> packets, sim::Time ready) {
   DVX_SHARD_GUARDED("vic.DvFabric", -1);
-  if (packets.empty()) return dvnet::BurstTiming{ready, ready};
-  dvnet::BurstTiming whole{0, 0};
-  bool first_burst = true;
   std::size_t i = 0;
   while (i < packets.size()) {
     // Coalesce packets to the same destination into one burst.
@@ -173,11 +167,6 @@ dvnet::BurstTiming DvFabric::transmit_now(int src, std::span<const Packet> packe
     while (j < packets.size() && packets[j].header.dst_vic == dst) ++j;
     const auto n = static_cast<std::int64_t>(j - i);
     const auto timing = model_.send_burst(src, dst, n, ready);
-    if (first_burst) {
-      whole.first_arrival = timing.first_arrival;
-      first_burst = false;
-    }
-    whole.last_arrival = std::max(whole.last_arrival, timing.last_arrival);
 
     // Apply per-packet effects; arrival times interpolated across the burst.
     Vic& target = vic(dst);
@@ -187,16 +176,11 @@ dvnet::BurstTiming DvFabric::transmit_now(int src, std::span<const Packet> packe
     }
     i = j;
   }
-  return whole;
 }
 
-dvnet::BurstTiming DvFabric::transmit_now(int src, std::span<const Run> runs,
-                                          std::span<const std::uint64_t> payload,
-                                          sim::Time ready) {
+void DvFabric::transmit_now(int src, std::span<const Run> runs,
+                            std::span<const std::uint64_t> payload, sim::Time ready) {
   DVX_SHARD_GUARDED("vic.DvFabric", -1);
-  if (payload.empty()) return dvnet::BurstTiming{ready, ready};
-  dvnet::BurstTiming whole{0, 0};
-  bool first_burst = true;
   std::size_t i = 0;
   std::size_t word = 0;
   while (i < runs.size()) {
@@ -207,12 +191,6 @@ dvnet::BurstTiming DvFabric::transmit_now(int src, std::span<const Run> runs,
     std::int64_t n = 0;
     while (j < runs.size() && runs[j].dst == dst) n += runs[j++].words;
     const auto timing = model_.send_burst(src, dst, n, ready);
-    if (first_burst) {
-      whole.first_arrival = timing.first_arrival;
-      first_burst = false;
-    }
-    whole.last_arrival = std::max(whole.last_arrival, timing.last_arrival);
-
     Vic& target = vic(dst);
     std::int64_t offset = 0;
     for (; i < j; ++i) {
@@ -225,7 +203,6 @@ dvnet::BurstTiming DvFabric::transmit_now(int src, std::span<const Run> runs,
     }
   }
   DVX_CHECK_EQ(word, payload.size()) << "runs do not cover their payload. ";
-  return whole;
 }
 
 void DvFabric::replay(const StagedBurst& b) {
@@ -301,42 +278,17 @@ void DvFabric::resolve_barrier_arrivals() {
 }
 
 sim::Coro<void> DvFabric::intrinsic_barrier(int rank) {
-  if (windowed_) {
-    // Stage the arrival in the calling shard's ledger; the VIC-side AND-tree
-    // completes at the window-close resolution, which computes the release
-    // time and wakes every rank through its own (rank-local) condition.
-    DVX_SHARD_ACCESS("vic.DvFabric", rank, kWrite);
-    const std::uint64_t my_phase = barrier_phase_;
-    const int cur = sim::Engine::current_shard();
-    barrier_staged_[static_cast<std::size_t>(cur < 0 ? 0 : cur)].push_back(
-        BarrierArrival{engine_.now(), rank});
-    sim::Condition& cond = *barrier_conds_[static_cast<std::size_t>(rank)];
-    while (barrier_phase_ == my_phase) co_await cond.wait();
-    DVX_CHECK(barrier_phase_ > my_phase) << "barrier phase went backwards";
-    co_return;
-  }
-  DVX_SHARD_GUARDED("vic.DvFabric", -1);
-  (void)rank;  // every VIC participates exactly once per phase
+  require_partition();
+  // Stage the arrival in the calling shard's ledger; the VIC-side AND-tree
+  // completes at the window-close resolution, which computes the release
+  // time and wakes every rank through its own (rank-local) condition.
+  DVX_SHARD_ACCESS("vic.DvFabric", rank, kWrite);
   const std::uint64_t my_phase = barrier_phase_;
-  // Barrier-epoch sanity: arrivals never exceed the party count within one
-  // phase, and the release time cannot precede the last arrival.
-  DVX_CHECK(barrier_arrived_ < nodes())
-      << "barrier over-arrival in phase " << barrier_phase_;
-  barrier_latest_ = std::max(barrier_latest_, engine_.now());
-  if (++barrier_arrived_ == nodes()) {
-    // Hardware completes the AND-tree: base cost plus a little per level.
-    const int levels = std::bit_width(static_cast<unsigned>(nodes() - 1));
-    const sim::Time release = barrier_latest_ + params_.barrier_base +
-                              static_cast<sim::Duration>(levels) * params_.barrier_per_level;
-    DVX_CHECK(release >= engine_.now()) << "barrier released into the past";
-    barrier_arrived_ = 0;
-    barrier_latest_ = 0;
-    ++barrier_phase_;
-    barrier_cond_.notify_all(release);
-    co_await engine_.resume_at(release);
-    co_return;
-  }
-  while (barrier_phase_ == my_phase) co_await barrier_cond_.wait();
+  const int cur = sim::Engine::current_shard();
+  barrier_staged_[static_cast<std::size_t>(cur < 0 ? 0 : cur)].push_back(
+      BarrierArrival{engine_.now(), rank});
+  sim::Condition& cond = *barrier_conds_[static_cast<std::size_t>(rank)];
+  while (barrier_phase_ == my_phase) co_await cond.wait();
   DVX_CHECK(barrier_phase_ > my_phase) << "barrier phase went backwards";
 }
 

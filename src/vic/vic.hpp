@@ -10,13 +10,12 @@
 // Data-vs-time convention: packet *data effects* (DV-memory writes, counter
 // sets) are applied as soon as the fabric moves the burst, ahead of the
 // words' arrival times, while their *timing* is carried by arrival times on
-// group counters and the FIFO. Every cluster run is windowed, so a burst
-// moves when resolve_window replays it at the close of the window it was
-// transmitted in; only hand-built unwindowed fabrics (unit tests) move it at
-// transmit. A conforming Data Vortex program only reads data after
-// synchronizing on a counter, barrier, or FIFO arrival, so the early
-// visibility is unobservable; it is what lets the simulator move bursts in
-// O(1) instead of per-packet events, and DV-memory runs in one block write.
+// group counters and the FIFO. A burst moves when resolve_window replays it
+// at the close of the window it was transmitted in. A conforming Data Vortex
+// program only reads data after synchronizing on a counter, barrier, or FIFO
+// arrival, so the early visibility is unobservable; it is what lets the
+// simulator move bursts in O(1) instead of per-packet events, and DV-memory
+// runs in one block write.
 
 #include <cstdint>
 #include <memory>
@@ -94,13 +93,13 @@ struct DvFabricParams {
 
 /// The whole Data Vortex side of the cluster: one switch + N VICs.
 ///
-/// Partitioned operation (DESIGN.md §15): configure_partition() switches the
-/// fabric into windowed mode, where rank-context transmits and barrier
+/// Partitioned operation (DESIGN.md §15): rank-context transmits and barrier
 /// arrivals are staged into per-shard ledgers and resolved at the engine's
 /// window barrier in canonical (ready, src, per-src seq) order — the shared
 /// switch model and the destination VICs are then only ever mutated on the
 /// single resolution thread, making `shards > 1` legal with byte-identical
-/// output at any shard count.
+/// output at any shard count. A fabric carries no traffic until
+/// configure_partition() sets up the ledgers.
 // dvx-analyze: shard-partitioned
 class DvFabric : public check::InvariantAuditor {
  public:
@@ -114,34 +113,33 @@ class DvFabric : public check::InvariantAuditor {
   const DvFabricParams& params() const noexcept { return params_; }
 
   /// Injects a batch of packets from `src`'s VIC, already resident on the
-  /// card, first word able to enter the switch at `ready`. Consecutive
-  /// packets to the same destination share one fabric burst. Returns the
-  /// (first, last) ejection times of the whole batch. In windowed-partition
-  /// mode the burst is staged for the window-close resolution instead and
-  /// the returned timing is the placeholder (ready, ready) — no caller
-  /// consumes it (senders are paced by their PCIe/DMA hand-off times).
-  dvnet::BurstTiming transmit(int src, std::span<const Packet> packets,
-                              sim::Time ready);
+  /// card, first word able to enter the switch at `ready`. The batch is
+  /// staged for the window-close resolution, where consecutive packets to
+  /// the same destination share one fabric burst; senders are paced by
+  /// their PCIe/DMA hand-off times, and receivers see the ejection times on
+  /// counters and the FIFO. Throws std::logic_error before
+  /// configure_partition().
+  void transmit(int src, std::span<const Packet> packets, sim::Time ready);
 
   /// The run form of transmit: run k carries the next `runs[k].words` words
   /// of `payload`, and every run is non-empty. Moves exactly what the
   /// equivalent kDvMemory packets would, in the same bursts, with the same
   /// timing and staging rules; only the payload words are staged.
-  dvnet::BurstTiming transmit(int src, std::span<const Run> runs,
-                              std::span<const std::uint64_t> payload, sim::Time ready);
+  void transmit(int src, std::span<const Run> runs,
+                std::span<const std::uint64_t> payload, sim::Time ready);
 
-  /// Switches the fabric into windowed-partition mode for `shards` engine
-  /// shards. Call after Engine::configure_sharding({.windowed = true}) and
-  /// before any traffic; registers the window-close resolution hook with the
-  /// engine. Staged operations resolve in (ready, src, per-src seq) order,
-  /// which is a pure function of the simulation content — never of the
-  /// shard layout or worker count.
+  /// Sets up the per-shard ledgers for `shards` engine shards. Call after
+  /// Engine::configure_sharding({.windowed = true}) and before any traffic;
+  /// registers the window-close resolution hook with the engine. Staged
+  /// operations resolve in (ready, src, per-src seq) order, which is a pure
+  /// function of the simulation content — never of the shard layout or
+  /// worker count.
   void configure_partition(int shards);
-  bool windowed() const noexcept { return windowed_; }
 
   /// Hardware barrier built on the two reserved counters: rank's VIC arrives
   /// at the current virtual time; resumes when every VIC has arrived plus
-  /// the (small, log-depth) hardware latency.
+  /// the (small, log-depth) hardware latency. Throws std::logic_error
+  /// before configure_partition().
   sim::Coro<void> intrinsic_barrier(int rank);
 
   /// Conservative lower bound on remote delivery latency, the DV analogue
@@ -176,11 +174,11 @@ class DvFabric : public check::InvariantAuditor {
     int rank;
   };
 
-  dvnet::BurstTiming transmit_now(int src, std::span<const Packet> packets,
-                                  sim::Time ready);
-  dvnet::BurstTiming transmit_now(int src, std::span<const Run> runs,
-                                  std::span<const std::uint64_t> payload,
-                                  sim::Time ready);
+  void transmit_now(int src, std::span<const Packet> packets, sim::Time ready);
+  void transmit_now(int src, std::span<const Run> runs,
+                    std::span<const std::uint64_t> payload, sim::Time ready);
+  /// Throws std::logic_error unless configure_partition() has run.
+  void require_partition() const;
   StagedBurst& stage(int src, sim::Time ready);
   void replay(const StagedBurst& b);
   void resolve_window();
@@ -192,13 +190,11 @@ class DvFabric : public check::InvariantAuditor {
   std::vector<std::unique_ptr<Vic>> vics_;
 
   // Intrinsic barrier bookkeeping.
-  sim::Condition barrier_cond_;
   int barrier_arrived_ = 0;
   std::uint64_t barrier_phase_ = 0;
   sim::Time barrier_latest_ = 0;
 
-  // Windowed-partition state (empty/false outside partition mode).
-  bool windowed_ = false;
+  // Partition state (empty until configure_partition).
   bool resolving_ = false;  ///< inside resolve_window (query replies re-enter)
   std::vector<std::vector<StagedBurst>> staged_;          ///< per shard
   std::vector<std::vector<BarrierArrival>> barrier_staged_;  ///< per shard

@@ -28,11 +28,21 @@ using sim::Engine;
 
 namespace {
 
-/// Runs `body(ctx)` as one simulated process per rank; returns finish time.
+/// Windows `e` at one shard with the given lookahead, as every cluster run
+/// is windowed.
+void configure_windowed(Engine& e, sim::Duration lookahead) {
+  e.configure_sharding(
+      {.shards = 1, .threads = 1, .lookahead = lookahead, .windowed = true});
+}
+
+/// Runs `body(ctx)` as one simulated process per rank over a fabric
+/// partitioned on a windowed engine; returns finish time.
 template <typename Body>
 sim::Time run_nodes(int nodes, Body body, vic::DvFabricParams params = {}) {
   Engine engine;
   vic::DvFabric fabric(engine, nodes, params);
+  configure_windowed(engine, fabric.min_remote_latency());
+  fabric.configure_partition(1);
   std::deque<dvapi::DvContext> ctxs;
   for (int r = 0; r < nodes; ++r) ctxs.emplace_back(engine, fabric, r);
   for (int r = 0; r < nodes; ++r) {
@@ -709,11 +719,6 @@ RefOutcome run_traffic(Engine& e, Side& side, const RefTraffic& t) {
     }
   }
   return out;
-}
-
-void configure_windowed(Engine& e, sim::Duration lookahead) {
-  e.configure_sharding(
-      {.shards = 1, .threads = 1, .lookahead = lookahead, .windowed = true});
 }
 
 class RunDelivery : public ::testing::TestWithParam<std::uint64_t> {};

@@ -158,7 +158,8 @@ TEST(Tracing, DvRunsProduceStateIntervals) {
   }
 }
 
-// Model cross-validation (the assertion version of bench_ablation_fabric):
+// Model cross-validation (the assertion version of `dvx_bench --figure
+// ablation_fabric`):
 // at light load the analytic model's base latency is within 40% of the
 // cycle-accurate switch.
 TEST(ModelValidation, AnalyticLatencyTracksCycleSwitchAtLightLoad) {

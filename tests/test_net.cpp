@@ -278,9 +278,20 @@ TEST(NetSeam, LookaheadBoundsAreConservative) {
 
 // --- MiniMPI over the seam ---------------------------------------------------
 
+/// Windows `e` at one shard and partitions `world` over it, as every
+/// cluster run does.
+void partition(sim::Engine& e, mpi::MpiWorld& world) {
+  e.configure_sharding({.shards = 1,
+                        .threads = 1,
+                        .lookahead = world.fabric().lookahead(),
+                        .windowed = true});
+  world.configure_partition(std::vector<int>(static_cast<std::size_t>(world.size()), 0));
+}
+
 TEST(NetSeam, MiniMpiRunsOverTorus) {
   sim::Engine engine;
   mpi::MpiWorld world(engine, std::make_unique<torus::Fabric>(8), 8);
+  partition(engine, world);
   for (int r = 0; r < 8; ++r) {
     engine.spawn([](mpi::Comm comm) -> sim::Coro<void> {
       const int n = comm.size();

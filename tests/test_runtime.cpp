@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -112,18 +113,17 @@ TEST(Cluster, ResolveShardingWindowsEveryPositiveLookahead) {
   cfg.nodes = 8;
   cfg.engine_threads = 4;
   const auto plan = runtime::Cluster::resolve_sharding(cfg, sim::ns(10));
-  EXPECT_TRUE(plan.windowed);
   EXPECT_EQ(plan.shards, 4);
   EXPECT_EQ(plan.threads, 4);
   EXPECT_EQ(plan.lookahead, sim::ns(10));
   // More threads than nodes: shards clamp to the node count.
   cfg.engine_threads = 64;
   EXPECT_EQ(runtime::Cluster::resolve_sharding(cfg, sim::ns(10)).shards, 8);
-  // Zero lookahead cannot window; the run stays serial on one shard.
+  // A fabric without a positive lookahead cannot be windowed, so its plan
+  // is rejected.
   cfg.engine_threads = 4;
-  const auto serial = runtime::Cluster::resolve_sharding(cfg, 0);
-  EXPECT_FALSE(serial.windowed);
-  EXPECT_EQ(serial.shards, 1);
+  EXPECT_THROW(runtime::Cluster::resolve_sharding(cfg, 0), std::invalid_argument);
+  EXPECT_THROW(runtime::Cluster::resolve_sharding(cfg, -1), std::invalid_argument);
 }
 
 // The tentpole contract of ISSUE 10: the virtual-time trajectory of a real

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <queue>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -407,21 +408,35 @@ TEST(Dma, InAndOutOverlap) {
             (a.complete - a.start) + (b.complete - b.start));
 }
 
+/// Windows `e` at one shard and partitions `fabric` over it, as every
+/// cluster run does: traffic then moves at window closes.
+void partition(Engine& e, vic::DvFabric& fabric) {
+  e.configure_sharding({.shards = 1,
+                        .threads = 1,
+                        .lookahead = fabric.min_remote_latency(),
+                        .windowed = true});
+  fabric.configure_partition(1);
+}
+
 TEST(DvFabric, MemoryPacketWritesRemoteWordAndDecrementsCounter) {
   Engine e;
   vic::DvFabric fabric(e, 4);
-  e.spawn([](Engine& eng, vic::DvFabric& f) -> Coro<void> {
+  partition(e, fabric);
+  dvx::dvnet::FabricModel ref(fabric.params().fabric);
+  e.spawn([](Engine& eng, vic::DvFabric& f, dvx::dvnet::FabricModel& m) -> Coro<void> {
     f.vic(2).counters().at(5).set(eng.now(), 1);
     vic::Packet p;
     p.header = vic::Header{2, vic::DestKind::kDvMemory, 5, 1234};
     p.payload = 777;
-    const auto t = f.transmit(0, std::span<const vic::Packet>(&p, 1), eng.now());
-    EXPECT_GT(t.first_arrival, eng.now());
+    const sim::Time sent = eng.now();
+    f.transmit(0, std::span<const vic::Packet>(&p, 1), sent);
+    const auto want = m.send_burst(0, 2, 1, sent);
+    EXPECT_GT(want.first_arrival, sent);
     const bool ok = co_await f.vic(2).counters().at(5).wait_zero();
     EXPECT_TRUE(ok);
-    EXPECT_EQ(eng.now(), t.first_arrival);
+    EXPECT_EQ(eng.now(), want.first_arrival);
     EXPECT_EQ(f.vic(2).memory().read(1234), 777u);
-  }(e, fabric));
+  }(e, fabric, ref));
   e.run();
   EXPECT_TRUE(e.all_done());
 }
@@ -429,6 +444,7 @@ TEST(DvFabric, MemoryPacketWritesRemoteWordAndDecrementsCounter) {
 TEST(DvFabric, QueryTriggersHostFreeReply) {
   Engine e;
   vic::DvFabric fabric(e, 4);
+  partition(e, fabric);
   e.spawn([](Engine& eng, vic::DvFabric& f) -> Coro<void> {
     f.vic(3).memory().write(50, 0xabcdef);
     // Query VIC 3, addr 50; reply goes to VIC 1's FIFO (not the sender!).
@@ -449,17 +465,31 @@ TEST(DvFabric, QueryTriggersHostFreeReply) {
 TEST(DvFabric, TransmitCoalescesRunsToSameDestination) {
   Engine e;
   vic::DvFabric fabric(e, 4);
+  partition(e, fabric);
+  constexpr int kCtr = 5;
   std::vector<vic::Packet> batch;
   for (int i = 0; i < 100; ++i) {
-    batch.push_back(vic::Packet{vic::Header{1, vic::DestKind::kDvMemory, vic::kNoCounter,
+    batch.push_back(vic::Packet{vic::Header{1, vic::DestKind::kDvMemory, kCtr,
                                             static_cast<std::uint32_t>(i)},
                                 static_cast<std::uint64_t>(i)});
   }
-  const auto t = fabric.transmit(0, batch, 0);
+  sim::Time settled = -1;
+  e.spawn([](Engine& eng, vic::DvFabric& f, const std::vector<vic::Packet>& b,
+             sim::Time& out) -> Coro<void> {
+    f.vic(1).counters().at(kCtr).set(eng.now(), 100);
+    f.transmit(0, b, 0);
+    EXPECT_TRUE(co_await f.vic(1).counters().at(kCtr).wait_zero());
+    out = eng.now();
+  }(e, fabric, batch, settled));
+  e.run();
+  // The last word lands where one 100-word burst ends.
+  dvx::dvnet::FabricModel ref(fabric.params().fabric);
+  const auto t = ref.send_burst(0, 1, 100, 0);
+  EXPECT_EQ(settled, t.last_arrival);
   // 100 words through one port: ~100 word-times end to end.
-  const auto wt = fabric.model().word_time();
+  const auto wt = ref.word_time();
   EXPECT_GE(t.last_arrival - t.first_arrival, 99 * wt);
-  EXPECT_LT(t.last_arrival, 120 * wt + fabric.model().base_latency());
+  EXPECT_LT(t.last_arrival, 120 * wt + ref.base_latency());
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(fabric.vic(1).memory().read(static_cast<std::uint32_t>(i)),
               static_cast<std::uint64_t>(i));
@@ -470,6 +500,7 @@ TEST(DvFabric, IntrinsicBarrierIsNearlyFlatInNodeCount) {
   auto barrier_cost = [](int nodes) {
     Engine e;
     vic::DvFabric fabric(e, nodes);
+    partition(e, fabric);
     for (int r = 0; r < nodes; ++r) {
       e.spawn([](vic::DvFabric& f, int rank) -> Coro<void> {
         co_await f.intrinsic_barrier(rank);
@@ -488,6 +519,7 @@ TEST(DvFabric, IntrinsicBarrierIsNearlyFlatInNodeCount) {
 TEST(DvFabric, BarrierIsReusableAcrossPhases) {
   Engine e;
   vic::DvFabric fabric(e, 3);
+  partition(e, fabric);
   std::vector<sim::Time> done;
   for (int r = 0; r < 3; ++r) {
     e.spawn([](Engine& eng, vic::DvFabric& f, int rank, auto& out) -> Coro<void> {
@@ -502,6 +534,20 @@ TEST(DvFabric, BarrierIsReusableAcrossPhases) {
   ASSERT_EQ(done.size(), 3u);
   EXPECT_EQ(done[0], done[1]);
   EXPECT_EQ(done[1], done[2]);
+}
+
+TEST(DvFabric, TrafficBeforePartitionThrows) {
+  Engine e;
+  vic::DvFabric fabric(e, 2);
+  const vic::Packet p{vic::Header{1, vic::DestKind::kFifo, vic::kNoCounter, 0}, 7};
+  EXPECT_THROW(fabric.transmit(0, std::span<const vic::Packet>(&p, 1), 0), std::logic_error);
+  const vic::Run run{.dst = 1, .addr = 0, .words = 1};
+  const std::uint64_t word = 7;
+  EXPECT_THROW(fabric.transmit(0, std::span<const vic::Run>(&run, 1),
+                               std::span<const std::uint64_t>(&word, 1), 0),
+               std::logic_error);
+  e.spawn([](vic::DvFabric& f) -> Coro<void> { co_await f.intrinsic_barrier(0); }(fabric));
+  EXPECT_THROW(e.run(), std::logic_error);
 }
 
 }  // namespace

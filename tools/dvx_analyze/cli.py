@@ -6,9 +6,8 @@ Usage:
 Walks the configured roots (default: the [analyze].roots of rules.toml),
 runs the enabled rule groups, and prints findings as
 `path:line:col: [rule] message`. Exit status: 0 clean, 1 findings,
-2 usage/configuration error — the same contract the determinism lint has
-had since PR 3 (tools/lint_determinism.py is now a thin wrapper over this
-with `--rule determinism`).
+2 usage/configuration error. `--rule determinism` runs the determinism bans
+alone.
 """
 
 from __future__ import annotations
@@ -83,7 +82,7 @@ def run(
     return ctx
 
 
-def main(argv: list[str], legacy_det_lint: bool = False) -> int:
+def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="dvx_analyze", description=__doc__.splitlines()[0])
     parser.add_argument("roots", nargs="*",
@@ -120,12 +119,7 @@ def main(argv: list[str], legacy_det_lint: bool = False) -> int:
         return 2
 
     for f in ctx.findings:
-        if legacy_det_lint and f.rule == "determinism":
-            # Preserve the historical det-lint output shape for editors/CI
-            # that match on it.
-            print(f"{f.path}:{f.line}:{f.col}: {f.message}")
-        else:
-            print(f.text())
+        print(f.text())
 
     suppressions = sorted({(s.path, s.line, s.rule, s.justification)
                            for s in ctx.suppressions})
