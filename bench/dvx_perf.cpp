@@ -28,6 +28,9 @@
 //     numerics and the three pack/alltoall/unpack transposes, end to end.
 //   * fft_dv_point            — the same fig7 point over Data Vortex: the
 //     numerics plus three scatter transposes carried as DV-memory runs.
+//   * gups_mpi_point          — one whole full-size fig6 MPI/IB GUPS point
+//     (updates/s): 2^16 updates per node over 32 nodes, the hypercube
+//     bucket routing of every update through apps::run_gups_mpi.
 //   * local_fft               — node-local FFT numerics (points/s): 1024 rows
 //     of 1024 points through kernels::fft_rows, the fig7/fig9 row stage.
 //   * kronecker_edges         — Graph500 Kronecker edge generation
@@ -384,6 +387,26 @@ BenchResult fft_dv_point() {
   return {"fft_dv_point", "points/s", work, s, work / s};
 }
 
+/// End-to-end fig6 canary: the full-size GUPS point over MPI on a 32-node
+/// InfiniBand cluster (2^16 table words and 2^16 updates per node) through
+/// apps::run_gups_mpi, cluster construction included: the log2(P) stages of
+/// bucket routing that every update takes, fig6's largest host cost.
+BenchResult gups_mpi_point() {
+  namespace apps = dvx::apps;
+  const apps::GupsParams params{.local_table_words = 1 << 16, .updates_per_node = 1 << 16};
+
+  const auto t0 = Clock::now();
+  runtime::Cluster cluster(runtime::ClusterConfig{.nodes = 32});
+  const apps::GupsResult result = apps::run_gups_mpi(cluster, params);
+  const double s = seconds_since(t0);
+  if (!(result.gups() > 0)) {
+    std::cerr << "dvx_perf: gups_mpi_point updated nothing\n";
+    std::exit(1);
+  }
+  const double work = result.total_updates;
+  return {"gups_mpi_point", "updates/s", work, s, work / s};
+}
+
 /// Node-local FFT throughput: 1024 seeded rows of 1024 points transformed
 /// in place by one kernels::fft_rows call, as one fig7 row stage does.
 BenchResult local_fft() {
@@ -444,6 +467,7 @@ constexpr BenchEntry kBenches[] = {
     {"bfs_dv_point", bfs_dv_point},
     {"fft_mpi_point", fft_mpi_point},
     {"fft_dv_point", fft_dv_point},
+    {"gups_mpi_point", gups_mpi_point},
     {"local_fft", local_fft},
     {"kronecker_edges", kronecker_edges},
 };

@@ -16,25 +16,24 @@ std::vector<LocalGraph> build_distribution(const kernels::KroneckerParams& kp, i
     throw std::invalid_argument("bfs: vertices must divide rank count");
   }
   const std::uint64_t vpr = verts / static_cast<std::uint64_t>(ranks);
-  // Ranks and vertices are both powers of two, so the owner rank and the
-  // local index of a vertex are a shift and a mask, not a 64-bit divide.
-  const int vpr_shift = std::countr_zero(vpr);
-  const std::uint64_t vpr_mask = vpr - 1;
+  const BlockOwner own(vpr);
+  auto owner = [&](std::uint64_t v) { return static_cast<std::size_t>(own.rank(v)); };
 
-  // Per-rank degree count pass, then fill pass.
+  // Generate the edge list once. The degree-count pass and the fill pass
+  // both walk it in edge-index order, so each neighbour list keeps that
+  // order. The 16 B/edge buffer is freed on return.
+  const std::vector<kernels::Edge> edges = gen.slice(0, gen.edges());
+
   std::vector<LocalGraph> out(static_cast<std::size_t>(ranks));
   for (int r = 0; r < ranks; ++r) {
     out[static_cast<std::size_t>(r)].verts_per_rank = vpr;
     out[static_cast<std::size_t>(r)].first_vertex = static_cast<std::uint64_t>(r) * vpr;
     out[static_cast<std::size_t>(r)].row_ptr.assign(vpr + 1, 0);
   }
-  const std::uint64_t ne = gen.edges();
-  auto owner = [&](std::uint64_t v) { return static_cast<std::size_t>(v >> vpr_shift); };
-  for (std::uint64_t i = 0; i < ne; ++i) {
-    const auto e = gen.edge(i);
+  for (const kernels::Edge& e : edges) {
     if (e.u == e.v) continue;
-    ++out[owner(e.u)].row_ptr[(e.u & vpr_mask) + 1];
-    ++out[owner(e.v)].row_ptr[(e.v & vpr_mask) + 1];
+    ++out[owner(e.u)].row_ptr[own.local(e.u) + 1];
+    ++out[owner(e.v)].row_ptr[own.local(e.v) + 1];
   }
   for (auto& g : out) {
     for (std::uint64_t v = 0; v < vpr; ++v) g.row_ptr[v + 1] += g.row_ptr[v];
@@ -45,19 +44,10 @@ std::vector<LocalGraph> build_distribution(const kernels::KroneckerParams& kp, i
     auto& g = out[static_cast<std::size_t>(r)];
     cursor[static_cast<std::size_t>(r)].assign(g.row_ptr.begin(), g.row_ptr.end() - 1);
   }
-  for (std::uint64_t i = 0; i < ne; ++i) {
-    const auto e = gen.edge(i);
+  for (const kernels::Edge& e : edges) {
     if (e.u == e.v) continue;
-    {
-      auto& g = out[owner(e.u)];
-      auto& c = cursor[owner(e.u)];
-      g.col[c[e.u & vpr_mask]++] = e.v;
-    }
-    {
-      auto& g = out[owner(e.v)];
-      auto& c = cursor[owner(e.v)];
-      g.col[c[e.v & vpr_mask]++] = e.u;
-    }
+    out[owner(e.u)].col[cursor[owner(e.u)][own.local(e.u)]++] = e.v;
+    out[owner(e.v)].col[cursor[owner(e.v)][own.local(e.v)]++] = e.u;
   }
   return out;
 }
@@ -67,14 +57,16 @@ std::vector<std::uint64_t> pick_roots(const kernels::KroneckerGenerator& gen, in
   std::set<std::uint64_t> seen;
   std::uint64_t probe = 0;
   while (static_cast<int>(roots.size()) < count) {
+    // Give up after 4 x edges probes, before the next one, so a graph with
+    // fewer distinct non-loop sources than `count` throws instead of spinning.
+    if (probe >= gen.edges() * 4) {
+      throw std::runtime_error("bfs: could not find enough distinct roots");
+    }
     const auto e = gen.edge((probe * 2654435761ULL + 17) % gen.edges());
     ++probe;
     if (e.u == e.v) continue;  // needs an incident non-loop edge
     if (!seen.insert(e.u).second) continue;
     roots.push_back(e.u);
-    if (probe > gen.edges() * 4) {
-      throw std::runtime_error("bfs: could not find enough distinct roots");
-    }
   }
   return roots;
 }

@@ -3,6 +3,7 @@
 // distribution, per-rank adjacency construction, root selection, candidate
 // encoding, and validation glue.
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -12,6 +13,20 @@
 #include "kernels/kronecker.hpp"
 
 namespace dvx::apps::bfs_detail {
+
+/// Owner map of the 1-D vertex-block distribution. Ranks and vertices are
+/// both powers of two, so a vertex's owner rank and local index are a shift
+/// and a mask, not a 64-bit divide.
+struct BlockOwner {
+  explicit BlockOwner(std::uint64_t verts_per_rank)
+      : shift(std::countr_zero(verts_per_rank)), mask(verts_per_rank - 1) {}
+
+  int rank(std::uint64_t v) const { return static_cast<int>(v >> shift); }
+  std::uint64_t local(std::uint64_t v) const { return v & mask; }
+
+  int shift;
+  std::uint64_t mask;
+};
 
 /// Local adjacency: row_ptr over local vertices, neighbor ids are global.
 struct LocalGraph {

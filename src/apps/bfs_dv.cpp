@@ -23,7 +23,7 @@ BfsResult run_bfs_dv(runtime::Cluster& cluster, const BfsParams& params) {
   kernels::KroneckerGenerator gen(kp);
   const auto graphs = bfs_detail::build_distribution(kp, p);
   const auto roots = bfs_detail::pick_roots(gen, params.searches);
-  const std::uint64_t vpr = graphs.front().verts_per_rank;
+  const bfs_detail::BlockOwner own(graphs.front().verts_per_rank);
 
   std::vector<sim::Time> search_marks;
   std::vector<std::uint64_t> reached_sums(roots.size(), 0);
@@ -39,15 +39,15 @@ BfsResult run_bfs_dv(runtime::Cluster& cluster, const BfsParams& params) {
 
       std::vector<std::uint64_t> parent(g.local_verts(), kernels::kNoParent);
       std::vector<std::uint64_t> frontier;
-      if (root / vpr == static_cast<std::uint64_t>(ctx.rank())) {
-        parent[root % vpr] = root;
-        frontier.push_back(root % vpr);
+      if (own.rank(root) == ctx.rank()) {
+        parent[own.local(root)] = root;
+        frontier.push_back(own.local(root));
       }
 
       for (;;) {
         std::vector<std::uint64_t> next;
         auto absorb = [&](std::uint64_t packed) {
-          const std::uint64_t w = bfs_detail::candidate_vertex(packed) % vpr;
+          const std::uint64_t w = own.local(bfs_detail::candidate_vertex(packed));
           if (parent[w] == kernels::kNoParent) {
             parent[w] = bfs_detail::candidate_parent(packed);
             next.push_back(w);
@@ -64,7 +64,7 @@ BfsResult run_bfs_dv(runtime::Cluster& cluster, const BfsParams& params) {
           const std::uint64_t gu = g.first_vertex + lv;
           for (std::uint64_t w : g.neighbors(lv)) {
             ++edges_scanned;
-            const int owner = static_cast<int>(w / vpr);
+            const int owner = own.rank(w);
             const std::uint64_t packed = bfs_detail::pack_candidate(w, gu);
             if (owner == ctx.rank()) {
               absorb(packed);

@@ -20,7 +20,7 @@ BfsResult run_bfs_mpi(runtime::Cluster& cluster, const BfsParams& params) {
   kernels::KroneckerGenerator gen(kp);
   const auto graphs = bfs_detail::build_distribution(kp, p);
   const auto roots = bfs_detail::pick_roots(gen, params.searches);
-  const std::uint64_t vpr = graphs.front().verts_per_rank;
+  const bfs_detail::BlockOwner own(graphs.front().verts_per_rank);
 
   std::vector<sim::Time> search_marks;  // rank-0 timestamps around searches
   std::vector<std::uint64_t> reached_sums(roots.size(), 0);
@@ -36,9 +36,9 @@ BfsResult run_bfs_mpi(runtime::Cluster& cluster, const BfsParams& params) {
 
       std::vector<std::uint64_t> parent(g.local_verts(), kernels::kNoParent);
       std::vector<std::uint64_t> frontier;  // local vertex ids
-      if (root / vpr == static_cast<std::uint64_t>(comm.rank())) {
-        parent[root % vpr] = root;
-        frontier.push_back(root % vpr);
+      if (own.rank(root) == comm.rank()) {
+        parent[own.local(root)] = root;
+        frontier.push_back(own.local(root));
       }
 
       for (;;) {
@@ -48,7 +48,7 @@ BfsResult run_bfs_mpi(runtime::Cluster& cluster, const BfsParams& params) {
         for (std::uint64_t lv : frontier) {
           const std::uint64_t gu = g.first_vertex + lv;
           for (std::uint64_t w : g.neighbors(lv)) {
-            buckets[static_cast<std::size_t>(w / vpr)].push_back(
+            buckets[static_cast<std::size_t>(own.rank(w))].push_back(
                 bfs_detail::pack_candidate(w, gu));
             ++edges_scanned;
           }
@@ -63,7 +63,7 @@ BfsResult run_bfs_mpi(runtime::Cluster& cluster, const BfsParams& params) {
         for (const auto& blk : incoming) {
           for (std::uint64_t packed : blk) {
             ++candidates;
-            const std::uint64_t w = bfs_detail::candidate_vertex(packed) % vpr;
+            const std::uint64_t w = own.local(bfs_detail::candidate_vertex(packed));
             if (parent[w] == kernels::kNoParent) {
               parent[w] = bfs_detail::candidate_parent(packed);
               next.push_back(w);

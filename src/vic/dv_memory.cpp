@@ -1,7 +1,6 @@
 #include "vic/dv_memory.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -22,10 +21,7 @@ void DvMemory::check(std::uint32_t addr, std::size_t count) const {
 
 std::uint64_t* DvMemory::segment_for_write(std::size_t seg) {
   auto& p = segments_[seg];
-  if (!p) {
-    p = std::make_unique<std::uint64_t[]>(kSegmentWords);
-    std::memset(p.get(), 0, kSegmentWords * sizeof(std::uint64_t));
-  }
+  if (!p) p = std::make_unique<std::uint64_t[]>(kSegmentWords);  // value-initialised: zeros
   return p.get();
 }
 

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <stdexcept>
 
 #include "apps/bfs.hpp"
 #include "apps/bfs_common.hpp"
@@ -138,6 +140,22 @@ TEST(BfsDistribution, MatchesCsrAtEveryRankCount) {
           << "vertex " << v << " at " << ranks << " ranks";
     }
   }
+}
+
+TEST(BfsRoots, GivesUpWhenTooFewDistinctRoots) {
+  // A 4-vertex, 4-edge graph has at most 4 distinct non-loop sources, and
+  // the probe sequence visits every edge index. Asking for exactly as many
+  // roots as there are sources succeeds; asking for one more must throw
+  // rather than probe forever.
+  const kernels::KroneckerGenerator gen({.scale = 2, .edge_factor = 1});
+  std::set<std::uint64_t> sources;
+  for (const kernels::Edge& e : gen.slice(0, gen.edges())) {
+    if (e.u != e.v) sources.insert(e.u);
+  }
+  const int distinct = static_cast<int>(sources.size());
+  const auto roots = apps::bfs_detail::pick_roots(gen, distinct);
+  EXPECT_EQ(std::set<std::uint64_t>(roots.begin(), roots.end()), sources);
+  EXPECT_THROW(apps::bfs_detail::pick_roots(gen, distinct + 1), std::runtime_error);
 }
 
 }  // namespace
