@@ -4,19 +4,11 @@
 //   * engine_event_storm      — DES dispatch throughput (events/s): a seeded
 //     storm of plain callbacks interleaved with coroutine delay chains, so
 //     both payload kinds (side-slab callbacks, handle slab) are exercised.
-//   * engine_parallel_storm   — sharded-engine throughput (events/s): 8
-//     shards of rescheduling chains with periodic cross-shard sends under
-//     a 1 us conservative lookahead window (DESIGN.md §12); the dispatch
-//     trajectory is thread-count-independent, the wall clock is not.
 //   * switch_drain_congested  — cycle-accurate switch throughput (cycles/s)
 //     draining a deep uniform-random backlog on a 256-port fabric: deep port
 //     queues, saturated occupancy, then the sparse drain tail.
 //   * fabric_burst            — analytic FabricModel bursts/s.
 //   * fabric_torus            — 3D-torus timing model messages/s.
-//   * cluster_gups_sharded    — end-to-end sharded cluster rate (updates/s):
-//     64-node Data Vortex GUPS through runtime::Cluster at engine_threads=4
-//     (shards = 4), with a threads=1 pass first to pin the determinism
-//     contract (both layouts must produce the same virtual trajectory).
 //   * arrival_storm           — serving-layer arrival generation + token
 //     bucket admission (requests/s): the host-side cost of planning an
 //     open-loop multi-tenant serving point (dvx::serve, DESIGN.md §14).
@@ -52,9 +44,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "apps/bfs.hpp"
@@ -186,104 +176,6 @@ BenchResult fabric_torus() {
   const double s = seconds_since(t0);
   const double work = static_cast<double>(kMsgs);
   return {"fabric_torus", "msgs/s", work, s, work / s};
-}
-
-/// Sharded-engine dispatch throughput: 8 event-ordering shards, each loaded
-/// with seeded callback chains that mostly reschedule locally (inside the
-/// 1 us lookahead window) and periodically send cross-shard (landing beyond
-/// the window, as the conservative contract requires). The workload fixes
-/// shards = 8 and lookahead = 1 us so the dispatch trajectory is identical
-/// at any worker count; threads = min(4, hardware_concurrency) supplies the
-/// parallelism the acceptance gate measures on multi-core hardware.
-BenchResult engine_parallel_storm() {
-  constexpr int kShards = 8;
-  constexpr int kChainsPerShard = 64;
-  constexpr int kFiresPerChain = 2048;
-  const int threads = std::max(
-      1, std::min(4, static_cast<int>(std::thread::hardware_concurrency())));
-
-  const auto t0 = Clock::now();
-  sim::Engine engine;
-  engine.set_audit_interval(0);
-  engine.configure_sharding(
-      {.shards = kShards, .threads = threads, .lookahead = sim::us(1)});
-
-  // Each chain is a self-rescheduling callback: shared_ptr keeps the state
-  // alive across hops; every 64th fire also posts a cross-shard callback to
-  // the next shard at now + lookahead (+ jitter), which always satisfies the
-  // conservative bound because now >= the window floor.
-  struct Chain {
-    sim::Engine* engine;
-    sim::Xoshiro256 rng;
-    int shard;
-    int fires_left;
-    void fire() {
-      if (--fires_left <= 0) return;
-      if (fires_left % 64 == 0) {
-        const int dst = (shard + 1) % kShards;
-        engine->schedule(
-            engine->now() + sim::us(1) + sim::ns(static_cast<double>(rng.below(64))),
-            [] {}, dst);
-      }
-      engine->schedule(
-          engine->now() + sim::ns(static_cast<double>(1 + rng.below(256))),
-          [this] { fire(); }, shard);
-    }
-  };
-  std::vector<std::shared_ptr<Chain>> chains;
-  chains.reserve(kShards * kChainsPerShard);
-  for (int s = 0; s < kShards; ++s) {
-    for (int c = 0; c < kChainsPerShard; ++c) {
-      auto chain = std::make_shared<Chain>(
-          Chain{&engine,
-                sim::Xoshiro256(static_cast<std::uint64_t>(s * kChainsPerShard + c) + 1),
-                s, kFiresPerChain});
-      chains.push_back(chain);
-      engine.schedule(sim::ns(static_cast<double>(1 + chain->rng.below(256))),
-                      [chain] { chain->fire(); }, s);
-    }
-  }
-  engine.run();
-  const double s = seconds_since(t0);
-  const double work = static_cast<double>(engine.events_processed());
-  return {"engine_parallel_storm", "events/s", work, s, work / s};
-}
-
-/// End-to-end sharded-cluster throughput (ISSUE 10 canary): a 64-node
-/// Data Vortex GUPS run through runtime::Cluster at engine_threads = 1
-/// (the windowed serial lower bound) and then at engine_threads = 4
-/// (shards = 4 partitioned fabric). The reported rate is the sharded run's
-/// host-side update throughput; the serial pass guards determinism — both
-/// layouts must land on the exact same virtual-time trajectory, so any
-/// divergence aborts the bench. On >= 4-core hardware the sharded pass is
-/// the speedup the partitioning work exists to buy; on fewer cores it
-/// degrades to oversubscribed-but-correct.
-BenchResult cluster_gups_sharded() {
-  namespace apps = dvx::apps;
-  apps::GupsParams params;
-  params.local_table_words = 1 << 14;
-  params.updates_per_node = 1 << 12;
-
-  auto run_at = [&](int threads) {
-    runtime::ClusterConfig cfg;
-    cfg.nodes = 64;
-    cfg.engine_threads = threads;
-    runtime::Cluster cluster(cfg);
-    return apps::run_gups_dv(cluster, params);
-  };
-
-  const apps::GupsResult serial = run_at(1);
-  const auto t0 = Clock::now();
-  const apps::GupsResult sharded = run_at(4);
-  const double s = seconds_since(t0);
-  if (serial.seconds != sharded.seconds) {
-    std::cerr << "dvx_perf: cluster_gups_sharded trajectories diverged "
-                 "(shards=1 roi " << serial.seconds << " s vs shards=4 roi "
-              << sharded.seconds << " s)\n";
-    std::exit(1);
-  }
-  const double work = sharded.total_updates;
-  return {"cluster_gups_sharded", "updates/s", work, s, work / s};
 }
 
 /// Serving-layer arrival planning throughput: generate the canonical
@@ -458,11 +350,9 @@ struct BenchEntry {
 };
 constexpr BenchEntry kBenches[] = {
     {"engine_event_storm", engine_event_storm},
-    {"engine_parallel_storm", engine_parallel_storm},
     {"switch_drain_congested", switch_drain_congested},
     {"fabric_burst", fabric_burst},
     {"fabric_torus", fabric_torus},
-    {"cluster_gups_sharded", cluster_gups_sharded},
     {"arrival_storm", arrival_storm},
     {"bfs_dv_point", bfs_dv_point},
     {"fft_mpi_point", fft_mpi_point},

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "analyze/shard_access.hpp"
 #include "check/check.hpp"
 #include "obs/collector.hpp"
 
@@ -38,7 +37,6 @@ CycleSwitch::CycleSwitch(Geometry geometry) : geometry_(geometry) {
 }
 
 void CycleSwitch::inject(int src_port, int dst_port, std::uint64_t tag) {
-  DVX_SHARD_GUARDED("dvnet.CycleSwitch", -1);
   if (src_port < 0 || src_port >= geometry_.ports() || dst_port < 0 ||
       dst_port >= geometry_.ports()) {
     throw std::out_of_range("CycleSwitch::inject: port out of range");
@@ -88,7 +86,6 @@ void CycleSwitch::place(int cylinder, std::uint32_t in_cylinder_node,
 }
 
 void CycleSwitch::step() {
-  DVX_SHARD_GUARDED("dvnet.CycleSwitch", -1);
   const int kC = geometry_.cylinders();
   const int kBits = geometry_.height_bits();
   const int kA = geometry_.angles;
@@ -227,7 +224,6 @@ bool CycleSwitch::drain(std::uint64_t max_cycles) {
 }
 
 void CycleSwitch::clear_deliveries() {
-  DVX_SHARD_GUARDED("dvnet.CycleSwitch", -1);
   deliveries_.clear();
   latency_rs_ = sim::RunningStats{};
   hop_rs_ = sim::RunningStats{};
@@ -235,7 +231,6 @@ void CycleSwitch::clear_deliveries() {
 }
 
 void CycleSwitch::audit_invariants() const {
-  DVX_SHARD_ACCESS("dvnet.CycleSwitch", -1, kRead);
   // Packet conservation: every packet ever injected is delivered or still
   // occupies exactly one fabric node, the active worklist mirrors the
   // grid, and the slot slab is fully accounted.
@@ -293,7 +288,6 @@ void CycleSwitch::audit(std::int64_t now_ps) {
 }
 
 bool CycleSwitch::corrupt_drop_one_for_test() {
-  // dvx-analyze: allow(shard-safety) -- seeded-fault test hook, never in production runs
   const std::size_t kHA = static_cast<std::size_t>(geometry_.ports());
   for (std::size_t cell = 0; cell < occupancy_.size(); ++cell) {
     const std::uint32_t slot1 = occupancy_[cell];

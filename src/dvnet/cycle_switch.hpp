@@ -58,7 +58,6 @@ struct Delivery {
   int deflections;
 };
 
-// dvx-analyze: shared-across-shards
 class CycleSwitch : public check::InvariantAuditor {
  public:
   explicit CycleSwitch(Geometry geometry);
@@ -84,12 +83,7 @@ class CycleSwitch : public check::InvariantAuditor {
   /// Opt-in per-delivery log. Off by default — the statistics below stay
   /// exact either way (they are folded in at ejection); the log exists for
   /// tests and tools that inspect individual packets, and grows unbounded
-  /// while enabled, so production-scale runs should leave it off. The
-  /// default is also what keeps multi-shard runs safe by construction:
-  /// CycleSwitch is not on the cluster path (DESIGN.md §15 keeps it
-  /// shared-across-shards), and with the log off no caller is tempted to
-  /// read `deliveries()` from concurrent shard workers.
-  // dvx-analyze: allow(shard-safety) -- configuration toggle, set once before any run
+  /// while enabled, so production-scale runs should leave it off.
   void record_deliveries(bool on) noexcept { record_deliveries_ = on; }
   bool deliveries_recorded() const noexcept { return record_deliveries_; }
   const std::vector<Delivery>& deliveries() const noexcept { return deliveries_; }

@@ -3,19 +3,14 @@
 #include <charconv>
 #include <cstdint>
 #include <exception>
-#include <fstream>
-#include <optional>
 #include <stdexcept>
 #include <filesystem>
 #include <iostream>
 #include <sstream>
 #include <string_view>
 
-#include "analyze/recorder.hpp"
-#include "check/check.hpp"
 #include "exp/scheduler.hpp"
 #include "exp/workload.hpp"
-#include "runtime/cluster.hpp"
 
 namespace dvx::exp {
 namespace {
@@ -40,10 +35,6 @@ void print_usage(std::ostream& os) {
         "  --jobs N             run measurement points on N threads (default: the\n"
         "                       DVX_BENCH_JOBS env var, else hardware concurrency;\n"
         "                       results are identical at any N, --jobs 1 = serial)\n"
-        "  --engine-threads N   worker threads inside each simulation's sharded\n"
-        "                       DES engine (default: the DVX_ENGINE_THREADS env\n"
-        "                       var, else 1; results are identical at any N —\n"
-        "                       see DESIGN.md §12)\n"
         "  --json PATH          also write the combined JSON document to PATH\n"
         "  --no-figure-json     skip the per-figure BENCH_<figure>.json files\n"
         "  --metrics-out DIR    collect obs metrics per measurement point and write\n"
@@ -52,13 +43,6 @@ void print_usage(std::ostream& os) {
         "  --trace-out DIR      record per-point execution traces and write\n"
         "                       TRACE_<figure>_p<N>.json (Chrome trace format,\n"
         "                       loadable in Perfetto) into DIR (created if missing)\n"
-        "  --analyze-out FILE   install the shard-access race detector and write\n"
-        "                       its report (schema dvx-analyze/v1) to FILE after\n"
-        "                       the run: per-object shard access counts and the\n"
-        "                       cross-shard write conflicts that block shards > 1.\n"
-        "                       Forces --jobs 1 (one engine at a time attributes\n"
-        "                       records unambiguously); needs DVX_CHECK_LEVEL >= 2\n"
-        "                       builds for the instrumentation to be compiled in\n"
         "  --help               this text\n"
         "\n"
         "Every run prints the paper-figure tables and, unless suppressed, writes\n"
@@ -123,9 +107,7 @@ struct CliOptions {
   std::vector<std::string> figures;
   RunOptions run;
   int jobs = 0;  ///< 0 = PointScheduler::default_jobs()
-  int engine_threads = 0;  ///< 0 = runtime::default_engine_threads()
   std::string json_path;
-  std::string analyze_path;
   bool figure_json = true;
 };
 
@@ -226,15 +208,6 @@ bool parse_args(int argc, const char* const* argv, CliOptions& opt, std::ostream
         err << "dvx_bench: bad --jobs value '" << v << "' (must be an integer >= 1)\n";
         ok = false;
       }
-    } else if (arg == "--engine-threads") {
-      const char* v = need_value(i, arg);
-      if (!v) continue;
-      if (!parse_number(std::string_view(v), opt.engine_threads) ||
-          opt.engine_threads < 1) {
-        err << "dvx_bench: bad --engine-threads value '" << v
-            << "' (must be an integer >= 1)\n";
-        ok = false;
-      }
     } else if (arg == "--json") {
       const char* v = need_value(i, arg);
       if (!v) continue;
@@ -247,10 +220,6 @@ bool parse_args(int argc, const char* const* argv, CliOptions& opt, std::ostream
       const char* v = need_value(i, arg);
       if (!v) continue;
       opt.run.trace_dir = v;
-    } else if (arg == "--analyze-out") {
-      const char* v = need_value(i, arg);
-      if (!v) continue;
-      opt.analyze_path = v;
     } else if (arg == "--help" || arg == "-h") {
       opt.help = true;
     } else {
@@ -288,31 +257,7 @@ int run_with(CliOptions opt) {
   }
 
   if (!opt.run.fast) opt.run.fast = fast_mode_env();
-  int jobs = opt.jobs > 0 ? opt.jobs : PointScheduler::default_jobs();
-  if (opt.engine_threads > 0) {
-    runtime::set_default_engine_threads(opt.engine_threads);
-  }
-
-  // The recorder is process-global and attributes records by engine shard
-  // id, so only one simulation may dispatch at a time while it is
-  // installed: two concurrent points would alias each other's shards.
-  std::optional<analyze::ShardAccessRecorder> recorder;
-  std::optional<analyze::ScopedShardRecorder> scoped;
-  if (!opt.analyze_path.empty()) {
-    if (jobs != 1) {
-      std::cerr << "[dvx_bench] --analyze-out forces --jobs 1 (was " << jobs
-                << ")\n";
-      jobs = 1;
-    }
-    if (check::compiled_level() < 2) {
-      std::cerr << "[dvx_bench] warning: built with DVX_CHECK_LEVEL "
-                << check::compiled_level()
-                << "; DVX_SHARD_ACCESS instrumentation is compiled out and "
-                   "the analyze report will be empty\n";
-    }
-    recorder.emplace();
-    scoped.emplace(*recorder);
-  }
+  const int jobs = opt.jobs > 0 ? opt.jobs : PointScheduler::default_jobs();
 
   runtime::ResultSink sink;
   sink.fast = opt.run.fast;
@@ -336,19 +281,6 @@ int run_with(CliOptions opt) {
          << " records, " << sink.anchors().size() << " anchors)\n";
     } else {
       std::cerr << "dvx_bench: could not write " << opt.json_path << "\n";
-      ++failures;
-    }
-  }
-  if (recorder) {
-    scoped.reset();  // uninstall before serializing: no site may still fire
-    std::ofstream f(opt.analyze_path, std::ios::binary);
-    f << recorder->report_json();
-    if (f.good()) {
-      os << "[dvx_bench] wrote " << opt.analyze_path << " ("
-         << recorder->objects().size() << " objects, "
-         << recorder->conflicts().size() << " cross-shard write conflicts)\n";
-    } else {
-      std::cerr << "dvx_bench: could not write " << opt.analyze_path << "\n";
       ++failures;
     }
   }
@@ -393,10 +325,6 @@ int run_workloads(const std::vector<const Workload*>& workloads, const RunOption
   for (std::size_t f = 0; f < figures.size(); ++f) {
     for (std::size_t i = 0; i < figures[f].points.size(); ++i) {
       tasks.push_back([&figures, &opt, f, i] {
-        // Each point is its own recorder epoch: every run restarts its
-        // engine's window counter at 0, and epochs keep those from aliasing.
-        // No-op unless a ShardAccessRecorder is installed.
-        analyze::next_epoch();
         figures[f].results[i] =
             execute_point(*figures[f].workload, figures[f].points[i], opt);
       });

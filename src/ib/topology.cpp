@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "analyze/shard_access.hpp"
 
 namespace dvx::ib {
 
@@ -25,10 +24,9 @@ Fabric::Fabric(int nodes, IbParams params) : nodes_(nodes), params_(params) {
 }
 
 void Fabric::reset() {
-  DVX_SHARD_GUARDED("ib.Fabric", -1);
   std::fill(link_free_.begin(), link_free_.end(), 0);
   std::fill(nic_gate_.begin(), nic_gate_.end(), 0);
-  bytes_sent_.store(0, std::memory_order_relaxed);
+  bytes_sent_ = 0;
 }
 
 int Fabric::path_links(int src, int dst) const {
@@ -44,22 +42,17 @@ MsgTiming Fabric::send_message(int src, int dst, std::int64_t bytes, sim::Time r
     throw std::out_of_range("ib::Fabric::send_message: node out of range");
   }
   if (bytes <= 0) bytes = 1;
-  bytes_sent_.fetch_add(bytes, std::memory_order_relaxed);
+  bytes_sent_ += bytes;
 
   if (src == dst) {
-    // Loopback: the MPI runtime short-circuits through shared memory. Pure
-    // local math plus the atomic tally above, so this path may run on the
-    // caller's shard mid-window (recorded per source rank, not as a write
-    // to the shared ledgers).
-    DVX_SHARD_ACCESS("ib.Fabric", src, kWrite);
-    const sim::Time done = ready + sim::transfer_time(bytes, params_.memcpy_bw);
+    // Loopback: the MPI runtime short-circuits through shared memory; pure
+    // local math, so MpiWorld may call it mid-window.
+      const sim::Time done = ready + sim::transfer_time(bytes, params_.memcpy_bw);
     return MsgTiming{done, done};
   }
 
-  // Everything below mutates the shared link/NIC ledgers: MpiWorld reaches
-  // it only from the canonical window-close replay.
-  DVX_SHARD_GUARDED("ib.Fabric", -1);
-
+  // Everything below mutates the link/NIC ledgers: MpiWorld reaches it only
+  // from the canonical window-close replay.
   // Message-rate gate: the NIC cannot start messages faster than msg_rate.
   auto& gate = nic_gate_[static_cast<std::size_t>(src)];
   const auto gap = static_cast<sim::Duration>(1e12 / params_.msg_rate);

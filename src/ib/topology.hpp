@@ -17,7 +17,6 @@
 // world's canonical window-close replay preserves that order). It is one
 // implementation of the net::Interconnect seam the MPI runtime is built on.
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -39,11 +38,9 @@ struct IbParams {
 
 using MsgTiming = net::MsgTiming;
 
-// Partitioned contract (DESIGN.md §15): the link/NIC ledgers are touched
-// only from the window-close resolution (MpiWorld::resolve_window, instance
-// -1); loopback sends run concurrently on the caller's shard but reach only
-// the atomic byte tally before returning.
-// dvx-analyze: shard-partitioned
+// The link/NIC ledgers are touched only from the window-close resolution
+// (MpiWorld::resolve_window, DESIGN.md §15); loopback sends return before
+// reaching them.
 class Fabric final : public net::Interconnect {
  public:
   explicit Fabric(int nodes, IbParams params = {});
@@ -65,7 +62,7 @@ class Fabric final : public net::Interconnect {
 
   /// Total bytes offered to the fabric so far (diagnostics).
   std::int64_t bytes_sent() const noexcept override {
-    return bytes_sent_.load(std::memory_order_relaxed);
+    return bytes_sent_;
   }
 
   void reset() override;
@@ -100,8 +97,7 @@ class Fabric final : public net::Interconnect {
   int spines_;
   std::vector<sim::Time> link_free_;
   std::vector<sim::Time> nic_gate_;  ///< message-rate gate per NIC
-  // Atomic so loopback sends can tally from any shard mid-window.
-  std::atomic<std::int64_t> bytes_sent_{0};
+  std::int64_t bytes_sent_ = 0;
 };
 
 }  // namespace dvx::ib

@@ -20,28 +20,16 @@ MpiWorld::MpiWorld(sim::Engine& engine, std::unique_ptr<net::Interconnect> fabri
     throw std::invalid_argument("MpiWorld: rank count must fit the fabric");
   }
   endpoints_.resize(static_cast<std::size_t>(ranks));
+  stage_seq_.assign(static_cast<std::size_t>(ranks), 0);
   if (obs::Registry* m = obs::metrics()) {
     obs_msg_bytes_ = m->histogram("mpi.msg.bytes");
     obs_eager_msgs_ = m->counter("mpi.msgs", {{"protocol", "eager"}});
     obs_rendezvous_msgs_ = m->counter("mpi.msgs", {{"protocol", "rendezvous"}});
   }
+  engine_.add_window_hook(this, [this] { resolve_window(); });
 }
 
 MpiWorld::~MpiWorld() { engine_.remove_window_hook(this); }
-
-// dvx-analyze: allow(shard-partitioned) -- config-time, before any rank runs
-void MpiWorld::configure_partition(std::vector<int> node_to_shard) {
-  DVX_CHECK(static_cast<int>(node_to_shard.size()) == ranks_)
-      << "node->shard map must cover every rank";
-  int shards = 0;
-  for (int s : node_to_shard) shards = std::max(shards, s + 1);
-  DVX_CHECK(shards >= 1 && shards <= engine_.shards())
-      << "node->shard map names a shard the engine does not have";
-  node_to_shard_ = std::move(node_to_shard);
-  staged_.assign(static_cast<std::size_t>(engine_.shards()), {});
-  stage_seq_.assign(static_cast<std::size_t>(ranks_), 0);
-  engine_.add_window_hook(this, [this] { resolve_window(); });
-}
 
 void MpiWorld::account(const WireOp& op, const net::MsgTiming& t) {
   if (op.acct_bytes >= 0 && obs_msg_bytes_ != nullptr) {
@@ -57,18 +45,16 @@ void MpiWorld::account(const WireOp& op, const net::MsgTiming& t) {
 }
 
 void MpiWorld::fabric_send(WireOp op, std::function<void(const net::MsgTiming&)> k) {
-  if (staged_.empty()) {
-    throw std::logic_error("MpiWorld: traffic before configure_partition");
+  if (engine_.window_width() <= 0) {
+    throw std::logic_error("MpiWorld: traffic on an unwindowed engine");
   }
-  const int cur = sim::Engine::current_shard();
-  auto& box = staged_[static_cast<std::size_t>(cur < 0 ? 0 : cur)];
   const std::uint64_t seq = stage_seq_[static_cast<std::size_t>(op.src)]++;
   if (op.src == op.dst) {
-    // Loopback rides only local state (an atomic byte tally + stateless
-    // memcpy timing), so the timing is computed synchronously on the calling
-    // shard — the continuation may schedule into the current window, which a
-    // window-close resolution could not do. The obs/tracer accounting still
-    // goes through the staged ledger so its order stays canonical.
+    // Loopback rides only local state (a byte tally + stateless memcpy
+    // timing), so the timing is computed synchronously: the continuation may
+    // schedule into the current window, which a window-close resolution
+    // could not do. The obs/tracer accounting still goes through the staged
+    // ledger so its order stays canonical.
     const net::MsgTiming t = fabric_->send_message(op.src, op.dst, op.bytes, op.ready);
     if (op.acct_bytes >= 0 || op.traced) {
       StagedOp staged;
@@ -76,7 +62,7 @@ void MpiWorld::fabric_send(WireOp op, std::function<void(const net::MsgTiming&)>
       staged.seq = seq;
       staged.loopback = true;
       staged.timing = t;
-      box.push_back(std::move(staged));
+      staged_.push_back(std::move(staged));
     }
     if (k) k(t);
     return;
@@ -85,21 +71,17 @@ void MpiWorld::fabric_send(WireOp op, std::function<void(const net::MsgTiming&)>
   staged.op = std::move(op);
   staged.seq = seq;
   staged.k = std::move(k);
-  box.push_back(std::move(staged));
+  staged_.push_back(std::move(staged));
 }
 
 void MpiWorld::resolve_window() {
-  // Window-close resolution (coordinator thread): replay every staged wire
-  // transfer against the shared interconnect in canonical (ready, src,
-  // per-src seq) order — a pure function of the window's simulation content,
-  // identical at every shard layout and worker count. Continuations only
-  // schedule protocol events onto explicit destination shards (at physical
-  // times >= the window end) and never re-enter fabric_send.
+  // Window-close resolution: replay every staged wire transfer against the
+  // interconnect in canonical (ready, src, per-src seq) order, a pure
+  // function of the window's simulation content. Continuations only
+  // schedule protocol events (at physical times >= the window end) and
+  // never re-enter fabric_send.
   std::vector<StagedOp> batch;
-  for (auto& box : staged_) {
-    std::move(box.begin(), box.end(), std::back_inserter(batch));
-    box.clear();
-  }
+  batch.swap(staged_);
   if (batch.empty()) return;
   std::sort(batch.begin(), batch.end(), [](const StagedOp& a, const StagedOp& b) {
     if (a.op.ready != b.op.ready) return a.op.ready < b.op.ready;

@@ -106,15 +106,11 @@ class Comm {
 /// Owns the per-rank endpoints, the interconnect the bytes travel over, and
 /// runs the eager/rendezvous protocol.
 ///
-/// Partitioned operation (DESIGN.md §15): the world is rank-partitioned
-/// across engine shards. Endpoint tables are per rank and only ever touched
-/// on the owning rank's shard (protocol events are scheduled onto the
-/// destination's shard explicitly); the shared interconnect is reached
-/// exclusively through fabric_send(), which stages non-loopback wire
-/// transfers into per-shard ledgers resolved at the engine's window barrier
-/// in canonical (ready, src, per-src seq) order. A world carries no traffic
-/// until configure_partition() sets up the ledgers.
-// dvx-analyze: shard-partitioned
+/// Windowed operation (DESIGN.md §15): the interconnect is reached only
+/// through fabric_send(), which stages non-loopback wire transfers into one
+/// ledger resolved at the engine's window close in canonical (ready, src,
+/// per-src seq) order. Point-to-point traffic on an unwindowed engine
+/// throws std::logic_error.
 class MpiWorld {
  public:
   MpiWorld(sim::Engine& engine, std::unique_ptr<net::Interconnect> fabric,
@@ -127,13 +123,6 @@ class MpiWorld {
   const MpiParams& params() const noexcept { return params_; }
   sim::Tracer* tracer() noexcept { return tracer_; }
   Comm comm(int rank) { return Comm(*this, rank); }
-
-  /// Partitions the world: rank r's protocol events run on shard
-  /// node_to_shard[r], wire transfers are staged and resolved at window
-  /// closes. Call after Engine::configure_sharding({.windowed = true}) and
-  /// before any traffic; point-to-point traffic before it throws
-  /// std::logic_error.
-  void configure_partition(std::vector<int> node_to_shard);
 
   // Protocol entry points (used by Comm).
   Request start_send(int src, int dst, int tag, std::vector<std::uint64_t> data);
@@ -178,7 +167,7 @@ class MpiWorld {
     bool traced = false;
     int tag = 0;
   };
-  /// A wire transfer parked in its shard's ledger until window close.
+  /// A wire transfer parked in the ledger until window close.
   struct StagedOp {
     WireOp op;
     std::uint64_t seq = 0;  ///< per-src monotone stage order
@@ -188,16 +177,12 @@ class MpiWorld {
   };
 
   /// Single gateway to the interconnect. Loopback (src == dst; purely local
-  /// timing) computes synchronously on the calling shard, while remote
-  /// transfers stage {op, seq, k} and the window-close resolution replays
-  /// them in (ready, src, seq) order.
+  /// timing) computes synchronously, while remote transfers stage
+  /// {op, seq, k} and the window-close resolution replays them in
+  /// (ready, src, seq) order.
   void fabric_send(WireOp op, std::function<void(const net::MsgTiming&)> k);
   void account(const WireOp& op, const net::MsgTiming& t);
   void resolve_window();
-  /// Destination shard for rank r's protocol events.
-  int shard_of(int rank) const noexcept {
-    return node_to_shard_[static_cast<std::size_t>(rank)];
-  }
 
   void deliver_eager(int dst, Message msg);
   void handle_rts(int dst, Rts rts);
@@ -216,10 +201,9 @@ class MpiWorld {
   obs::Counter* obs_rendezvous_msgs_ = nullptr;
   std::vector<Endpoint> endpoints_;
 
-  // Partition state (empty until configure_partition).
-  std::vector<int> node_to_shard_;
-  std::vector<std::vector<StagedOp>> staged_;  ///< per shard
-  std::vector<std::uint64_t> stage_seq_;       ///< per src rank
+  // Window staging.
+  std::vector<StagedOp> staged_;
+  std::vector<std::uint64_t> stage_seq_;  ///< per src rank
 };
 
 }  // namespace dvx::mpi

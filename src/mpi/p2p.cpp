@@ -9,12 +9,9 @@
 
 #include "mpi/comm.hpp"
 
-#include "analyze/shard_access.hpp"
-
 namespace dvx::mpi {
 
 Request MpiWorld::start_send(int src, int dst, int tag, std::vector<std::uint64_t> data) {
-  DVX_SHARD_GUARDED("mpi.MpiWorld", src);
   auto op = std::make_shared<Op>(engine_);
   const auto bytes =
       static_cast<std::int64_t>(data.size()) * 8 + params_.envelope_bytes;
@@ -30,8 +27,7 @@ Request MpiWorld::start_send(int src, int dst, int tag, std::vector<std::uint64_
                       t.last_arrival,
                       [this, dst, m2 = std::move(m)]() mutable {
                         deliver_eager(dst, std::move(m2));
-                      },
-                      shard_of(dst));
+                      });
                 });
     // Eager sends complete once the payload is handed to the NIC; model that
     // as the source-side injection cost (first chunk formation).
@@ -54,14 +50,12 @@ Request MpiWorld::start_send(int src, int dst, int tag, std::vector<std::uint64_
                     rts_t.last_arrival,
                     [this, dst, src, tag, pending, rts_t] {
                       handle_rts(dst, Rts{src, tag, rts_t.last_arrival, pending});
-                    },
-                    shard_of(dst));
+                    });
               });
   return op;
 }
 
 Request MpiWorld::start_recv(int rank, int src, int tag) {
-  DVX_SHARD_GUARDED("mpi.MpiWorld", rank);
   auto op = std::make_shared<Op>(engine_);
   auto& ep = endpoints_[static_cast<std::size_t>(rank)];
 
@@ -88,10 +82,7 @@ Request MpiWorld::start_recv(int rank, int src, int tag) {
 }
 
 void MpiWorld::deliver_eager(int dst, Message msg) {
-  // Runs as a DES event at the arrival time, on dst's shard in partition
-  // mode — this is where cross-shard aliasing on the endpoint tables would
-  // actually bite, so it records too.
-  DVX_SHARD_ACCESS("mpi.MpiWorld", dst, kWrite);
+  // Runs as a DES event at the arrival time.
   auto& ep = endpoints_[static_cast<std::size_t>(dst)];
   for (auto it = ep.posted.begin(); it != ep.posted.end(); ++it) {
     if (matches(it->src, it->tag, msg.src, msg.tag)) {
@@ -106,7 +97,6 @@ void MpiWorld::deliver_eager(int dst, Message msg) {
 }
 
 void MpiWorld::handle_rts(int dst, Rts rts) {
-  DVX_SHARD_ACCESS("mpi.MpiWorld", dst, kWrite);
   auto& ep = endpoints_[static_cast<std::size_t>(dst)];
   for (auto it = ep.posted.begin(); it != ep.posted.end(); ++it) {
     if (matches(it->src, it->tag, rts.src, rts.tag)) {
@@ -121,8 +111,7 @@ void MpiWorld::handle_rts(int dst, Rts rts) {
 
 void MpiWorld::grant_rts(int dst, const Rts& rts, const Request& recv_op) {
   // CTS back to the sender, then the bulk payload to the receiver. Both legs
-  // run through fabric_send; the CTS continuation hops to the sender's shard
-  // before issuing the payload so the protocol stays rank-local throughout.
+  // run through fabric_send; the payload leaves once the CTS has arrived.
   auto pending = rts.sender;
   WireOp cts{dst, rts.src, params_.envelope_bytes, engine_.now()};
   fabric_send(std::move(cts), [this, pending, recv_op](const net::MsgTiming& cts_t) {
@@ -145,11 +134,9 @@ void MpiWorld::grant_rts(int dst, const Rts& rts, const Request& recv_op) {
                             [this, recv_op, m = std::move(msg)]() mutable {
                               recv_op->msg = std::move(m);
                               complete(recv_op, engine_.now());
-                            },
-                            shard_of(pending->dst));
+                            });
                       });
-        },
-        shard_of(pending->src));
+        });
   });
 }
 

@@ -21,9 +21,8 @@
 //     closes sorted by (ready, src, seq); since every event left pending
 //     after window W is at or past W's end, ready values stay nondecreasing
 //     across batches too, and the property holds globally. Loopback
-//     (src == dst) calls are the one exception: they run concurrently on
-//     the calling shard mid-window, so that branch may touch only
-//     thread-safe state (see ib/torus byte tallies).
+//     (src == dst) calls are the one exception: MpiWorld makes them
+//     mid-window, so that branch must not touch the contention state.
 //
 // Adding a backend = implement this class, add an exp::Backend id, and
 // register the construction in runtime::Cluster. Nothing in src/mpi changes.
@@ -62,9 +61,9 @@ class Interconnect {
 
   /// Conservative lower bound on cross-node delivery latency: no message
   /// injected at time t may arrive at another node before t + lookahead().
-  /// A sharded sim::Engine uses this as its synchronization window width
-  /// (DESIGN.md §12), so the bound must be safe, not tight, and positive:
-  /// runtime::Cluster rejects a backend without one.
+  /// runtime::Cluster uses this as the engine's window width (DESIGN.md
+  /// §12), so the bound must be safe, not tight, and positive: the cluster
+  /// rejects a backend without one.
   virtual sim::Duration lookahead() const noexcept = 0;
 };
 

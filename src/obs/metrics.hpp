@@ -21,14 +21,9 @@
 // thread-safe by design: every measurement point of the bench driver owns a
 // private registry (exp layer), so under `--jobs N` no two threads ever
 // share one — that is what makes metrics output byte-identical at any job
-// count. The one concession to sharded engines (DESIGN.md §15): Counter
-// add/inc are relaxed atomics, so commutative tallies may tick from any
-// shard; Gauge/Histogram mutation stays single-threaded (order-dependent
-// Welford moments), which partitioned components honour by staging observes
-// into per-shard ledgers and folding at window closes or run end.
+// count.
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -41,27 +36,15 @@ namespace dvx::obs {
 /// Ordered label set; deterministic serialization order comes for free.
 using Labels = std::map<std::string, std::string>;
 
-/// Monotone 64-bit tally. add/inc are relaxed atomic so sharded components
-/// may tick counters concurrently; the final value is order-independent.
+/// Monotone 64-bit tally.
 class Counter {
  public:
-  Counter() = default;
-  // Copyable so the Registry's variant storage stays movable; copies only
-  // ever happen single-threaded (metric construction).
-  Counter(const Counter& other) noexcept : value_(other.value()) {}
-  Counter& operator=(const Counter& other) noexcept {
-    value_.store(other.value(), std::memory_order_relaxed);
-    return *this;
-  }
-
-  void add(std::uint64_t n) noexcept { value_.fetch_add(n, std::memory_order_relaxed); }
-  void inc() noexcept { value_.fetch_add(1, std::memory_order_relaxed); }
-  std::uint64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
+  void add(std::uint64_t n) noexcept { value_ += n; }
+  void inc() noexcept { ++value_; }
+  std::uint64_t value() const noexcept { return value_; }
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  std::uint64_t value_ = 0;
 };
 
 /// Sampled level: last value plus running min/mean/max over all samples.

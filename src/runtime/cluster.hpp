@@ -6,7 +6,6 @@
 
 #include <functional>
 #include <memory>
-#include <vector>
 
 #include "dvapi/context.hpp"
 #include "ib/topology.hpp"
@@ -39,28 +38,11 @@ struct ClusterConfig {
   mpi::MpiParams mpi{};
   CostParams cost{};
   bool trace = false;  ///< record Extrae-style state/message traces
-  /// Worker threads for the engine's sharded execution mode (0 = process
-  /// default, see default_engine_threads()). The cluster partitions its
-  /// fabric across min(threads, nodes) shards (DESIGN.md §15). Pure
-  /// execution parallelism: results are byte-identical at any value.
-  int engine_threads = 0;
 };
 
-/// Resolved execution plan for one cluster run: how many shards the fabric
-/// is partitioned into, how many worker threads drive them, and the
-/// conservative window bound. Every cluster run is windowed. A pure function
-/// of (ClusterConfig, fabric lookahead) — see Cluster::resolve_sharding.
-struct ShardPlan {
-  int shards = 1;
-  int threads = 1;
-  sim::Duration lookahead = 0;
-};
-
-/// Process-wide default for ClusterConfig::engine_threads == 0: the
-/// `--engine-threads` CLI value when set, else the DVX_ENGINE_THREADS
-/// environment variable, else 1.
-int default_engine_threads();
-/// Overrides the process default (<= 0 restores env/1 resolution).
+/// Does nothing: the engine runs every simulation on the calling thread
+/// (DESIGN.md §12). It remains only for hostbench's sharded-engine probe
+/// (hostbench/pass.cpp), and goes when that probe does.
 void set_default_engine_threads(int threads);
 
 struct RunResult {
@@ -82,25 +64,14 @@ class Cluster {
 
   /// Runs one Data Vortex program per rank on a fresh fabric.
   /// Throws if any rank fails; reports deadlock via std::logic_error.
+  /// Every run is windowed at the fabric's conservative lookahead
+  /// (DESIGN.md §15); a fabric without a positive one throws
+  /// std::invalid_argument.
   RunResult run_dv(const DvProgram& program);
 
-  /// Runs one MPI-over-InfiniBand program per rank on a fresh fabric.
+  /// Runs one MPI program per rank on a fresh fabric of config().mpi_fabric;
+  /// same windowing and errors as run_dv.
   RunResult run_mpi(const MpiProgram& program);
-
-  /// The execution plan a cluster with this config uses for a fabric with
-  /// the given conservative lookahead bound: threads from the config (else
-  /// the process default), shards = min(threads, nodes). Cluster runs are
-  /// windowed even at shards == 1, so every shard count shares one
-  /// resolution semantics and sweeps are byte-identical across
-  /// --engine-threads values (DESIGN.md §15). Throws std::invalid_argument
-  /// when the bound is not positive: such a fabric cannot be windowed.
-  static ShardPlan resolve_sharding(const ClusterConfig& config,
-                                    sim::Duration lookahead);
-
-  /// Deterministic node -> shard map: contiguous balanced blocks, node r on
-  /// shard floor(r * shards / nodes). A pure function of its arguments —
-  /// every shard owns at least one node when shards <= nodes.
-  static std::vector<int> shard_map(int nodes, int shards);
 
  private:
   ClusterConfig config_;

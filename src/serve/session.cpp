@@ -41,9 +41,8 @@ constexpr std::uint32_t payload_addr(int src_rank) {
 }
 
 /// Ambient obs mirrors, indexed by tenant (null when nothing collects).
-/// Counters are relaxed-atomic, so injectors on any shard tick them inline;
-/// the latency histogram is order-dependent and is folded once at finish()
-/// from the per-rank trackers (DESIGN.md §15).
+/// Counters tick inline; the latency histogram is order-dependent and is
+/// folded once at finish() from the per-rank trackers.
 struct Tally {
   std::vector<obs::Histogram*> obs_latency;
   std::vector<obs::Counter*> obs_accepted;
@@ -55,8 +54,8 @@ struct RankState {
       : queue(engine), reply_cond(engine), done_cond(engine) {
     sent_to.assign(static_cast<std::size_t>(nodes), 0);
   }
-  // Per-tenant tallies, rank-local so sharded cluster runs never share
-  // them; finish() merges in rank order (layout-invariant).
+  // Per-tenant tallies, one set per rank; finish() merges them in rank
+  // order.
   std::vector<AdmissionCounters> admission;
   std::vector<std::uint64_t> served;
   std::vector<TailLatency> latency;
@@ -261,8 +260,7 @@ sim::Coro<void> dispatcher_dv(dvapi::DvContext& ctx, runtime::NodeCtx& node,
 }
 
 ServeReport finish(Session& s, double roi_seconds) {
-  // Merge the rank-local tallies in rank order — a deterministic fold that
-  // does not depend on how ranks were laid out across shards.
+  // Merge the rank-local tallies in rank order, a deterministic fold.
   const std::size_t nt = s.trace.tenants.size();
   std::vector<AdmissionCounters> admission(nt);
   std::vector<std::uint64_t> served(nt, 0);

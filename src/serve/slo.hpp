@@ -20,8 +20,8 @@ class TailLatency {
   void record_ns(std::uint64_t ns) { hist_.observe(ns); }
 
   /// Folds another tracker in (exact buckets, pairwise-merged moments).
-  /// Partitioned serve sessions keep per-rank trackers and fold in rank
-  /// order at session end, so the result is shard-layout-invariant.
+  /// Serve sessions keep per-rank trackers and fold them in rank order at
+  /// session end.
   void merge(const TailLatency& other) { hist_.absorb(other.hist_); }
 
   std::uint64_t count() const noexcept { return hist_.stats().count(); }

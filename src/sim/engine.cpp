@@ -1,36 +1,14 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <barrier>
-#include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "check/check.hpp"
 
 namespace dvx::sim {
 
-namespace {
-// The shard a worker thread is currently dispatching for, so that now() and
-// default-shard scheduling resolve to the executing shard. Cleared outside
-// windows; the engine pointer disambiguates nested/foreign engines.
-thread_local const Engine* tls_engine = nullptr;
-thread_local int tls_shard = -1;
-// The lookahead-window index published to analyze:: instrumentation while a
-// shard window dispatches. Stays 0 in serial mode: one ordering domain has
-// no cross-shard windows to attribute accesses to.
-thread_local std::uint64_t tls_window = 0;
-}  // namespace
-
-int Engine::current_shard() noexcept { return tls_shard; }
-
-std::uint64_t Engine::current_window() noexcept { return tls_window; }
-
 Engine::Engine() : audit_interval_(check::default_audit_interval()) {
-  shards_.resize(1);
-  shards_[0].heap.resize(kHeapPad);  // front pad: aligns 4-child groups
-  shards_[0].outbox.resize(1);
+  heap_.resize(kHeapPad);  // front pad: aligns 4-child groups
 }
 
 Engine::~Engine() {
@@ -39,62 +17,25 @@ Engine::~Engine() {
   }
 }
 
-Time Engine::now() const noexcept {
-  if (tls_engine == this && tls_shard >= 0) {
-    return shards_[static_cast<std::size_t>(tls_shard)].now;
-  }
-  return now_;
+void Engine::set_window_width(Duration width) {
+  DVX_CHECK(width >= 0) << "window width must not be negative: " << width;
+  window_width_ = width;
 }
 
-void Engine::configure_sharding(const ShardingConfig& config) {
-  DVX_CHECK(config.shards >= 1) << "sharding needs at least one shard";
-  DVX_CHECK(config.threads >= 1) << "sharding needs at least one thread";
-  DVX_CHECK((config.shards == 1 && !config.windowed) || config.lookahead > 0)
-      << "sharded/windowed execution needs a positive conservative lookahead";
-  for (const auto& s : shards_) {
-    DVX_CHECK(s.heap.size() <= kHeapPad)
-        << "cannot reconfigure sharding with events pending";
-  }
-  sharding_ = config;
-  shards_.resize(static_cast<std::size_t>(config.shards));
-  for (auto& s : shards_) {
-    if (s.heap.size() < kHeapPad) s.heap.resize(kHeapPad);
-    s.outbox.resize(static_cast<std::size_t>(config.shards));
-    s.now = now_;
-  }
-}
-
-int Engine::resolve_shard(int shard) const {
-  if (shard < 0) {
-    return (tls_engine == this && tls_shard >= 0) ? tls_shard : 0;
-  }
-  DVX_CHECK(shard < static_cast<int>(shards_.size()))
-      << "shard " << shard << " out of range (engine has " << shards_.size()
-      << ")";
-  return shard;
-}
-
-void Engine::spawn(Coro<void> coro, Time start, int shard) {
+void Engine::spawn(Coro<void> coro, Time start) {
   DVX_CHECK(coro.valid()) << "spawn of an empty/moved-from coroutine";
   const Time now_t = now();
-  Root* root = nullptr;
-  {
-    // Workers may spawn during a window; the deque keeps &done stable, the
-    // lock only guards the push. Uncontended in the serial engine.
-    const std::lock_guard<std::mutex> lock(spawn_mutex_);
-    roots_.push_back(Root{coro.release(), false});
-    root = &roots_.back();
-  }
-  root->handle.promise().done_flag = &root->done;
-  schedule_handle(start < now_t ? now_t : start, root->handle, shard);
+  Root& root = roots_.emplace_back(Root{coro.release(), false});
+  root.handle.promise().done_flag = &root.done;
+  schedule_handle(start < now_t ? now_t : start, root.handle);
 }
 
 // Logical heap index i lives at heap[i + kHeapPad]; children of logical i
 // are logical 4i+1 .. 4i+4. All index arithmetic below is in logical terms
 // with the pad applied at the subscript.
 
-void Engine::heap_push(Shard& s, Time t, std::uint64_t key) {
-  auto& heap = s.heap;
+void Engine::heap_push(Time t, std::uint64_t key) {
+  auto& heap = heap_;
   std::size_t i = heap.size() - kHeapPad;
   heap.push_back(HeapEntry{t, key});
   while (i > 0) {
@@ -105,11 +46,10 @@ void Engine::heap_push(Shard& s, Time t, std::uint64_t key) {
     i = parent;
   }
   heap[i + kHeapPad] = HeapEntry{t, key};
-  s.max_depth = std::max(s.max_depth, heap.size() - kHeapPad);
 }
 
-Engine::HeapEntry Engine::heap_pop(Shard& s) {
-  auto& heap = s.heap;
+Engine::HeapEntry Engine::heap_pop() {
+  auto& heap = heap_;
   const HeapEntry top = heap[kHeapPad];
   const HeapEntry last = heap.back();
   heap.pop_back();
@@ -166,83 +106,53 @@ Engine::HeapEntry Engine::heap_pop(Shard& s) {
   return top;
 }
 
-std::uint64_t Engine::make_key(Shard& s, bool callback, std::uint32_t slot) {
+std::uint64_t Engine::make_key(bool callback, std::uint32_t slot) {
   // Both packed fields are guarded here, at the single point where the key
   // is assembled: a slot above kSlotMask or a seq at kMaxSeq would silently
   // corrupt the (time, insertion-seq) comparison order.
   DVX_CHECK(slot <= kSlotMask)
       << "event slot " << slot << " overflows the " << kSlotBits
       << "-bit key field";
-  DVX_CHECK(s.next_seq < kMaxSeq) << "event sequence space exhausted";
-  const std::uint64_t seq = s.next_seq++;
+  DVX_CHECK(next_seq_ < kMaxSeq) << "event sequence space exhausted";
+  const std::uint64_t seq = next_seq_++;
   return (seq << kKeyShift) | (callback ? kCallbackBit : 0) | slot;
 }
 
-void Engine::push_event(Shard& s, Time t, bool callback,
-                        std::coroutine_handle<> h, std::function<void()> fn) {
+void Engine::push_event(Time t, bool callback, std::coroutine_handle<> h,
+                        std::function<void()> fn) {
+  DVX_CHECK(t >= clock_) << "cannot schedule into the past: t=" << t
+                         << " now=" << clock_;
   std::uint32_t slot;
   if (!callback) {
-    if (!s.handle_free.empty()) {
-      slot = s.handle_free.back();
-      s.handle_free.pop_back();
-      s.handle_slab[slot] = h;
+    if (!handle_free_.empty()) {
+      slot = handle_free_.back();
+      handle_free_.pop_back();
+      handle_slab_[slot] = h;
     } else {
-      slot = static_cast<std::uint32_t>(s.handle_slab.size());
+      slot = static_cast<std::uint32_t>(handle_slab_.size());
       DVX_CHECK(slot <= kSlotMask) << "too many outstanding coroutine events";
-      s.handle_slab.push_back(h);
+      handle_slab_.push_back(h);
     }
   } else {
-    if (!s.fn_free.empty()) {
-      slot = s.fn_free.back();
-      s.fn_free.pop_back();
-      s.fn_slab[slot] = std::move(fn);
+    if (!fn_free_.empty()) {
+      slot = fn_free_.back();
+      fn_free_.pop_back();
+      fn_slab_[slot] = std::move(fn);
     } else {
-      slot = static_cast<std::uint32_t>(s.fn_slab.size());
+      slot = static_cast<std::uint32_t>(fn_slab_.size());
       DVX_CHECK(slot <= kSlotMask) << "too many outstanding callback events";
-      s.fn_slab.push_back(std::move(fn));
+      fn_slab_.push_back(std::move(fn));
     }
   }
-  heap_push(s, t, make_key(s, callback, slot));
+  heap_push(t, make_key(callback, slot));
 }
 
-void Engine::schedule_handle(Time t, std::coroutine_handle<> h, int shard) {
-  const int dst = resolve_shard(shard);
-  const int cur = (tls_engine == this) ? tls_shard : -1;
-  if (cur >= 0 && dst != cur) {
-    // Cross-shard from inside a window: stage for the barrier merge. The
-    // conservative guarantee — nothing scheduled inside a window may land
-    // before the window ends — is what makes concurrent shard execution
-    // equivalent to the global (time, seq) order.
-    DVX_CHECK(t >= window_end_)
-        << "cross-shard event violates the lookahead window: t=" << t
-        << " window_end=" << window_end_ << " (lookahead too large?)";
-    shards_[static_cast<std::size_t>(cur)]
-        .outbox[static_cast<std::size_t>(dst)]
-        .push_back(Staged{t, h, {}});
-    return;
-  }
-  Shard& s = shards_[static_cast<std::size_t>(dst)];
-  DVX_CHECK(t >= s.now) << "cannot schedule into the past: t=" << t
-                        << " now=" << s.now;
-  push_event(s, t, /*callback=*/false, h, {});
+void Engine::schedule_handle(Time t, std::coroutine_handle<> h) {
+  push_event(t, /*callback=*/false, h, {});
 }
 
-void Engine::schedule(Time t, std::function<void()> fn, int shard) {
-  const int dst = resolve_shard(shard);
-  const int cur = (tls_engine == this) ? tls_shard : -1;
-  if (cur >= 0 && dst != cur) {
-    DVX_CHECK(t >= window_end_)
-        << "cross-shard event violates the lookahead window: t=" << t
-        << " window_end=" << window_end_ << " (lookahead too large?)";
-    shards_[static_cast<std::size_t>(cur)]
-        .outbox[static_cast<std::size_t>(dst)]
-        .push_back(Staged{t, {}, std::move(fn)});
-    return;
-  }
-  Shard& s = shards_[static_cast<std::size_t>(dst)];
-  DVX_CHECK(t >= s.now) << "cannot schedule into the past: t=" << t
-                        << " now=" << s.now;
-  push_event(s, t, /*callback=*/true, {}, std::move(fn));
+void Engine::schedule(Time t, std::function<void()> fn) {
+  push_event(t, /*callback=*/true, {}, std::move(fn));
 }
 
 void Engine::add_window_hook(const void* owner, std::function<void()> hook) {
@@ -267,272 +177,95 @@ void Engine::remove_auditor(check::InvariantAuditor* auditor) noexcept {
 }
 
 void Engine::run_audits() {
-  // Level-2 headroom audit: the per-shard seq counters must stay inside the
+  // Level-2 headroom audit: the seq counter must stay inside the
   // representable key range (make_key aborts the run at the edge; this
-  // catches a counter drifting toward it between dispatches).
-  for (const auto& s : shards_) {
-    DVX_CHECK_SOON(s.next_seq < kMaxSeq)
-        << "insertion-seq counter left the representable range";
-  }
+  // catches the counter drifting toward it between dispatches).
+  DVX_CHECK_SOON(next_seq_ < kMaxSeq)
+      << "insertion-seq counter left the representable range";
   if (auditors_.empty()) return;
   ++audits_run_;
   for (auto* a : auditors_) a->audit(now_);
 }
 
-void Engine::set_next_seq_for_test(std::uint64_t seq, int shard) {
-  shards_.at(static_cast<std::size_t>(shard)).next_seq = seq;
-}
-
-void Engine::dispatch_one(Shard& s) {
+void Engine::dispatch_one() {
 #if defined(__GNUC__) || defined(__clang__)
   {
     // Start the payload fetch before the sift-down: the slab slot of the
     // event about to fire is random relative to insertion order, and the
     // O(log n) sift gives the line time to arrive.
-    const std::uint64_t top_key = s.heap[kHeapPad].key;
+    const std::uint64_t top_key = heap_[kHeapPad].key;
     const auto top_slot = static_cast<std::uint32_t>(top_key & kSlotMask);
     if ((top_key & kCallbackBit) == 0) {
-      __builtin_prefetch(&s.handle_slab[top_slot]);
+      __builtin_prefetch(&handle_slab_[top_slot]);
     } else {
-      __builtin_prefetch(&s.fn_slab[top_slot]);
+      __builtin_prefetch(&fn_slab_[top_slot]);
     }
   }
 #endif
-  const HeapEntry ev = heap_pop(s);
+  const HeapEntry ev = heap_pop();
   // Event-time monotonicity: the queue must never yield an event behind
   // the clock (would reorder causally dependent wake-ups).
-  DVX_CHECK(ev.t >= s.now) << "non-monotonic event: t=" << ev.t
-                           << " behind now=" << s.now;
-  s.now = ev.t;
+  DVX_CHECK(ev.t >= clock_) << "non-monotonic event: t=" << ev.t
+                            << " behind now=" << clock_;
+  clock_ = ev.t;
+  now_ = ev.t;
 #if DVX_CHECK_LEVEL >= 1
   check::context().sim_time_ps = ev.t;
 #endif
-  ++s.events;
+  ++events_;
   const auto slot = static_cast<std::uint32_t>(ev.key & kSlotMask);
   if ((ev.key & kCallbackBit) == 0) {
     // Free the slot before resuming: the resumed coroutine may schedule
     // again and should find its own slot first on the free list.
-    const std::coroutine_handle<> h = s.handle_slab[slot];
-    s.handle_slab[slot] = {};
-    s.handle_free.push_back(slot);
+    const std::coroutine_handle<> h = handle_slab_[slot];
+    handle_slab_[slot] = {};
+    handle_free_.push_back(slot);
     h.resume();
   } else {
     // Move the callback out first — running it may schedule into the slab
     // and invalidate references. Moving never allocates; the slot object
     // is recycled for the next callback of this size class.
-    std::function<void()> fn = std::move(s.fn_slab[slot]);
-    s.fn_slab[slot] = nullptr;
-    s.fn_free.push_back(slot);
+    std::function<void()> fn = std::move(fn_slab_[slot]);
+    fn_slab_[slot] = nullptr;
+    fn_free_.push_back(slot);
     fn();
   }
 }
 
 Time Engine::run() {
-  return (shards_.size() == 1 && !sharding_.windowed) ? run_serial()
-                                                      : run_sharded();
-}
-
-Time Engine::run_serial() {
-  Shard& s = shards_[0];
-  // The serial loop still publishes the thread-locals: now() and default
-  // shard resolution inside dispatched events go through the same path as
-  // in sharded mode, so behavior cannot diverge between the modes.
-  tls_engine = this;
-  tls_shard = 0;
-  struct TlsReset {
-    ~TlsReset() {
-      tls_engine = nullptr;
-      tls_shard = -1;
-    }
-  } reset;
-  while (s.heap.size() > kHeapPad) {
-    dispatch_one(s);
-    now_ = s.now;
-    if (audit_interval_ != 0 && s.events % audit_interval_ == 0) {
-      run_audits();
-    }
-  }
-  return finish_run();
-}
-
-Time Engine::next_window_floor() const noexcept {
-  Time t0 = -1;
-  for (const auto& s : shards_) {
-    if (s.heap.size() > kHeapPad) {
-      const Time top = s.heap[kHeapPad].t;
-      if (t0 < 0 || top < t0) t0 = top;
-    }
-  }
-  return t0;  // -1: every shard drained
-}
-
-void Engine::run_shard_window(int shard, Time window_end) {
-  Shard& s = shards_[static_cast<std::size_t>(shard)];
-  tls_engine = this;
-  tls_shard = shard;
-  // window_seq_ was advanced by the coordinator before the phase-A barrier,
-  // so this read is ordered and every shard of one window sees the same id.
-  tls_window = window_seq_;
-  try {
-    while (s.heap.size() > kHeapPad && s.heap[kHeapPad].t < window_end) {
-      dispatch_one(s);
-    }
-  } catch (...) {
-    if (!s.failure) s.failure = std::current_exception();
-  }
-  tls_engine = nullptr;
-  tls_shard = -1;
-  tls_window = 0;
-}
-
-void Engine::rethrow_shard_failure() {
-  for (auto& s : shards_) {
-    if (s.failure) {
-      std::exception_ptr e = std::exchange(s.failure, nullptr);
-      std::rethrow_exception(e);
-    }
-  }
-}
-
-void Engine::merge_mailboxes() {
-  // Deterministic boundary merge: for each destination, staged events from
-  // every source outbox are ordered by (time, source shard, stage order)
-  // and only then assigned destination insertion-seqs. The order is a pure
-  // function of the window's simulation content — worker interleaving
-  // cannot touch it, which is what keeps output byte-identical at any
-  // thread count.
-  struct MergeRef {
-    Time t;
-    int src;
-    std::size_t idx;
-  };
-  std::vector<MergeRef> order;
-  const auto n = shards_.size();
-  for (std::size_t dst = 0; dst < n; ++dst) {
-    order.clear();
-    for (std::size_t src = 0; src < n; ++src) {
-      const auto& box = shards_[src].outbox[dst];
-      for (std::size_t i = 0; i < box.size(); ++i) {
-        order.push_back(MergeRef{box[i].t, static_cast<int>(src), i});
-      }
-    }
-    if (order.empty()) continue;
-    std::sort(order.begin(), order.end(),
-              [](const MergeRef& a, const MergeRef& b) {
-                if (a.t != b.t) return a.t < b.t;
-                if (a.src != b.src) return a.src < b.src;
-                return a.idx < b.idx;
-              });
-    Shard& d = shards_[dst];
-    for (const MergeRef& ref : order) {
-      Staged& e = shards_[static_cast<std::size_t>(ref.src)].outbox[dst][ref.idx];
-      DVX_CHECK(e.t >= d.now)
-          << "merged cross-shard event behind the destination clock";
-      if (e.h) {
-        push_event(d, e.t, /*callback=*/false, e.h, {});
-      } else {
-        push_event(d, e.t, /*callback=*/true, {}, std::move(e.fn));
-      }
-    }
-    for (std::size_t src = 0; src < n; ++src) {
-      shards_[src].outbox[dst].clear();
-    }
-  }
-}
-
-Time Engine::run_sharded() {
-  DVX_CHECK(sharding_.lookahead > 0)
-      << "sharded engine needs a positive lookahead";
-  const int nshards = static_cast<int>(shards_.size());
-  const int workers =
-      std::max(1, std::min(sharding_.threads, nshards));
-
-  auto after_window = [this] {
-    rethrow_shard_failure();
-    // Window hooks run in registration order on this (coordinator) thread,
-    // outside any shard context: fabric models resolve their staged
-    // cross-shard operations here in a canonical, layout-invariant order.
-    for (auto& [owner, hook] : window_hooks_) hook();
-    merge_mailboxes();
-    if (audit_interval_ != 0) {
-      const std::uint64_t total = events_processed();
-      if (total - last_audit_events_ >= audit_interval_) {
-        run_audits();
-        last_audit_events_ = total;
-      }
-    }
-  };
-
-  if (workers == 1) {
-    // Windowed sequential execution: identical window sequence, shard
-    // order, and merge order as the parallel path — the reference a
-    // threads-N run must reproduce byte for byte.
-    for (;;) {
-      const Time t0 = next_window_floor();
-      if (t0 < 0) break;
-      window_end_ = t0 + sharding_.lookahead;
-      ++window_seq_;
-      now_ = std::max(now_, t0);
-      for (int i = 0; i < nshards; ++i) run_shard_window(i, window_end_);
-      after_window();
+  if (window_width_ == 0) {
+    while (!heap_empty()) {
+      dispatch_one();
+      if (audit_interval_ != 0 && events_ % audit_interval_ == 0) run_audits();
     }
     return finish_run();
   }
-
-  std::barrier<> window_barrier(workers);
-  std::atomic<bool> stop{false};
-  Time window_end_shared = 0;  // published by the coordinator before phase A
-
-  auto worker_fn = [&, this](int w) {
-    for (;;) {
-      window_barrier.arrive_and_wait();  // phase A: window published
-      if (stop.load(std::memory_order_relaxed)) return;
-      for (int i = w; i < nshards; i += workers) {
-        run_shard_window(i, window_end_shared);
-      }
-      window_barrier.arrive_and_wait();  // phase B: window complete
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers - 1));
-  for (int w = 1; w < workers; ++w) pool.emplace_back(worker_fn, w);
-
-  std::exception_ptr coordinator_failure;
-  for (;;) {
-    const Time t0 = next_window_floor();
-    if (t0 < 0) break;
-    window_end_ = t0 + sharding_.lookahead;
-    ++window_seq_;
-    window_end_shared = window_end_;
-    now_ = std::max(now_, t0);
-    window_barrier.arrive_and_wait();  // phase A
-    for (int i = 0; i < nshards; i += workers) {
-      run_shard_window(i, window_end_shared);
-    }
-    window_barrier.arrive_and_wait();  // phase B
-    try {
-      after_window();
-    } catch (...) {
-      coordinator_failure = std::current_exception();
-      break;
-    }
+  while (!heap_empty()) {
+    const Time floor = heap_[kHeapPad].t;
+    window_end_ = floor + window_width_;
+    while (!heap_empty() && heap_[kHeapPad].t < window_end_) dispatch_one();
+    close_window(floor);
   }
-  stop.store(true, std::memory_order_relaxed);
-  window_barrier.arrive_and_wait();  // release workers parked at phase A
-  for (auto& th : pool) th.join();
-  if (coordinator_failure) std::rethrow_exception(coordinator_failure);
   return finish_run();
 }
 
-Time Engine::finish_run() {
-  for (auto& s : shards_) {
-    now_ = std::max(now_, s.now);
-    // The heap drained: no live entry can tie with a future one, so the
-    // tie-break counter rewinds and kMaxSeq bounds a busy period, not a run.
-    s.next_seq = 0;
+void Engine::close_window(Time floor) {
+  // Hooks and audits see the window floor as the clock; the past check
+  // still holds what they schedule to the last dispatched event.
+  now_ = floor;
+  for (auto& [owner, hook] : window_hooks_) hook();
+  if (audit_interval_ != 0 && events_ - last_audit_events_ >= audit_interval_) {
+    run_audits();
+    last_audit_events_ = events_;
   }
-  last_audit_events_ = events_processed();
+}
+
+Time Engine::finish_run() {
+  now_ = clock_;
+  // The heap drained: no live entry can tie with a future one, so the
+  // tie-break counter rewinds and kMaxSeq bounds a busy period, not a run.
+  next_seq_ = 0;
+  last_audit_events_ = events_;
   run_audits();  // drain-time sweep: short runs get audited too
   // Surface failures from simulated processes to the caller (tests rely on it).
   for (auto& r : roots_) {
@@ -541,18 +274,6 @@ Time Engine::finish_run() {
     }
   }
   return now_;
-}
-
-std::uint64_t Engine::events_processed() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& s : shards_) total += s.events;
-  return total;
-}
-
-std::size_t Engine::max_queue_depth() const noexcept {
-  std::size_t depth = 0;
-  for (const auto& s : shards_) depth = std::max(depth, s.max_depth);
-  return depth;
 }
 
 bool Engine::all_done() const noexcept {

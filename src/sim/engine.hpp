@@ -1,39 +1,30 @@
 #pragma once
 // Discrete-event simulation engine.
 //
-// Deterministic: events fire in (time, insertion-seq) order within one
-// event-ordering shard. Top-level simulated processes are Coro<void>
-// coroutines registered through spawn(); they suspend on awaitables (delay,
-// conditions, communication ops) and the engine resumes them at the correct
-// virtual time.
+// Deterministic: events fire in (time, insertion-seq) order. Top-level
+// simulated processes are Coro<void> coroutines registered through spawn();
+// they suspend on awaitables (delay, conditions, communication ops) and the
+// engine resumes them at the correct virtual time.
 //
-// Hot-path layout (DESIGN.md §10): each shard's ready queue is an
-// index-based 4-ary min-heap over 16-byte POD entries — sift operations
-// move (time, key) pairs, never payloads. Payloads live in recycled
-// side-slabs (one for coroutine handles, one for the rarer std::function
-// callbacks) addressed by a slot id packed into the low bits of the
-// comparison key, so steady-state dispatch performs zero heap allocations.
+// Hot-path layout (DESIGN.md §10): the ready queue is an index-based 4-ary
+// min-heap over 16-byte POD entries — sift operations move (time, key)
+// pairs, never payloads. Payloads live in recycled side-slabs (one for
+// coroutine handles, one for the rarer std::function callbacks) addressed by
+// a slot id packed into the low bits of the comparison key, so steady-state
+// dispatch performs zero heap allocations.
 //
-// Sharded execution (DESIGN.md §12): configure_sharding() splits the engine
-// into S independent shards, each owning a private heap/slab set, a local
-// clock, and a local insertion-seq counter. run() then advances in
-// conservative lookahead windows [T0, T0 + lookahead): all shards dispatch
-// their events inside the window concurrently on up to `threads` workers
-// (shard state is disjoint, so no locks), and any event one shard schedules
-// onto another is staged into a per-destination mailbox. At the window
-// barrier the mailboxes are merged in deterministic (time, source-shard,
-// stage-order) order and only then assigned destination insertion-seqs, so
-// the dispatch trajectory depends on the shard layout alone — never on the
-// worker-thread count. Cross-shard events must land at or after the window
-// end; the lookahead is derived from the minimum cross-node latency of the
-// network models (net::Interconnect::lookahead, vic::DvFabric::
-// min_remote_latency), which makes the conservative guarantee physical.
+// Windowed execution (DESIGN.md §12): with a positive window width, run()
+// advances in conservative lookahead windows [T0, T0 + width): it dispatches
+// every event inside the window, then runs the registered window hooks,
+// where the fabric models resolve the traffic they staged during the window.
+// The width is the minimum cross-node latency of the network model
+// (net::Interconnect::lookahead, vic::DvFabric::min_remote_latency), so
+// nothing a window stages can land inside that same window.
 
 #include <coroutine>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <mutex>
 #include <new>
 #include <vector>
 
@@ -43,23 +34,6 @@
 
 namespace dvx::sim {
 
-/// How Engine::run() executes: `shards` independent event-ordering domains
-/// advanced in conservative `lookahead` windows by up to `threads` workers.
-/// The dispatch trajectory (and therefore every simulation output) is a
-/// function of `shards` and `lookahead` only; `threads` is pure execution
-/// parallelism and never changes results. The default (1/1/0) is the
-/// classic single-heap serial engine.
-struct ShardingConfig {
-  int shards = 1;        ///< event-ordering domains (>= 1)
-  int threads = 1;       ///< worker threads inside a window (>= 1)
-  Duration lookahead = 0;  ///< window width; must be > 0 when windowed
-  /// Forces the windowed (lookahead + barrier) execution path even at
-  /// shards == 1. Partitioned fabric models resolve their staged operations
-  /// at window boundaries, so a cluster run at any shard count must use the
-  /// same windowed trajectory for its output to be shard-count-invariant.
-  bool windowed = false;
-};
-
 class Engine {
  public:
   Engine();
@@ -67,31 +41,33 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
   ~Engine();
 
-  /// Current virtual time: the dispatching shard's clock when called from
-  /// inside an event, the engine-wide clock otherwise.
-  Time now() const noexcept;
+  /// Current virtual time: the time of the event being dispatched; inside
+  /// window hooks and audits of a windowed run, the floor of the window
+  /// being closed.
+  Time now() const noexcept { return now_; }
 
-  /// Selects the sharded execution mode. Must be called while no events are
-  /// pending (typically right after construction); reconfiguring with a
-  /// loaded queue would strand events in the old shard layout.
-  void configure_sharding(const ShardingConfig& config);
-  const ShardingConfig& sharding() const noexcept { return sharding_; }
-  int shards() const noexcept { return static_cast<int>(shards_.size()); }
+  /// Sets the lookahead window width. 0 (the default) dispatches straight
+  /// through the heap and never runs window hooks; a positive width makes
+  /// run() advance in windows [T0, T0 + width) with the hooks run at every
+  /// window close. The fabric models need a windowed engine to carry
+  /// traffic, and runtime::Cluster windows every run at the fabric's
+  /// lookahead. Negative widths are rejected.
+  void set_window_width(Duration width);
+  Duration window_width() const noexcept { return window_width_; }
 
-  /// Registers a top-level process; it starts at virtual time `start` on
-  /// shard `shard` (-1 = the scheduling shard, shard 0 outside dispatch).
-  void spawn(Coro<void> coro, Time start = -1, int shard = -1);
+  /// Registers a top-level process; it starts at virtual time `start`
+  /// (-1 = now).
+  void spawn(Coro<void> coro, Time start = -1);
 
-  /// Schedules a coroutine resume at absolute time t (must be >= now()) on
-  /// shard `shard` (-1 = the scheduling shard). Cross-shard schedules from
-  /// inside a window must satisfy the conservative bound t >= window end.
-  void schedule_handle(Time t, std::coroutine_handle<> h, int shard = -1);
+  /// Schedules a coroutine resume at absolute time t (must be >= the time of
+  /// the last dispatched event).
+  void schedule_handle(Time t, std::coroutine_handle<> h);
 
-  /// Schedules a plain callback at absolute time t; same shard rules.
-  void schedule(Time t, std::function<void()> fn, int shard = -1);
+  /// Schedules a plain callback at absolute time t; same rule.
+  void schedule(Time t, std::function<void()> fn);
 
-  /// Runs until every shard's event queue drains. Returns the final virtual
-  /// time. Rethrows the first exception that escaped any spawned process.
+  /// Runs until the event queue drains. Returns the final virtual time.
+  /// Rethrows the first exception that escaped any spawned process.
   Time run();
 
   /// True when every spawned process has run to completion.
@@ -100,16 +76,11 @@ class Engine {
   /// Number of processes spawned so far.
   std::size_t spawned() const noexcept { return roots_.size(); }
 
-  /// Total events dispatched across all shards (diagnostics).
-  std::uint64_t events_processed() const noexcept;
-
-  /// High-water mark of any shard's event queue (diagnostics; harvested
-  /// into obs metrics by the cluster runtime — the engine sits below
-  /// dvx_obs and cannot attach itself).
-  std::size_t max_queue_depth() const noexcept;
+  /// Total events dispatched (diagnostics).
+  std::uint64_t events_processed() const noexcept { return events_; }
 
   /// Registers an invariant auditor; audit() runs every audit_interval()
-  /// dispatched events (at window boundaries in sharded mode) and once when
+  /// dispatched events (at window closes in windowed mode) and once when
   /// the event queue drains. Observational only — auditors must not mutate
   /// simulation state (DESIGN.md §7).
   void add_auditor(check::InvariantAuditor* auditor);
@@ -117,12 +88,11 @@ class Engine {
   void remove_auditor(check::InvariantAuditor* auditor) noexcept;
 
   /// Registers a window-close hook keyed by `owner` (one hook per owner).
-  /// Hooks run on the coordinator thread at every window barrier — after all
-  /// shards finished the window, before the engine mailbox merge — in
-  /// registration order. Partitioned fabric models use them to resolve their
-  /// per-shard staged operations in a canonical order; every event a hook
-  /// schedules must land at or after the closing window's end. Only
-  /// meaningful in windowed mode (serial runs never invoke hooks).
+  /// Hooks run at every window close — after the window's events, with
+  /// now() at the window floor — in registration order. The fabric models
+  /// use them to resolve the traffic they staged during the window in a
+  /// canonical order; every event a hook schedules must land at or after
+  /// window_end(). Unwindowed runs never invoke hooks.
   void add_window_hook(const void* owner, std::function<void()> hook);
   /// Unregisters; no-op when the owner never added a hook.
   void remove_window_hook(const void* owner) noexcept;
@@ -139,18 +109,6 @@ class Engine {
 
   /// Number of audit sweeps performed (each sweep visits every auditor).
   std::uint64_t audits_run() const noexcept { return audits_run_; }
-
-  /// The shard the calling thread is currently dispatching for, or -1 when
-  /// the thread is outside engine dispatch. Static (thread-identity, not
-  /// engine-identity) so instrumentation points deep inside the network
-  /// models (analyze::ShardAccessRecorder) can attribute an access without
-  /// holding an Engine reference.
-  static int current_shard() noexcept;
-
-  /// Monotone index of the lookahead window the calling thread is currently
-  /// dispatching. 0 outside dispatch and in serial (shards == 1) mode —
-  /// there a single ordering domain makes window attribution meaningless.
-  static std::uint64_t current_window() noexcept;
 
   /// Awaitable: suspend the current coroutine for `d` of virtual time.
   auto delay(Duration d) {
@@ -188,11 +146,11 @@ class Engine {
   /// heap drains, so this bound is per uninterrupted run, not per Engine).
   static constexpr std::uint64_t kMaxSeq = std::uint64_t{1} << (64 - kKeyShift);
 
-  /// Test hook: forces a shard's insertion-seq counter so the overflow
-  /// guards can be exercised without dispatching 2^38 events. Never call
-  /// outside tests — a forged counter breaks tie-break ordering with any
-  /// events already in the heap.
-  void set_next_seq_for_test(std::uint64_t seq, int shard = 0);
+  /// Test hook: forces the insertion-seq counter so the overflow guards can
+  /// be exercised without dispatching 2^38 events. Never call outside
+  /// tests — a forged counter breaks tie-break ordering with any events
+  /// already in the heap.
+  void set_next_seq_for_test(std::uint64_t seq) noexcept { next_seq_ = seq; }
 
  private:
   /// 16-byte heap entry. `key` packs (seq << kKeyShift) | kind | slot: seq in
@@ -240,60 +198,36 @@ class Engine {
   /// two straddled ones.
   static constexpr std::size_t kHeapPad = 3;
 
-  /// A cross-shard event parked in its source shard's outbox until the
-  /// window barrier merges it into the destination heap.
-  struct Staged {
-    Time t;
-    std::coroutine_handle<> h{};  ///< non-null: coroutine resume
-    std::function<void()> fn{};   ///< otherwise: plain callback
-  };
-
-  /// One event-ordering domain: private heap, slabs, clock, seq counter.
-  /// 64-byte aligned so concurrently-dispatching shards never share a line.
-  struct alignas(64) Shard {
-    std::vector<HeapEntry, CacheAlignedAlloc<HeapEntry>> heap;
-    std::vector<std::coroutine_handle<>> handle_slab;
-    std::vector<std::uint32_t> handle_free;
-    std::vector<std::function<void()>> fn_slab;
-    std::vector<std::uint32_t> fn_free;
-    std::vector<std::vector<Staged>> outbox;  ///< one per destination shard
-    Time now = 0;                  ///< last dispatched event time
-    std::uint64_t next_seq = 0;    ///< local insertion-seq counter
-    std::uint64_t events = 0;      ///< events dispatched by this shard
-    std::size_t max_depth = 0;     ///< heap high-water mark
-    std::exception_ptr failure{};  ///< first escape from a window dispatch
-  };
-
-  void heap_push(Shard& s, Time t, std::uint64_t key);
-  HeapEntry heap_pop(Shard& s);
-  std::uint64_t make_key(Shard& s, bool callback, std::uint32_t slot);
-  void push_event(Shard& s, Time t, bool callback, std::coroutine_handle<> h,
+  bool heap_empty() const noexcept { return heap_.size() == kHeapPad; }
+  void heap_push(Time t, std::uint64_t key);
+  HeapEntry heap_pop();
+  std::uint64_t make_key(bool callback, std::uint32_t slot);
+  void push_event(Time t, bool callback, std::coroutine_handle<> h,
                   std::function<void()> fn);
-  int resolve_shard(int shard) const;
-  void dispatch_one(Shard& s);
-
-  Time run_serial();
-  Time run_sharded();
-  Time next_window_floor() const noexcept;
-  void run_shard_window(int shard, Time window_end);
-  void merge_mailboxes();
-  void rethrow_shard_failure();
+  void dispatch_one();
+  void close_window(Time floor);
   Time finish_run();
 
   void run_audits();
 
-  Time now_ = 0;             ///< engine-wide clock (window floor when sharded)
-  Time window_end_ = 0;      ///< exclusive bound of the executing window
-  std::uint64_t window_seq_ = 0;  ///< windows opened (sharded mode; monotone)
-  ShardingConfig sharding_{};
-  std::vector<Shard> shards_;  ///< always >= 1; shard 0 is the serial heap
-  std::deque<Root> roots_;     // deque: &done must stay stable
-  std::mutex spawn_mutex_;     // spawn() may be called from window workers
+  std::vector<HeapEntry, CacheAlignedAlloc<HeapEntry>> heap_;
+  std::vector<std::coroutine_handle<>> handle_slab_;
+  std::vector<std::uint32_t> handle_free_;
+  std::vector<std::function<void()>> fn_slab_;
+  std::vector<std::uint32_t> fn_free_;
+
+  Time now_ = 0;    ///< what now() reports (the window floor inside hooks)
+  Time clock_ = 0;  ///< time of the last dispatched event
+  std::uint64_t next_seq_ = 0;  ///< insertion-seq counter
+  std::uint64_t events_ = 0;    ///< events dispatched
+  Duration window_width_ = 0;   ///< 0: unwindowed
+  Time window_end_ = 0;         ///< exclusive bound of the executing window
+  std::deque<Root> roots_;      // deque: &done must stay stable
   std::vector<check::InvariantAuditor*> auditors_;
   std::vector<std::pair<const void*, std::function<void()>>> window_hooks_;
   std::uint64_t audit_interval_ = 0;  // ctor sets the level-dependent default
   std::uint64_t audits_run_ = 0;
-  std::uint64_t last_audit_events_ = 0;  ///< sharded-mode cadence bookkeeping
+  std::uint64_t last_audit_events_ = 0;  ///< windowed-mode cadence bookkeeping
 };
 
 }  // namespace dvx::sim

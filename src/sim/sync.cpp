@@ -12,7 +12,7 @@ void Condition::notify_all(Time at) {
     DVX_CHECK(rec != nullptr);
     if (!rec->fired) {
       rec->fired = true;
-      engine_.schedule_handle(at, rec->handle, rec->shard);
+      engine_.schedule_handle(at, rec->handle);
     }
   }
 }
@@ -25,7 +25,7 @@ void Condition::notify_one(Time at) {
     DVX_CHECK(rec != nullptr);
     if (!rec->fired) {
       rec->fired = true;
-      engine_.schedule_handle(at, rec->handle, rec->shard);
+      engine_.schedule_handle(at, rec->handle);
       return;
     }
   }

@@ -29,8 +29,7 @@ class Condition {
       Condition& cond;
       bool await_ready() const noexcept { return false; }
       void await_suspend(std::coroutine_handle<> h) {
-        cond.waiters_.push_back(
-            std::make_shared<Waiter>(Waiter{h, false, Engine::current_shard()}));
+        cond.waiters_.push_back(std::make_shared<Waiter>(Waiter{h, false}));
       }
       void await_resume() const noexcept {}
     };
@@ -45,20 +44,16 @@ class Condition {
       Time deadline;
       bool await_ready() const noexcept { return false; }
       void await_suspend(std::coroutine_handle<> h) {
-        auto rec =
-            std::make_shared<Waiter>(Waiter{h, false, Engine::current_shard()});
+        auto rec = std::make_shared<Waiter>(Waiter{h, false});
         cond.waiters_.push_back(rec);
         Engine& eng = cond.engine_;
         const Time t = deadline < eng.now() ? eng.now() : deadline;
-        eng.schedule(
-            t,
-            [rec, &eng] {
-              if (!rec->fired) {
-                rec->fired = true;
-                eng.schedule_handle(eng.now(), rec->handle, rec->shard);
-              }
-            },
-            rec->shard);
+        eng.schedule(t, [rec, &eng] {
+          if (!rec->fired) {
+            rec->fired = true;
+            eng.schedule_handle(eng.now(), rec->handle);
+          }
+        });
       }
       void await_resume() const noexcept {}
     };
@@ -78,11 +73,6 @@ class Condition {
   struct Waiter {
     std::coroutine_handle<> handle;
     bool fired;
-    /// The shard the waiter suspended on (Engine::current_shard() at
-    /// await_suspend; -1 outside dispatch). Notifiers resume the waiter on
-    /// its own shard so a cross-shard notify (e.g. from a window hook) never
-    /// migrates a rank coroutine off its home shard.
-    int shard;
   };
   friend struct WaiterAccess;
 

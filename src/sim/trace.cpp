@@ -31,20 +31,12 @@ double StateSummary::fraction(NodeState s) const {
   return static_cast<double>(per_state[static_cast<int>(s)]) / static_cast<double>(t);
 }
 
-void Tracer::ensure_nodes(int nodes) {
-  if (nodes > 0 && static_cast<std::size_t>(nodes) > states_by_node_.size()) {
-    states_by_node_.resize(static_cast<std::size_t>(nodes));
-  }
-}
-
 void Tracer::record_state(int node, NodeState s, Time begin, Time end) {
   if (!enabled_ || end <= begin) return;
   const auto idx = static_cast<std::size_t>(node < 0 ? 0 : node);
-  // Growth happens only in single-threaded contexts; concurrent recorders
-  // must have been preceded by ensure_nodes().
   if (idx >= states_by_node_.size()) states_by_node_.resize(idx + 1);
   states_by_node_[idx].push_back(StateInterval{node, s, begin, end});
-  flat_dirty_.store(true, std::memory_order_relaxed);
+  flat_dirty_ = true;
 }
 
 void Tracer::record_message(int src, int dst, Time send_time, Time recv_time,
@@ -54,7 +46,8 @@ void Tracer::record_message(int src, int dst, Time send_time, Time recv_time,
 }
 
 const std::vector<StateInterval>& Tracer::states() const {
-  if (flat_dirty_.exchange(false, std::memory_order_relaxed)) {
+  if (flat_dirty_) {
+    flat_dirty_ = false;
     flat_states_.clear();
     std::size_t total = 0;
     for (const auto& bucket : states_by_node_) total += bucket.size();
@@ -180,7 +173,7 @@ void Tracer::clear() {
   states_by_node_.clear();
   messages_.clear();
   flat_states_.clear();
-  flat_dirty_.store(false, std::memory_order_relaxed);
+  flat_dirty_ = false;
 }
 
 }  // namespace dvx::sim

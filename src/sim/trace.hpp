@@ -6,7 +6,6 @@
 // observation that GUPS traffic has "no exploitable regularity for
 // aggregating messages directed to the same destination".
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -63,55 +62,16 @@ struct TraceMark {
   std::size_t messages = 0;
 };
 
-/// Concurrency contract (DESIGN.md §15): state intervals are bucketed per
-/// node, so rank coroutines on different engine shards may record_state
-/// concurrently — each touches only its own node's bucket — provided
-/// ensure_nodes() pre-sized the outer vector. record_message and every
-/// reader (states(), summaries, CSV) are single-threaded: messages are only
-/// recorded from window-close resolutions and serial contexts. The flat
-/// states() view is rebuilt lazily in canonical node-major order (node id,
-/// then per-node record order), which is a pure function of the simulation
-/// content — identical at every shard layout.
+/// The flat states() view is rebuilt lazily in canonical node-major order
+/// (node id, then per-node record order), a pure function of the
+/// simulation content.
 class Tracer {
  public:
   /// A disabled tracer drops records with near-zero cost.
   explicit Tracer(bool enabled = false) : enabled_(enabled) {}
 
-  // The atomic dirty flag deletes the defaulted copy/move operations;
-  // single-threaded transfers (factory returns, test fixtures) stay legal
-  // through these explicit ones. Never copy/move a tracer mid-run.
-  Tracer(const Tracer& other)
-      : enabled_(other.enabled_),
-        states_by_node_(other.states_by_node_),
-        messages_(other.messages_),
-        flat_dirty_(true) {}
-  Tracer(Tracer&& other) noexcept
-      : enabled_(other.enabled_),
-        states_by_node_(std::move(other.states_by_node_)),
-        messages_(std::move(other.messages_)),
-        flat_dirty_(true) {}
-  Tracer& operator=(const Tracer& other) {
-    enabled_ = other.enabled_;
-    states_by_node_ = other.states_by_node_;
-    messages_ = other.messages_;
-    flat_states_.clear();
-    flat_dirty_.store(true, std::memory_order_relaxed);
-    return *this;
-  }
-  Tracer& operator=(Tracer&& other) noexcept {
-    enabled_ = other.enabled_;
-    states_by_node_ = std::move(other.states_by_node_);
-    messages_ = std::move(other.messages_);
-    flat_states_.clear();
-    flat_dirty_.store(true, std::memory_order_relaxed);
-    return *this;
-  }
-
   bool enabled() const noexcept { return enabled_; }
   void set_enabled(bool e) noexcept { enabled_ = e; }
-
-  /// Pre-sizes the per-node buckets; required before concurrent recording.
-  void ensure_nodes(int nodes);
 
   void record_state(int node, NodeState s, Time begin, Time end);
   void record_message(int src, int dst, Time send_time, Time recv_time,
@@ -148,10 +108,9 @@ class Tracer {
   bool enabled_;
   std::vector<std::vector<StateInterval>> states_by_node_;
   std::vector<MessageRecord> messages_;
-  // Lazy flat cache for states(); the dirty flag is atomic only so
-  // concurrent record_state calls may all set it without a race.
+  // Lazy flat cache for states().
   mutable std::vector<StateInterval> flat_states_;
-  mutable std::atomic<bool> flat_dirty_{false};
+  mutable bool flat_dirty_ = false;
 };
 
 /// RAII helper charging a state interval on scope exit.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "analyze/shard_access.hpp"
 #include "check/check.hpp"
 #include "obs/collector.hpp"
 
@@ -59,10 +58,9 @@ Fabric::Fabric(int nodes, TorusParams params) : nodes_(nodes), params_(params) {
 }
 
 void Fabric::reset() {
-  DVX_SHARD_GUARDED("torus.Fabric", -1);
   std::fill(link_free_.begin(), link_free_.end(), 0);
   std::fill(nic_gate_.begin(), nic_gate_.end(), 0);
-  bytes_sent_.store(0, std::memory_order_relaxed);
+  bytes_sent_ = 0;
   link_bytes_ = 0;
   expected_link_bytes_ = 0;
 }
@@ -128,23 +126,18 @@ MsgTiming Fabric::send_message(int src, int dst, std::int64_t bytes,
     throw std::out_of_range("torus::Fabric::send_message: node out of range");
   }
   if (bytes <= 0) bytes = 1;
-  bytes_sent_.fetch_add(bytes, std::memory_order_relaxed);
+  bytes_sent_ += bytes;
 
   if (src == dst) {
-    // Loopback: the MPI runtime short-circuits through shared memory. Pure
-    // local math plus the atomic tally above, so this path may run on the
-    // caller's shard mid-window (recorded per source rank, not as a write
-    // to the shared ledgers).
-    DVX_SHARD_ACCESS("torus.Fabric", src, kWrite);
-    const sim::Time done = ready + sim::transfer_time(bytes, params_.memcpy_bw);
+    // Loopback: the MPI runtime short-circuits through shared memory; pure
+    // local math, so MpiWorld may call it mid-window.
+      const sim::Time done = ready + sim::transfer_time(bytes, params_.memcpy_bw);
     return MsgTiming{done, done};
   }
 
-  // Everything below mutates the shared link/NIC ledgers, conservation
-  // counters and obs instruments: MpiWorld reaches it only from the
-  // canonical window-close replay.
-  DVX_SHARD_GUARDED("torus.Fabric", -1);
-
+  // Everything below mutates the link/NIC ledgers, conservation counters
+  // and obs instruments: MpiWorld reaches it only from the canonical
+  // window-close replay.
   // Message-rate gate: the NIC cannot start messages faster than msg_rate.
   auto& gate = nic_gate_[static_cast<std::size_t>(src)];
   const auto gap = static_cast<sim::Duration>(1e12 / params_.msg_rate);

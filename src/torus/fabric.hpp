@@ -22,7 +22,6 @@
 // mpi::MpiWorld runs over it unchanged.
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -47,11 +46,9 @@ struct TorusParams {
 
 using MsgTiming = net::MsgTiming;
 
-// Partitioned contract (DESIGN.md §15): the link/NIC ledgers, conservation
-// counters and obs instruments are touched only from the window-close
-// resolution (MpiWorld::resolve_window, instance -1); loopback sends run
-// concurrently on the caller's shard but reach only the atomic byte tally.
-// dvx-analyze: shard-partitioned
+// The link/NIC ledgers, conservation counters and obs instruments are
+// touched only from the window-close resolution (MpiWorld::resolve_window,
+// DESIGN.md §15); loopback sends return before reaching them.
 class Fabric final : public net::Interconnect {
  public:
   explicit Fabric(int nodes, TorusParams params = {});
@@ -82,7 +79,7 @@ class Fabric final : public net::Interconnect {
 
   /// Total bytes offered to the fabric so far (diagnostics).
   std::int64_t bytes_sent() const noexcept override {
-    return bytes_sent_.load(std::memory_order_relaxed);
+    return bytes_sent_;
   }
 
   /// Total bytes serialized across all directed links. Conservation: equals
@@ -118,8 +115,7 @@ class Fabric final : public net::Interconnect {
   std::array<int, 3> dims_;
   std::vector<sim::Time> link_free_;
   std::vector<sim::Time> nic_gate_;  ///< message-rate gate per NIC
-  // Atomic so loopback sends can tally from any shard mid-window.
-  std::atomic<std::int64_t> bytes_sent_{0};
+  std::int64_t bytes_sent_ = 0;
   std::int64_t link_bytes_ = 0;           ///< bytes serialized over links
   std::int64_t expected_link_bytes_ = 0;  ///< sum of bytes * hops per message
   // obs instrumentation (null when nothing collects): per-dimension hop

@@ -23,7 +23,7 @@ void GroupCounter::set(sim::Time at, std::uint64_t v) {
   value_ = v;
   settle_ = std::max(settle_, std::max(at, engine_.now()));
   // Network sets arrive from the window-close resolution, whose clock sits
-  // at the window floor, behind the waiters' shards; the notify therefore
+  // at the window floor, behind the waiters' own clock; the notify therefore
   // carries the physical settle time.
   cond_.notify_all(settle_);
 }

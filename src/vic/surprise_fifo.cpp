@@ -4,14 +4,13 @@
 #include <stdexcept>
 #include <string>
 
-#include "analyze/shard_access.hpp"
 #include "check/check.hpp"
 #include "obs/collector.hpp"
 
 namespace dvx::vic {
 
 SurpriseFifo::SurpriseFifo(sim::Engine& engine, std::size_t capacity, int node)
-    : engine_(engine), cond_(engine), node_(node), capacity_(capacity) {
+    : engine_(engine), cond_(engine), capacity_(capacity) {
   if (capacity == 0) throw std::invalid_argument("SurpriseFifo: zero capacity");
   if (obs::Registry* m = obs::metrics()) {
     const obs::Labels labels{{"node", std::to_string(node)}};
@@ -22,7 +21,6 @@ SurpriseFifo::SurpriseFifo(sim::Engine& engine, std::size_t capacity, int node)
 }
 
 void SurpriseFifo::deposit(sim::Time at, Packet p) {
-  DVX_SHARD_GUARDED("vic.SurpriseFifo", node_);
   if (buffered() >= capacity_) {
     ++dropped_;
     if (obs_dropped_ != nullptr) obs_dropped_->inc();
@@ -41,9 +39,8 @@ void SurpriseFifo::deposit(sim::Time at, Packet p) {
     obs_depth_->sample(static_cast<double>(buffered()));
   }
   // Deposits come from the window-close resolution, where the engine clock
-  // sits at the window floor — behind the waiters' shard clocks. Notifying
-  // at the (physical, >= window end) arrival time keeps the wake-up legal
-  // on every shard.
+  // sits at the window floor, behind the waiters' own clock. Notifying at
+  // the (physical, >= window end) arrival time keeps the wake-up legal.
   cond_.notify_all(at);
 }
 
@@ -66,7 +63,6 @@ void SurpriseFifo::merge_pending() {
 }
 
 std::vector<Packet> SurpriseFifo::poll() {
-  DVX_SHARD_GUARDED("vic.SurpriseFifo", node_);
   std::vector<Packet> out;
   const sim::Time now = engine_.now();
   if (buffered() > 0 && earliest() <= now) {
@@ -92,7 +88,6 @@ std::vector<Packet> SurpriseFifo::poll() {
 }
 
 bool SurpriseFifo::ready() const {
-  DVX_SHARD_ACCESS("vic.SurpriseFifo", node_, kRead);
   return buffered() > 0 && earliest() <= engine_.now();
 }
 

@@ -20,7 +20,6 @@
 
 namespace dvx::vic {
 
-// dvx-analyze: shard-partitioned
 class SurpriseFifo {
  public:
   /// "thousands of 8-byte messages": default ring of 64 Ki entries.
@@ -67,7 +66,6 @@ class SurpriseFifo {
 
   sim::Engine& engine_;
   sim::Condition cond_;
-  int node_;  ///< owning VIC id (-1 standalone); labels shard-access records
   // obs instrumentation (null when nothing collects); the depth gauge's max
   // is the FIFO's high-water mark.
   obs::Gauge* obs_depth_ = nullptr;

@@ -4,7 +4,6 @@
 #include <bit>
 #include <stdexcept>
 
-#include "analyze/shard_access.hpp"
 #include "check/check.hpp"
 
 namespace dvx::vic {
@@ -21,7 +20,6 @@ Vic::Vic(sim::Engine& engine, DvFabric& fabric, int id, const VicParams& params)
       dma_up_(pcie_, PcieDir::kVicToHost, id) {}
 
 void Vic::deliver(const Packet& p, sim::Time arrival) {
-  DVX_SHARD_GUARDED("vic.Vic", id_);
   const check::ScopedNode check_node(id_);
   DVX_CHECK(static_cast<int>(p.header.dst_vic) == id_)
       << "packet for VIC " << p.header.dst_vic << " delivered to VIC " << id_;
@@ -54,7 +52,6 @@ void Vic::deliver(const Packet& p, sim::Time arrival) {
 
 void Vic::deliver_run(int counter, std::uint32_t addr,
                       std::span<const std::uint64_t> words, const ArrivalRamp& arrivals) {
-  DVX_SHARD_GUARDED("vic.Vic", id_);
   const check::ScopedNode check_node(id_);
   // Nothing runs between the words of a run, so one block write and one
   // counted decrement leave what the per-word writes and decrements would.
@@ -76,8 +73,11 @@ DvFabric::DvFabric(sim::Engine& engine, int nodes, DvFabricParams params)
   vics_.reserve(static_cast<std::size_t>(nodes));
   for (int i = 0; i < nodes; ++i) {
     vics_.push_back(std::make_unique<Vic>(engine, *this, i, params.vic));
+    barrier_conds_.push_back(std::make_unique<sim::Condition>(engine));
   }
+  stage_seq_.assign(static_cast<std::size_t>(nodes), 0);
   engine_.add_auditor(this);
+  engine_.add_window_hook(this, [this] { resolve_window(); });
 }
 
 DvFabric::~DvFabric() {
@@ -85,22 +85,7 @@ DvFabric::~DvFabric() {
   engine_.remove_window_hook(this);
 }
 
-// dvx-analyze: allow(shard-partitioned) -- config-time, before any rank runs
-void DvFabric::configure_partition(int shards) {
-  DVX_CHECK(shards >= 1) << "partition needs at least one shard";
-  staged_.assign(static_cast<std::size_t>(shards), {});
-  barrier_staged_.assign(static_cast<std::size_t>(shards), {});
-  stage_seq_.assign(static_cast<std::size_t>(nodes()), 0);
-  barrier_conds_.clear();
-  barrier_conds_.reserve(static_cast<std::size_t>(nodes()));
-  for (int i = 0; i < nodes(); ++i) {
-    barrier_conds_.push_back(std::make_unique<sim::Condition>(engine_));
-  }
-  engine_.add_window_hook(this, [this] { resolve_window(); });
-}
-
 void DvFabric::audit(std::int64_t now_ps) {
-  DVX_SHARD_ACCESS("vic.DvFabric", -1, kRead);
   (void)now_ps;
   DVX_CHECK(barrier_arrived_ >= 0 && barrier_arrived_ < nodes())
       << "intrinsic barrier arrival count out of range: " << barrier_arrived_;
@@ -113,23 +98,19 @@ void DvFabric::audit(std::int64_t now_ps) {
   }
 }
 
-void DvFabric::require_partition() const {
-  if (staged_.empty()) {
-    throw std::logic_error("DvFabric: traffic before configure_partition");
+void DvFabric::require_windowed() const {
+  if (engine_.window_width() <= 0) {
+    throw std::logic_error("DvFabric: traffic on an unwindowed engine");
   }
 }
 
 DvFabric::StagedBurst& DvFabric::stage(int src, sim::Time ready) {
-  // Each src rank is dispatched by exactly one shard, so the per-src seq
-  // counter and the ledger slot are both single-writer.
-  const int cur = sim::Engine::current_shard();
-  auto& box = staged_[static_cast<std::size_t>(cur < 0 ? 0 : cur)];
-  return box.emplace_back(
+  return staged_.emplace_back(
       StagedBurst{ready, src, stage_seq_[static_cast<std::size_t>(src)]++, {}, {}, {}});
 }
 
 void DvFabric::transmit(int src, std::span<const Packet> packets, sim::Time ready) {
-  require_partition();
+  require_windowed();
   if (packets.empty()) return;
   if (resolving_) {
     // A query reply emitted while the resolution replays deliveries: defer
@@ -139,26 +120,23 @@ void DvFabric::transmit(int src, std::span<const Packet> packets, sim::Time read
         ready, src, 0, std::vector<Packet>(packets.begin(), packets.end()), {}, {}});
     return;
   }
-  // Rank context: stage into the calling shard's ledger.
-  DVX_SHARD_ACCESS("vic.DvFabric", src, kWrite);
+  // Rank context: stage for the window-close resolution.
   stage(src, ready).packets.assign(packets.begin(), packets.end());
 }
 
 void DvFabric::transmit(int src, std::span<const Run> runs,
                         std::span<const std::uint64_t> payload, sim::Time ready) {
-  require_partition();
+  require_windowed();
   if (payload.empty()) return;
   // Rank context only: the resolution re-enters transmit with query
   // replies, which are packets.
   DVX_CHECK(!resolving_) << "DV-memory runs transmitted during resolution";
-  DVX_SHARD_GUARDED("vic.DvFabric", src);
   StagedBurst& b = stage(src, ready);
   b.runs.assign(runs.begin(), runs.end());
   b.payload.assign(payload.begin(), payload.end());
 }
 
 void DvFabric::transmit_now(int src, std::span<const Packet> packets, sim::Time ready) {
-  DVX_SHARD_GUARDED("vic.DvFabric", -1);
   std::size_t i = 0;
   while (i < packets.size()) {
     // Coalesce packets to the same destination into one burst.
@@ -180,7 +158,6 @@ void DvFabric::transmit_now(int src, std::span<const Packet> packets, sim::Time 
 
 void DvFabric::transmit_now(int src, std::span<const Run> runs,
                             std::span<const std::uint64_t> payload, sim::Time ready) {
-  DVX_SHARD_GUARDED("vic.DvFabric", -1);
   std::size_t i = 0;
   std::size_t word = 0;
   while (i < runs.size()) {
@@ -214,15 +191,11 @@ void DvFabric::replay(const StagedBurst& b) {
 }
 
 void DvFabric::resolve_window() {
-  // Window-close resolution (coordinator thread, outside any shard context):
-  // replay every staged burst against the switch model in canonical
-  // (ready, src, per-src seq) order — a pure function of the window's
-  // simulation content, identical at every shard layout and worker count.
+  // Window-close resolution: replay every staged burst against the switch
+  // model in canonical (ready, src, per-src seq) order, a pure function of
+  // the window's simulation content.
   std::vector<StagedBurst> batch;
-  for (auto& box : staged_) {
-    std::move(box.begin(), box.end(), std::back_inserter(batch));
-    box.clear();
-  }
+  batch.swap(staged_);
   if (!batch.empty()) {
     std::sort(batch.begin(), batch.end(),
               [](const StagedBurst& a, const StagedBurst& b) {
@@ -247,10 +220,7 @@ void DvFabric::resolve_window() {
 
 void DvFabric::resolve_barrier_arrivals() {
   std::vector<BarrierArrival> arrivals;
-  for (auto& box : barrier_staged_) {
-    arrivals.insert(arrivals.end(), box.begin(), box.end());
-    box.clear();
-  }
+  arrivals.swap(barrier_staged_);
   if (arrivals.empty()) return;
   std::sort(arrivals.begin(), arrivals.end(),
             [](const BarrierArrival& a, const BarrierArrival& b) {
@@ -264,10 +234,9 @@ void DvFabric::resolve_barrier_arrivals() {
       const int levels = std::bit_width(static_cast<unsigned>(nodes() - 1));
       sim::Time release = barrier_latest_ + params_.barrier_base +
                           static_cast<sim::Duration>(levels) * params_.barrier_per_level;
-      // Defensive clamp: the release must not land behind any shard's clock.
-      // window_end() is layout-invariant, so the clamp (almost never active —
-      // the barrier base cost exceeds the fabric lookahead) cannot break the
-      // shards-1-vs-N identity.
+      // Defensive clamp: the release must not land inside the closing
+      // window (almost never active: the barrier base cost exceeds the
+      // fabric lookahead).
       release = std::max(release, engine_.window_end());
       barrier_arrived_ = 0;
       barrier_latest_ = 0;
@@ -278,15 +247,12 @@ void DvFabric::resolve_barrier_arrivals() {
 }
 
 sim::Coro<void> DvFabric::intrinsic_barrier(int rank) {
-  require_partition();
-  // Stage the arrival in the calling shard's ledger; the VIC-side AND-tree
-  // completes at the window-close resolution, which computes the release
-  // time and wakes every rank through its own (rank-local) condition.
-  DVX_SHARD_ACCESS("vic.DvFabric", rank, kWrite);
+  require_windowed();
+  // Stage the arrival; the VIC-side AND-tree completes at the window-close
+  // resolution, which computes the release time and wakes every rank
+  // through its own condition.
   const std::uint64_t my_phase = barrier_phase_;
-  const int cur = sim::Engine::current_shard();
-  barrier_staged_[static_cast<std::size_t>(cur < 0 ? 0 : cur)].push_back(
-      BarrierArrival{engine_.now(), rank});
+  barrier_staged_.push_back(BarrierArrival{engine_.now(), rank});
   sim::Condition& cond = *barrier_conds_[static_cast<std::size_t>(rank)];
   while (barrier_phase_ == my_phase) co_await cond.wait();
   DVX_CHECK(barrier_phase_ > my_phase) << "barrier phase went backwards";

@@ -44,7 +44,6 @@ struct VicParams {
 
 class DvFabric;
 
-// dvx-analyze: shard-partitioned
 class Vic {
  public:
   Vic(sim::Engine& engine, DvFabric& fabric, int id, const VicParams& params);
@@ -93,14 +92,11 @@ struct DvFabricParams {
 
 /// The whole Data Vortex side of the cluster: one switch + N VICs.
 ///
-/// Partitioned operation (DESIGN.md §15): rank-context transmits and barrier
-/// arrivals are staged into per-shard ledgers and resolved at the engine's
-/// window barrier in canonical (ready, src, per-src seq) order — the shared
-/// switch model and the destination VICs are then only ever mutated on the
-/// single resolution thread, making `shards > 1` legal with byte-identical
-/// output at any shard count. A fabric carries no traffic until
-/// configure_partition() sets up the ledgers.
-// dvx-analyze: shard-partitioned
+/// Windowed operation (DESIGN.md §15): rank-context transmits and barrier
+/// arrivals are staged into one ledger and resolved at the engine's window
+/// close in canonical (ready, src, per-src seq) order, so the switch model
+/// and the destination VICs are only mutated by the resolution. The fabric
+/// carries traffic only on a windowed engine (Engine::set_window_width).
 class DvFabric : public check::InvariantAuditor {
  public:
   DvFabric(sim::Engine& engine, int nodes, DvFabricParams params = {});
@@ -117,8 +113,7 @@ class DvFabric : public check::InvariantAuditor {
   /// staged for the window-close resolution, where consecutive packets to
   /// the same destination share one fabric burst; senders are paced by
   /// their PCIe/DMA hand-off times, and receivers see the ejection times on
-  /// counters and the FIFO. Throws std::logic_error before
-  /// configure_partition().
+  /// counters and the FIFO. Throws std::logic_error on an unwindowed engine.
   void transmit(int src, std::span<const Packet> packets, sim::Time ready);
 
   /// The run form of transmit: run k carries the next `runs[k].words` words
@@ -128,25 +123,17 @@ class DvFabric : public check::InvariantAuditor {
   void transmit(int src, std::span<const Run> runs,
                 std::span<const std::uint64_t> payload, sim::Time ready);
 
-  /// Sets up the per-shard ledgers for `shards` engine shards. Call after
-  /// Engine::configure_sharding({.windowed = true}) and before any traffic;
-  /// registers the window-close resolution hook with the engine. Staged
-  /// operations resolve in (ready, src, per-src seq) order, which is a pure
-  /// function of the simulation content — never of the shard layout or
-  /// worker count.
-  void configure_partition(int shards);
-
   /// Hardware barrier built on the two reserved counters: rank's VIC arrives
   /// at the current virtual time; resumes when every VIC has arrived plus
-  /// the (small, log-depth) hardware latency. Throws std::logic_error
-  /// before configure_partition().
+  /// the (small, log-depth) hardware latency. Throws std::logic_error on an
+  /// unwindowed engine.
   sim::Coro<void> intrinsic_barrier(int rank);
 
   /// Conservative lower bound on remote delivery latency, the DV analogue
   /// of net::Interconnect::lookahead(): a packet already resident on the
   /// source card still pays at least the uncontended fabric traversal
-  /// before it can eject anywhere (PCIe/DMA time only adds to that). A
-  /// sharded sim::Engine uses this as its window width (DESIGN.md §12).
+  /// before it can eject anywhere (PCIe/DMA time only adds to that).
+  /// runtime::Cluster uses it as the engine's window width (DESIGN.md §12).
   sim::Duration min_remote_latency() const noexcept {
     return model_.base_latency();
   }
@@ -158,8 +145,8 @@ class DvFabric : public check::InvariantAuditor {
   void audit(std::int64_t now_ps) override;
 
  private:
-  /// One rank-context injection parked in its shard's ledger until the
-  /// window-close resolution replays it against the switch model.
+  /// One rank-context injection parked in the ledger until the window-close
+  /// resolution replays it against the switch model.
   struct StagedBurst {
     sim::Time ready;
     int src;
@@ -177,8 +164,8 @@ class DvFabric : public check::InvariantAuditor {
   void transmit_now(int src, std::span<const Packet> packets, sim::Time ready);
   void transmit_now(int src, std::span<const Run> runs,
                     std::span<const std::uint64_t> payload, sim::Time ready);
-  /// Throws std::logic_error unless configure_partition() has run.
-  void require_partition() const;
+  /// Throws std::logic_error unless the engine is windowed.
+  void require_windowed() const;
   StagedBurst& stage(int src, sim::Time ready);
   void replay(const StagedBurst& b);
   void resolve_window();
@@ -194,15 +181,13 @@ class DvFabric : public check::InvariantAuditor {
   std::uint64_t barrier_phase_ = 0;
   sim::Time barrier_latest_ = 0;
 
-  // Partition state (empty until configure_partition).
+  // Window staging.
   bool resolving_ = false;  ///< inside resolve_window (query replies re-enter)
-  std::vector<std::vector<StagedBurst>> staged_;          ///< per shard
-  std::vector<std::vector<BarrierArrival>> barrier_staged_;  ///< per shard
-  std::vector<std::uint64_t> stage_seq_;                  ///< per src rank
+  std::vector<StagedBurst> staged_;
+  std::vector<BarrierArrival> barrier_staged_;
+  std::vector<std::uint64_t> stage_seq_;      ///< per src rank
   std::vector<StagedBurst> resolve_pending_;  ///< replies emitted mid-resolve
-  /// Per-rank barrier conditions: each is touched only by its own rank's
-  /// coroutine (in-window) and the resolution thread (at the barrier), so no
-  /// two shards ever mutate one concurrently.
+  /// Per-rank barrier conditions, released in rank order.
   std::vector<std::unique_ptr<sim::Condition>> barrier_conds_;
 };
 

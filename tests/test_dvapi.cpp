@@ -28,21 +28,14 @@ using sim::Engine;
 
 namespace {
 
-/// Windows `e` at one shard with the given lookahead, as every cluster run
-/// is windowed.
-void configure_windowed(Engine& e, sim::Duration lookahead) {
-  e.configure_sharding(
-      {.shards = 1, .threads = 1, .lookahead = lookahead, .windowed = true});
-}
-
-/// Runs `body(ctx)` as one simulated process per rank over a fabric
-/// partitioned on a windowed engine; returns finish time.
+/// Runs `body(ctx)` as one simulated process per rank over a fabric on an
+/// engine windowed at its lookahead, as every cluster run is; returns
+/// finish time.
 template <typename Body>
 sim::Time run_nodes(int nodes, Body body, vic::DvFabricParams params = {}) {
   Engine engine;
   vic::DvFabric fabric(engine, nodes, params);
-  configure_windowed(engine, fabric.min_remote_latency());
-  fabric.configure_partition(1);
+  engine.set_window_width(fabric.min_remote_latency());
   std::deque<dvapi::DvContext> ctxs;
   for (int r = 0; r < nodes; ++r) ctxs.emplace_back(engine, fabric, r);
   for (int r = 0; r < nodes; ++r) {
@@ -731,8 +724,7 @@ TEST_P(RunDelivery, MatchesPerWordReference) {
     const obs::ScopedCollector scope(collector);
     Engine e;
     RealSide real(e, kRefNodes);
-    configure_windowed(e, real.fabric().min_remote_latency());
-    real.fabric().configure_partition(1);
+    e.set_window_width(real.fabric().min_remote_latency());
     got = run_traffic(e, real, traffic);
     for (const auto& [key, metric] : collector.registry.metrics()) {
       if (const auto* c = std::get_if<obs::Counter>(&metric)) {
@@ -745,7 +737,7 @@ TEST_P(RunDelivery, MatchesPerWordReference) {
   {
     Engine e;
     PerWordSide ref(e);
-    configure_windowed(e, ref.model().base_latency());
+    e.set_window_width(ref.model().base_latency());
     want = run_traffic(e, ref, traffic);
     want.bursts = ref.bursts();
     want.words = ref.words();

@@ -9,6 +9,8 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "exp/driver.hpp"
 #include "exp/scheduler.hpp"
@@ -146,6 +148,18 @@ TEST(Driver, RejectsUnknownArgumentsAndFigures) {
   EXPECT_EQ(cli({"--figure", "fig42"}), 2);
   EXPECT_EQ(cli({"--nodes", "banana", "--figure", "fig4"}), 2);
   EXPECT_EQ(cli({}), 2);  // no selection
+  // Options of the retired multi-threaded engine are unknown arguments: the
+  // run stops with the usage error instead of ignoring them.
+  const std::pair<const char*, const char*> removed[] = {
+      {"--engine-threads", "2"}, {"--analyze-out", "a.json"}};
+  for (const auto& [flag, value] : removed) {
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(cli({"--figure", "fig4", "--fast", flag, value}), 2) << flag;
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find(std::string("unknown argument '") + flag + "'"),
+              std::string::npos)
+        << err;
+  }
 }
 
 TEST(Driver, RejectsNumbersWithTrailingGarbage) {

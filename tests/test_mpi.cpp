@@ -88,21 +88,11 @@ TEST(IbFabric, RejectsBadNodes) {
 
 // --- MiniMPI harness ----------------------------------------------------------
 
-/// Windows `e` at one shard and partitions `world` over it, as every
-/// cluster run does.
-void partition(Engine& e, mpi::MpiWorld& world) {
-  e.configure_sharding({.shards = 1,
-                        .threads = 1,
-                        .lookahead = world.fabric().lookahead(),
-                        .windowed = true});
-  world.configure_partition(std::vector<int>(static_cast<std::size_t>(world.size()), 0));
-}
-
 template <typename Body>
 sim::Time run_ranks(int n, Body body) {
   Engine engine;
   mpi::MpiWorld world(engine, std::make_unique<ib::Fabric>(n), n);
-  partition(engine, world);
+  engine.set_window_width(world.fabric().lookahead());
   for (int r = 0; r < n; ++r) engine.spawn(body(world.comm(r)));
   const auto t = engine.run();
   EXPECT_TRUE(engine.all_done()) << "a rank deadlocked";
@@ -316,7 +306,7 @@ TEST(MiniMpi, BarrierLatencyGrowsWithNodeCount) {
   EXPECT_LT(sim::to_us(t32), 30.0);
 }
 
-TEST(MiniMpi, PointToPointBeforePartitionThrows) {
+TEST(MiniMpi, PointToPointOnUnwindowedEngineThrows) {
   Engine engine;
   mpi::MpiWorld world(engine, std::make_unique<ib::Fabric>(2), 2);
   EXPECT_THROW(world.comm(0).isend(1, 0, std::vector<std::uint64_t>{1}), std::logic_error);

@@ -260,8 +260,8 @@ TEST(TorusFabric, EvenDimensionTieRoutesPositive) {
 }
 
 TEST(NetSeam, LookaheadBoundsAreConservative) {
-  // The sharded engine's window width comes from these (DESIGN.md §12), so
-  // each backend's bound must be positive and no larger than any actual
+  // The engine's window width comes from these (DESIGN.md §12), so each
+  // backend's bound must be positive and no larger than any actual
   // cross-node first-arrival latency.
   ib::Fabric ib_fab(16);
   torus::Fabric torus_fab(16);
@@ -278,20 +278,10 @@ TEST(NetSeam, LookaheadBoundsAreConservative) {
 
 // --- MiniMPI over the seam ---------------------------------------------------
 
-/// Windows `e` at one shard and partitions `world` over it, as every
-/// cluster run does.
-void partition(sim::Engine& e, mpi::MpiWorld& world) {
-  e.configure_sharding({.shards = 1,
-                        .threads = 1,
-                        .lookahead = world.fabric().lookahead(),
-                        .windowed = true});
-  world.configure_partition(std::vector<int>(static_cast<std::size_t>(world.size()), 0));
-}
-
 TEST(NetSeam, MiniMpiRunsOverTorus) {
   sim::Engine engine;
   mpi::MpiWorld world(engine, std::make_unique<torus::Fabric>(8), 8);
-  partition(engine, world);
+  engine.set_window_width(world.fabric().lookahead());
   for (int r = 0; r < 8; ++r) {
     engine.spawn([](mpi::Comm comm) -> sim::Coro<void> {
       const int n = comm.size();

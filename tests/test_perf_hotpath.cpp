@@ -1,19 +1,20 @@
 // Tests for the hot-path overhaul (DESIGN.md §10): the slab-backed 4-ary
 // event heap must dispatch in exactly the documented (time, insertion-seq)
-// order; steady-state dispatch and switch stepping must not touch the
-// allocator; deep per-port backlogs must drain in bounded host time (the
-// O(n) pop-front regression); and the delivery statistics must be exact
-// whether or not the per-delivery log is recording.
+// order, unwindowed and in lookahead windows (DESIGN.md §12); steady-state
+// dispatch and switch stepping must not touch the allocator; deep per-port
+// backlogs must drain in bounded host time (the O(n) pop-front regression);
+// and the delivery statistics must be exact whether or not the per-delivery
+// log is recording.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>  // det-lint: allow(system_clock) -- host-time drain bound only
 #include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "dvnet/cycle_switch.hpp"
@@ -32,23 +33,18 @@ namespace dvnet = dvx::dvnet;
 // a steady-state window and require a zero delta.
 
 namespace {
-// Atomic (relaxed) because the sharded-engine equivalence test below runs
-// engine workers on std::threads, and every thread allocates through these
-// hooks.
-std::atomic<std::uint64_t> g_alloc_count{0};
-std::uint64_t allocation_count() noexcept {
-  return g_alloc_count.load(std::memory_order_relaxed);
-}
+std::uint64_t g_alloc_count = 0;
+std::uint64_t allocation_count() noexcept { return g_alloc_count; }
 
 void* counted_alloc(std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  ++g_alloc_count;
   if (n == 0) n = 1;
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }
 
 void* counted_aligned_alloc(std::size_t n, std::size_t align) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  ++g_alloc_count;
   if (n == 0) n = 1;
   n = (n + align - 1) / align * align;  // C11 aligned_alloc size contract
   if (void* p = std::aligned_alloc(align, n)) return p;
@@ -233,151 +229,121 @@ TEST(SchedulerEquivalence, MatchesReferenceHeapAcrossSeeds) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded-scheduler equivalence: the windowed sharded path (DESIGN.md §12)
-// must match a reference model of per-shard (time, insertion-seq) heaps
-// advanced in lookahead windows with the documented (time, source-shard,
-// stage-order) boundary merge — and must match it at every worker count.
+// Window-model equivalence: the windowed path (DESIGN.md §12) must match a
+// reference model of one (time, insertion-seq) heap advanced in lookahead
+// windows [floor, floor + width), with the window hook run once per window
+// after that window's events, seeing now() == floor and window_end() ==
+// floor + width. Chains stage items during a window; the hook schedules one
+// event per staged item at exactly window_end(), which must fire in the next
+// window.
 
-constexpr int kShShards = 4;
-constexpr int kShChainsPerShard = 6;
-constexpr int kShFires = 48;
-const sim::Duration kShLookahead = sim::us(1);
+constexpr int kWinChains = 24;
+constexpr int kWinFires = 48;
+const sim::Duration kWinWidth = sim::ns(40);
+constexpr int kHookMark = -1;  ///< log id of a hook run
 
-struct ShChain {
-  sim::Engine* engine;
-  sim::Xoshiro256 rng{0};
-  int shard = 0;
-  int id = 0;
-  int fires_left = 0;
-  std::vector<std::vector<int>>* observed = nullptr;  // one log per shard
+struct WinLog {
+  std::vector<std::pair<int, sim::Time>> entries;  ///< (id, now()) in order
+  std::vector<sim::Time> window_ends;              ///< window_end() per hook
+  std::vector<int> staged;                         ///< ids staged this window
+  int hooks = 0;                                   ///< hooks run so far
 };
 
-void sh_chain_fire(ShChain* ch) {
-  (*ch->observed)[static_cast<std::size_t>(ch->shard)].push_back(ch->id);
+struct WinChain {
+  sim::Engine* engine;
+  sim::Xoshiro256 rng{0};
+  int id = 0;
+  int fires_left = 0;
+  WinLog* log = nullptr;
+};
+
+void win_chain_fire(WinChain* ch) {
+  ch->log->entries.emplace_back(ch->id, ch->engine->now());
   if (--ch->fires_left == 0) return;
   if (ch->fires_left % 4 == 0) {
-    // Cross-shard one-shot: lands at now + lookahead (+ jitter), which is
-    // always at/after the window end because now >= the window floor.
-    const int dst = (ch->shard + 1) % kShShards;
-    const int xid = 1000 + ch->id * 100 + ch->fires_left;
-    const auto at = ch->engine->now() + kShLookahead +
-                    sim::ns(static_cast<double>(1 + ch->rng.below(32)));
-    auto* obs = ch->observed;
-    ch->engine->schedule(
-        at, [obs, dst, xid] { (*obs)[static_cast<std::size_t>(dst)].push_back(xid); },
-        dst);
+    ch->log->staged.push_back(1000 + ch->id * 100 + ch->fires_left);
   }
   const auto d = sim::ns(static_cast<double>(1 + ch->rng.below(64)));
-  ch->engine->schedule(ch->engine->now() + d, [ch] { sh_chain_fire(ch); }, ch->shard);
+  ch->engine->schedule(ch->engine->now() + d, [ch] { win_chain_fire(ch); });
 }
 
-TEST(SchedulerEquivalence, ShardedPathMatchesReferenceWindowModel) {
+TEST(SchedulerEquivalence, WindowedPathMatchesReferenceWindowModel) {
   for (const std::uint64_t seed : {3u, 17u, 99u}) {
-    // --- reference: per-shard heaps + window loop in plain code ---
-    struct RefStaged {
-      sim::Time t;
-      int src;
-      std::size_t idx;  // append order within the (src, dst) outbox
-      int xid;
-    };
-    std::vector<std::priority_queue<RefEvent, std::vector<RefEvent>, RefLater>>
-        heaps(kShShards);
-    std::vector<std::uint64_t> seqs(kShShards, 0);
+    // --- reference: one heap + window loop in plain code ---
+    std::priority_queue<RefEvent, std::vector<RefEvent>, RefLater> heap;
+    std::uint64_t seq = 0;
     std::vector<sim::Xoshiro256> rngs;
-    std::vector<int> fires(kShShards * kShChainsPerShard, kShFires);
-    std::vector<std::vector<int>> expected(kShShards);
-    for (int c = 0; c < kShShards * kShChainsPerShard; ++c) {
+    std::vector<int> fires(kWinChains, kWinFires);
+    std::vector<std::pair<int, sim::Time>> expected;
+    std::vector<sim::Time> expected_ends;
+    for (int c = 0; c < kWinChains; ++c) {
       rngs.emplace_back(seed * 777 + static_cast<std::uint64_t>(c));
-      const int shard = c / kShChainsPerShard;
       const auto d = sim::ns(static_cast<double>(1 + rngs.back().below(64)));
-      heaps[static_cast<std::size_t>(shard)].push(
-          RefEvent{d, seqs[static_cast<std::size_t>(shard)]++, c});
+      heap.push(RefEvent{d, seq++, c});
     }
     std::uint64_t ref_events = 0;
-    for (;;) {
-      sim::Time t0 = -1;
-      for (const auto& h : heaps) {
-        if (!h.empty() && (t0 < 0 || h.top().t < t0)) t0 = h.top().t;
+    while (!heap.empty()) {
+      const sim::Time floor = heap.top().t;
+      const sim::Time wend = floor + kWinWidth;
+      std::vector<int> staged;
+      while (!heap.empty() && heap.top().t < wend) {
+        const RefEvent ev = heap.top();
+        heap.pop();
+        ++ref_events;
+        expected.emplace_back(ev.id, ev.t);
+        if (ev.id >= 1000) continue;  // hook-scheduled one-shot
+        auto& left = fires[static_cast<std::size_t>(ev.id)];
+        if (--left == 0) continue;
+        if (left % 4 == 0) staged.push_back(1000 + ev.id * 100 + left);
+        const auto d = sim::ns(
+            static_cast<double>(1 + rngs[static_cast<std::size_t>(ev.id)].below(64)));
+        heap.push(RefEvent{ev.t + d, seq++, ev.id});
       }
-      if (t0 < 0) break;
-      const sim::Time wend = t0 + kShLookahead;
-      // outboxes[src][dst], staged in dispatch order per pair
-      std::vector<std::vector<std::vector<RefStaged>>> outboxes(
-          kShShards, std::vector<std::vector<RefStaged>>(kShShards));
-      for (int s = 0; s < kShShards; ++s) {
-        auto& heap = heaps[static_cast<std::size_t>(s)];
-        while (!heap.empty() && heap.top().t < wend) {
-          const RefEvent ev = heap.top();
-          heap.pop();
-          ++ref_events;
-          expected[static_cast<std::size_t>(s)].push_back(ev.id);
-          if (ev.id >= 1000) continue;  // staged one-shot: no reschedule
-          auto& rng = rngs[static_cast<std::size_t>(ev.id)];
-          auto& left = fires[static_cast<std::size_t>(ev.id)];
-          if (--left == 0) continue;
-          if (left % 4 == 0) {
-            const int dst = (s + 1) % kShShards;
-            const int xid = 1000 + ev.id * 100 + left;
-            const auto at =
-                ev.t + kShLookahead + sim::ns(static_cast<double>(1 + rng.below(32)));
-            auto& box = outboxes[static_cast<std::size_t>(s)][static_cast<std::size_t>(dst)];
-            box.push_back(RefStaged{at, s, box.size(), xid});
-          }
-          const auto d = sim::ns(static_cast<double>(1 + rng.below(64)));
-          heap.push(RefEvent{ev.t + d, seqs[static_cast<std::size_t>(s)]++, ev.id});
-        }
-      }
-      // Boundary merge: (time, source shard, stage order), then destination
-      // seqs assigned in exactly that order.
-      for (int dst = 0; dst < kShShards; ++dst) {
-        std::vector<RefStaged> merged;
-        for (int src = 0; src < kShShards; ++src) {
-          const auto& box =
-              outboxes[static_cast<std::size_t>(src)][static_cast<std::size_t>(dst)];
-          merged.insert(merged.end(), box.begin(), box.end());
-        }
-        std::sort(merged.begin(), merged.end(),
-                  [](const RefStaged& a, const RefStaged& b) {
-                    if (a.t != b.t) return a.t < b.t;
-                    if (a.src != b.src) return a.src < b.src;
-                    return a.idx < b.idx;
-                  });
-        for (const RefStaged& st : merged) {
-          heaps[static_cast<std::size_t>(dst)].push(
-              RefEvent{st.t, seqs[static_cast<std::size_t>(dst)]++, st.xid});
-        }
-      }
+      // The hook: runs at the floor, schedules every staged item at wend.
+      expected.emplace_back(kHookMark, floor);
+      expected_ends.push_back(wend);
+      for (const int xid : staged) heap.push(RefEvent{wend, seq++, xid});
     }
 
-    // --- engine runs at several worker counts; all must match the model ---
-    for (const int threads : {1, 2, 4}) {
-      sim::Engine engine;
-      engine.set_audit_interval(0);
-      engine.configure_sharding(
-          {.shards = kShShards, .threads = threads, .lookahead = kShLookahead});
-      std::vector<std::vector<int>> observed(kShShards);
-      std::vector<ShChain> chains(kShShards * kShChainsPerShard);
-      for (int c = 0; c < kShShards * kShChainsPerShard; ++c) {
-        ShChain& ch = chains[static_cast<std::size_t>(c)];
-        ch.engine = &engine;
-        ch.rng = sim::Xoshiro256(seed * 777 + static_cast<std::uint64_t>(c));
-        ch.shard = c / kShChainsPerShard;
-        ch.id = c;
-        ch.fires_left = kShFires;
-        ch.observed = &observed;
-        const auto d = sim::ns(static_cast<double>(1 + ch.rng.below(64)));
-        ShChain* p = &ch;
-        engine.schedule(d, [p] { sh_chain_fire(p); }, ch.shard);
-      }
-      engine.run();
-      EXPECT_EQ(engine.events_processed(), ref_events)
-          << "seed " << seed << " threads " << threads;
-      for (int s = 0; s < kShShards; ++s) {
-        EXPECT_EQ(observed[static_cast<std::size_t>(s)],
-                  expected[static_cast<std::size_t>(s)])
-            << "seed " << seed << " threads " << threads << " shard " << s;
-      }
+    // --- engine run ---
+    sim::Engine engine;
+    engine.set_audit_interval(0);
+    engine.set_window_width(kWinWidth);
+    WinLog log;
+    std::vector<WinChain> chains(kWinChains);
+    for (int c = 0; c < kWinChains; ++c) {
+      WinChain& ch = chains[static_cast<std::size_t>(c)];
+      ch.engine = &engine;
+      ch.rng = sim::Xoshiro256(seed * 777 + static_cast<std::uint64_t>(c));
+      ch.id = c;
+      ch.fires_left = kWinFires;
+      ch.log = &log;
+      const auto d = sim::ns(static_cast<double>(1 + ch.rng.below(64)));
+      WinChain* p = &ch;
+      engine.schedule(d, [p] { win_chain_fire(p); });
     }
+    int late = 0;  // one-shots that fired outside the window after staging
+    engine.add_window_hook(&log, [&engine, &log, &late] {
+      log.entries.emplace_back(kHookMark, engine.now());
+      log.window_ends.push_back(engine.window_end());
+      EXPECT_EQ(engine.window_end(), engine.now() + kWinWidth);
+      const int closing = log.hooks++;  // index of the window being closed
+      for (const int xid : log.staged) {
+        engine.schedule(engine.window_end(), [&engine, &log, &late, closing, xid] {
+          log.entries.emplace_back(xid, engine.now());
+          if (log.hooks != closing + 1) ++late;
+        });
+      }
+      log.staged.clear();
+    });
+    engine.run();
+    engine.remove_window_hook(&log);
+
+    EXPECT_EQ(log.entries, expected) << "seed " << seed;
+    EXPECT_EQ(log.window_ends, expected_ends) << "seed " << seed;
+    EXPECT_EQ(late, 0) << "seed " << seed;
+    EXPECT_EQ(engine.events_processed(), ref_events) << "seed " << seed;
+    EXPECT_GT(log.hooks, 1) << "seed " << seed;
   }
 }
 

@@ -256,26 +256,6 @@ TEST(ServeSession, AdmissionConservationUnderOverload) {
   }
 }
 
-// Engine execution parallelism must not change a session's results
-// (DESIGN.md §12: engine threads are pure execution parallelism).
-TEST(ServeSession, ByteIdenticalAcrossEngineThreads) {
-  const auto trace = session_trace();
-  std::string fp1, fp4;
-  {
-    runtime::ClusterConfig config{.nodes = 4};
-    config.engine_threads = 1;
-    runtime::Cluster cluster(config);
-    fp1 = report_fingerprint(serve::run_serve_mpi(cluster, trace, {}));
-  }
-  {
-    runtime::ClusterConfig config{.nodes = 4};
-    config.engine_threads = 4;
-    runtime::Cluster cluster(config);
-    fp4 = report_fingerprint(serve::run_serve_mpi(cluster, trace, {}));
-  }
-  EXPECT_EQ(fp1, fp4);
-}
-
 TEST(ServeSession, RepeatRunsAreDeterministic) {
   const auto trace = session_trace();
   runtime::Cluster a(runtime::ClusterConfig{.nodes = 4});

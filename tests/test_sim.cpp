@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
@@ -90,80 +89,32 @@ TEST(Engine, MakeKeyGuardsSeqExhaustion) {
   EXPECT_TRUE(ran);
 }
 
-TEST(ShardedEngine, ConfigValidation) {
+TEST(Engine, WindowWidthValidation) {
 #if DVX_CHECK_LEVEL < 1
-  GTEST_SKIP() << "configuration guards are DVX_CHECKs, compiled out at level 0";
+  GTEST_SKIP() << "the width guard is a DVX_CHECK, compiled out at level 0";
 #endif
   Engine e;
-  // shards > 1 without a lookahead bound cannot run conservatively.
-  EXPECT_THROW(e.configure_sharding({.shards = 2, .threads = 1, .lookahead = 0}),
-               dvx::check::CheckError);
-  EXPECT_THROW(e.configure_sharding({.shards = 0, .threads = 1, .lookahead = sim::us(1)}),
-               dvx::check::CheckError);
-  // Reconfiguring with events pending would strand them.
-  e.schedule(sim::ns(1), [] {});
-  EXPECT_THROW(e.configure_sharding({.shards = 2, .threads = 1, .lookahead = sim::us(1)}),
-               dvx::check::CheckError);
-  e.run();
-  // After the drain it is allowed again.
-  e.configure_sharding({.shards = 2, .threads = 2, .lookahead = sim::us(1)});
-  EXPECT_EQ(e.shards(), 2);
+  EXPECT_EQ(e.window_width(), 0);  // unwindowed by default
+  EXPECT_THROW(e.set_window_width(-1), dvx::check::CheckError);
+  e.set_window_width(sim::us(1));
+  EXPECT_EQ(e.window_width(), sim::us(1));
+  e.set_window_width(0);
+  EXPECT_EQ(e.window_width(), 0);
 }
 
-TEST(ShardedEngine, BoundaryMergeOrdersByTimeSourceThenStageOrder) {
-  // Shards 1..3 each stage two callbacks onto shard 0 at the same absolute
-  // time. The deterministic merge must fire them ordered by (time, source
-  // shard, staging order) regardless of which shard dispatched first.
+TEST(Engine, UnwindowedRunNeverCallsWindowHooks) {
   Engine e;
-  e.configure_sharding({.shards = 4, .threads = 1, .lookahead = sim::us(1)});
-  std::vector<int> order;  // threads = 1: single-threaded, safe to share
-  const sim::Time arrival = sim::us(2);  // >= window end (10 ns + 1 us)
-  for (int s = 1; s < 4; ++s) {
-    e.schedule(
-        sim::ns(10),
-        [&e, &order, s, arrival] {
-          e.schedule(arrival, [&order, s] { order.push_back(10 * s + 0); }, 0);
-          e.schedule(arrival, [&order, s] { order.push_back(10 * s + 1); }, 0);
-        },
-        s);
-  }
+  int hooks = 0;
+  e.add_window_hook(&hooks, [&hooks] { ++hooks; });
+  for (int i = 0; i < 4; ++i) e.schedule(sim::us(i), [] {});
   e.run();
-  EXPECT_EQ(order, (std::vector<int>{10, 11, 20, 21, 30, 31}));
-}
-
-TEST(ShardedEngine, CrossShardBelowWindowEndThrows) {
-  // The conservative contract: an event staged from inside a window must
-  // land at or after the window's end. Violations abort the run instead of
-  // silently racing the destination shard.
-#if DVX_CHECK_LEVEL < 1
-  GTEST_SKIP() << "the window guard is a DVX_CHECK, compiled out at level 0";
-#endif
-  Engine e;
-  e.configure_sharding({.shards = 2, .threads = 1, .lookahead = sim::us(1)});
-  e.schedule(
-      sim::ns(10), [&e] { e.schedule(e.now() + sim::ns(5), [] {}, 1); }, 0);
-  EXPECT_THROW(e.run(), dvx::check::CheckError);
-}
-
-TEST(ShardedEngine, CoroutinesStayOnTheirShardAcrossThreadCounts) {
-  // One delay-chain coroutine pinned to each shard; every wake must see its
-  // own shard's clock. Identical virtual results at 1 and 3 workers.
-  for (const int threads : {1, 3}) {
-    Engine e;
-    e.configure_sharding({.shards = 3, .threads = threads, .lookahead = sim::us(1)});
-    std::array<sim::Time, 3> finish{};
-    for (int s = 0; s < 3; ++s) {
-      e.spawn([](Engine& eng, sim::Time& out) -> Coro<void> {
-            for (int hop = 0; hop < 100; ++hop) co_await eng.delay(sim::ns(3));
-            out = eng.now();
-          }(e, finish[static_cast<std::size_t>(s)]),
-          /*start=*/0, /*shard=*/s);
-    }
-    e.run();
-    EXPECT_TRUE(e.all_done()) << "threads " << threads;
-    for (const sim::Time t : finish) EXPECT_EQ(t, sim::ns(300));
-    EXPECT_EQ(e.events_processed(), 3u * 101u) << "threads " << threads;
-  }
+  EXPECT_EQ(hooks, 0);
+  // The same events on a windowed engine close one window each.
+  e.set_window_width(sim::ns(10));
+  for (int i = 0; i < 4; ++i) e.schedule(e.now() + sim::us(i + 1), [] {});
+  e.run();
+  EXPECT_EQ(hooks, 4);
+  e.remove_window_hook(&hooks);
 }
 
 TEST(Engine, NestedCoroutinesPropagateValues) {

@@ -408,20 +408,10 @@ TEST(Dma, InAndOutOverlap) {
             (a.complete - a.start) + (b.complete - b.start));
 }
 
-/// Windows `e` at one shard and partitions `fabric` over it, as every
-/// cluster run does: traffic then moves at window closes.
-void partition(Engine& e, vic::DvFabric& fabric) {
-  e.configure_sharding({.shards = 1,
-                        .threads = 1,
-                        .lookahead = fabric.min_remote_latency(),
-                        .windowed = true});
-  fabric.configure_partition(1);
-}
-
 TEST(DvFabric, MemoryPacketWritesRemoteWordAndDecrementsCounter) {
   Engine e;
   vic::DvFabric fabric(e, 4);
-  partition(e, fabric);
+  e.set_window_width(fabric.min_remote_latency());
   dvx::dvnet::FabricModel ref(fabric.params().fabric);
   e.spawn([](Engine& eng, vic::DvFabric& f, dvx::dvnet::FabricModel& m) -> Coro<void> {
     f.vic(2).counters().at(5).set(eng.now(), 1);
@@ -444,7 +434,7 @@ TEST(DvFabric, MemoryPacketWritesRemoteWordAndDecrementsCounter) {
 TEST(DvFabric, QueryTriggersHostFreeReply) {
   Engine e;
   vic::DvFabric fabric(e, 4);
-  partition(e, fabric);
+  e.set_window_width(fabric.min_remote_latency());
   e.spawn([](Engine& eng, vic::DvFabric& f) -> Coro<void> {
     f.vic(3).memory().write(50, 0xabcdef);
     // Query VIC 3, addr 50; reply goes to VIC 1's FIFO (not the sender!).
@@ -465,7 +455,7 @@ TEST(DvFabric, QueryTriggersHostFreeReply) {
 TEST(DvFabric, TransmitCoalescesRunsToSameDestination) {
   Engine e;
   vic::DvFabric fabric(e, 4);
-  partition(e, fabric);
+  e.set_window_width(fabric.min_remote_latency());
   constexpr int kCtr = 5;
   std::vector<vic::Packet> batch;
   for (int i = 0; i < 100; ++i) {
@@ -500,7 +490,7 @@ TEST(DvFabric, IntrinsicBarrierIsNearlyFlatInNodeCount) {
   auto barrier_cost = [](int nodes) {
     Engine e;
     vic::DvFabric fabric(e, nodes);
-    partition(e, fabric);
+    e.set_window_width(fabric.min_remote_latency());
     for (int r = 0; r < nodes; ++r) {
       e.spawn([](vic::DvFabric& f, int rank) -> Coro<void> {
         co_await f.intrinsic_barrier(rank);
@@ -519,7 +509,7 @@ TEST(DvFabric, IntrinsicBarrierIsNearlyFlatInNodeCount) {
 TEST(DvFabric, BarrierIsReusableAcrossPhases) {
   Engine e;
   vic::DvFabric fabric(e, 3);
-  partition(e, fabric);
+  e.set_window_width(fabric.min_remote_latency());
   std::vector<sim::Time> done;
   for (int r = 0; r < 3; ++r) {
     e.spawn([](Engine& eng, vic::DvFabric& f, int rank, auto& out) -> Coro<void> {
@@ -536,7 +526,7 @@ TEST(DvFabric, BarrierIsReusableAcrossPhases) {
   EXPECT_EQ(done[1], done[2]);
 }
 
-TEST(DvFabric, TrafficBeforePartitionThrows) {
+TEST(DvFabric, TrafficOnUnwindowedEngineThrows) {
   Engine e;
   vic::DvFabric fabric(e, 2);
   const vic::Packet p{vic::Header{1, vic::DestKind::kFifo, vic::kNoCounter, 0}, 7};

@@ -1,4 +1,4 @@
-"""dvx_analyze: static shard-safety & layering analysis (DESIGN.md §13).
+"""dvx_analyze: static layering and determinism analysis (DESIGN.md §13).
 
 Rule engine over a lightweight C++ tokenizer — no libclang — driven by the
 declarative manifest rules.toml. Run as `python3 tools/dvx_analyze`.

@@ -1,4 +1,4 @@
-"""dvx_analyze command line: static shard-safety & layering analysis.
+"""dvx_analyze command line: static layering and determinism analysis.
 
 Usage:
     python3 tools/dvx_analyze [roots...] [--rule GROUP]... [--sarif FILE]
@@ -50,29 +50,17 @@ def run(
     """Scans `roots` with the rule groups in `groups`; returns the context."""
     config = _load_config(config_path)
     extensions = config.get("analyze", {}).get("extensions", [".hpp", ".cpp"])
-    annotations = rules.shard_annotations(config)
 
     ctx = rules.Context(config, repo_root.resolve())
     files = _collect_files(roots, extensions)
     for f in files:
-        ctx.scans[f] = tokenizer.scan_file(f, annotations)
+        ctx.scans[f] = tokenizer.scan_file(f)
 
-    shard_groups = {g for g in groups if g in rules.SHARD_RULES}
-
-    # Pass 1 (whole tree): annotated-class registry, so out-of-line
-    # definitions in .cpp files can be matched to headers scanned later.
-    if shard_groups:
-        for scan in ctx.scans.values():
-            rules.collect_annotated(ctx, scan)
-
-    # Pass 2: the rules themselves, file by file in sorted order.
+    # The rules, file by file in sorted order.
     for f in files:
         scan = ctx.scans[f]
         if "layering" in groups:
             rules.check_layering(ctx, scan)
-        if shard_groups:
-            rules.check_shard_safety_inline(ctx, scan, shard_groups)
-            rules.check_shard_safety_out_of_line(ctx, scan, shard_groups)
         if "report-determinism" in groups:
             rules.check_report_determinism(ctx, scan)
         if "determinism" in groups:

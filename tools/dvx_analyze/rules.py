@@ -51,8 +51,6 @@ class Context:
         self.findings: list[Finding] = []
         self.suppressions: list[Suppression] = []
         self.scans: dict[pathlib.Path, tokenizer.FileScan] = {}
-        # class name -> (ClassInfo, defining FileScan) for annotated classes
-        self.annotated: dict[str, tuple[tokenizer.ClassInfo, tokenizer.FileScan]] = {}
         self._bare_seen: set[tuple[str, int, str]] = set()
 
     def rel(self, path: pathlib.Path) -> str:
@@ -181,145 +179,6 @@ def check_layering(ctx: Context, scan: tokenizer.FileScan) -> None:
 
 
 # ---------------------------------------------------------------------------
-# shard-safety / shard-partitioned
-#
-# Two flavours of one discipline, told apart by the annotation a class
-# carries. `shared-across-shards`: one instance, any shard may touch it —
-# every mutating public method needs a guard macro naming the single shared
-# instance. `shard-partitioned`: state is owned per shard — every mutating
-# public method needs a guard macro naming the OWNING shard's instance (the
-# node/rank/source index), which the dynamic ShardAccessRecorder checks for
-# cross-shard writes at runtime. The static check is the same either way;
-# only the rule name (and thus the allow() tag) differs.
-# ---------------------------------------------------------------------------
-
-# rule name -> (rules.toml table, default annotation string)
-SHARD_RULES = {
-    "shard-safety": ("shard_safety", "dvx-analyze: shared-across-shards"),
-    "shard-partitioned": ("shard_partitioned", "dvx-analyze: shard-partitioned"),
-}
-
-
-def shard_annotations(config: dict) -> list[str]:
-    """The annotation strings the tokenizer should recognize."""
-    return [config.get(key, {}).get("annotation", default)
-            for key, default in SHARD_RULES.values()]
-
-
-def _shard_rule_of(config: dict, cls: tokenizer.ClassInfo) -> tuple[str, dict] | None:
-    """(rule name, rule config table) the class's annotation selects."""
-    for rule, (key, default) in SHARD_RULES.items():
-        cfg = config.get(key, {})
-        if cls.annotation == cfg.get("annotation", default):
-            return rule, cfg
-    return None
-
-
-# Mutation heuristics over a stripped method body: assignment (or compound
-# assignment / increment) of a trailing-underscore member, or a mutating
-# container-method call on one. Conservative on purpose — private helpers
-# and locals never match, `==`/`<=`/`>=` never match.
-_MUTATE_RES = [
-    re.compile(r"\b[A-Za-z_]\w*_(?:\s*\[[^\]]*\])?\s*(?:=(?!=)|\+=|-=|\*=|/=|%=|\|=|&=|\^=|<<=|>>=|\+\+|--)"),
-    re.compile(r"(?:\+\+|--)\s*[A-Za-z_]\w*_\b"),
-    re.compile(r"\b[A-Za-z_]\w*_\s*(?:\.|->)\s*"
-               r"(?:push_back|emplace_back|pop_back|push_front|pop_front|push|pop|"
-               r"emplace|clear|erase|insert|resize|assign|swap|reserve|fetch_add|"
-               r"fetch_sub|store|notify_all|notify_one)\s*\("),
-]
-
-
-def _first_mutation(body: str) -> int | None:
-    """Offset of the first mutation in a stripped body, or None."""
-    best: int | None = None
-    for rx in _MUTATE_RES:
-        m = rx.search(body)
-        if m is not None and (best is None or m.start() < best):
-            best = m.start()
-    return best
-
-
-def _is_guarded(body: str, guard_macros: list[str]) -> bool:
-    compact = re.sub(r"\s+", "", body)
-    return any(g + "(" in compact for g in guard_macros)
-
-
-def collect_annotated(ctx: Context, scan: tokenizer.FileScan) -> None:
-    for cls in scan.classes:
-        if cls.annotated:
-            ctx.annotated[cls.name] = (cls, scan)
-
-
-def check_shard_safety_inline(
-    ctx: Context, scan: tokenizer.FileScan, enabled: set[str] | None = None,
-) -> None:
-    """Inline method bodies of annotated classes (typically in headers)."""
-    for cls in scan.classes:
-        if not cls.annotated:
-            continue
-        selected = _shard_rule_of(ctx.config, cls)
-        if selected is None:
-            continue
-        rule, cfg = selected
-        if enabled is not None and rule not in enabled:
-            continue
-        guards = cfg.get("guard_macros", ["DVX_SHARD_GUARDED", "DVX_SHARD_ACCESS"])
-        for m in cls.methods:
-            if m.access != "public" or m.body is None:
-                continue
-            if m.name == cls.name or m.name.startswith("~"):
-                continue  # construction precedes dispatch
-            if m.name.startswith("operator"):
-                continue
-            _check_method_body(ctx, scan, cls, m.name, m.line, m.body,
-                               guards, rule)
-
-
-def check_shard_safety_out_of_line(
-    ctx: Context, scan: tokenizer.FileScan, enabled: set[str] | None = None,
-) -> None:
-    """`Class::method` definitions (typically in .cpp files)."""
-    for d in tokenizer.out_of_line_definitions(scan):
-        entry = ctx.annotated.get(d.class_name)
-        if entry is None:
-            continue
-        cls, _ = entry
-        selected = _shard_rule_of(ctx.config, cls)
-        if selected is None:
-            continue
-        rule, cfg = selected
-        if enabled is not None and rule not in enabled:
-            continue
-        guards = cfg.get("guard_macros", ["DVX_SHARD_GUARDED", "DVX_SHARD_ACCESS"])
-        if d.method == d.class_name or d.method.startswith("~"):
-            continue
-        if d.method not in cls.public_methods():
-            continue  # private/protected mutators: guarded surface above them
-        _check_method_body(ctx, scan, cls, d.method, d.line, d.body, guards, rule)
-
-
-def _check_method_body(
-    ctx: Context, scan: tokenizer.FileScan, cls: tokenizer.ClassInfo,
-    method: str, head_line: int, body: str, guards: list[str], rule: str,
-) -> None:
-    mut = _first_mutation(body)
-    if mut is None:
-        return
-    if _is_guarded(body, guards):
-        return
-    # Suppression binds to the method head: the line before it, the head
-    # line itself, or the first line of the body.
-    if ctx.allows(scan, range(head_line - 1, head_line + 2), rule):
-        return
-    kind = (cls.annotation or "").split(": ")[-1] or "annotated"
-    ctx.add(scan.path, head_line, 1, rule,
-            f"public method '{cls.name}::{method}' mutates state of a "
-            f"{kind} class without {guards[0]}(...) "
-            f"(or a justified `dvx-analyze: allow({rule})` within one "
-            "line of the method head)")
-
-
-# ---------------------------------------------------------------------------
 # report-determinism
 # ---------------------------------------------------------------------------
 
@@ -361,5 +220,4 @@ def check_determinism(ctx: Context, scan: tokenizer.FileScan) -> None:
                         f"banned token '{entry['token']}': {entry['reason']}")
 
 
-RULE_GROUPS = ["layering", "shard-safety", "shard-partitioned",
-               "report-determinism", "determinism"]
+RULE_GROUPS = ["layering", "report-determinism", "determinism"]

@@ -8,7 +8,6 @@ from .rules import Finding
 
 _RULE_DESCRIPTIONS = {
     "layering": "Include-layering DAG violation (rules.toml [layering])",
-    "shard-safety": "Unguarded mutation of shared-across-shards state",
     "report-determinism": "Unordered-container iteration feeding a report path",
     "determinism": "Banned nondeterminism source (former det-lint)",
 }

@@ -65,49 +65,6 @@ def tokenizer_strips_comments_and_strings():
     assert stripped[3].index("int z") == 17, stripped[3]
 
 
-@case
-def tokenizer_finds_classes_methods_and_annotation():
-    stripped, comments = tokenizer.strip_lines([
-        "// dvx-analyze: shared-across-shards",
-        "class Widget {",
-        " public:",
-        "  void poke() { state_ += 1; }",
-        "  int peek() const;",
-        " private:",
-        "  int state_ = 0;",
-        "};",
-        "struct Plain { void go() {} };",
-    ])
-    classes = tokenizer._collect_classes(
-        stripped, comments, "dvx-analyze: shared-across-shards")
-    assert [c.name for c in classes] == ["Widget", "Plain"], classes
-    widget, plain = classes
-    assert widget.annotated and not plain.annotated
-    byname = {m.name: m for m in widget.methods}
-    assert byname["poke"].access == "public" and byname["poke"].body
-    assert byname["peek"].body is None
-    assert "state_ += 1" in byname["poke"].body
-    assert plain.methods[0].access == "public"  # struct default
-
-
-@case
-def tokenizer_out_of_line_definitions():
-    raw = [
-        "#include \"widget.hpp\"",
-        "void Widget::poke() {",
-        "  state_ += 1;",
-        "}",
-        "int Widget::peek() const { return state_; }",
-    ]
-    stripped, comments = tokenizer.strip_lines(raw)
-    scan = tokenizer.FileScan(pathlib.Path("w.cpp"), raw, stripped,
-                              comments, [], [])
-    defs = tokenizer.out_of_line_definitions(scan)
-    assert [(d.class_name, d.method, d.line) for d in defs] == \
-        [("Widget", "poke", 2), ("Widget", "peek", 5)], defs
-    assert "state_ += 1" in defs[0].body
-
-
 # --------------------------------------------------------------------------
 # layering
 # --------------------------------------------------------------------------
@@ -152,6 +109,18 @@ def layering_suppression_honored():
         assert not ctx.findings, ctx.findings
         assert len(ctx.suppressions) == 1
         assert ctx.suppressions[0].justification.startswith("transitional")
+    with tempfile.TemporaryDirectory() as d:
+        tmp = pathlib.Path(d)
+        ctx = _run_tree(tmp, {
+            "src/net/bridge.hpp":
+                "// dvx-analyze: allow(layering)\n"
+                '#include "mpi/comm.hpp"\n',
+        }, ["layering"])
+        # Bare allow: both the original finding AND the bare-suppression one.
+        assert _rules_of(ctx) == ["layering", "layering"], ctx.findings
+        assert any("without a justification" in f.message
+                   for f in ctx.findings), ctx.findings
+        assert not ctx.suppressions, ctx.suppressions
 
 
 @case
@@ -168,207 +137,6 @@ def layering_serve_is_backend_neutral():
         assert _rules_of(ctx) == ["layering"], ctx.findings
         f = ctx.findings[0]
         assert f.line == 1 and "must never include" in f.message, f
-
-
-# --------------------------------------------------------------------------
-# shard-safety
-# --------------------------------------------------------------------------
-
-_ANNOT = "// dvx-analyze: shared-across-shards\n"
-
-_GUARDED_CLASS = _ANNOT + """\
-class Box {
- public:
-  void put(int v) {
-    DVX_SHARD_GUARDED("x.Box", -1);
-    items_.push_back(v);
-  }
-  int size() const { return n_; }
- private:
-  void grow() { items_.resize(n_ * 2); }
-  std::vector<int> items_;
-  int n_ = 0;
-};
-"""
-
-_UNGUARDED_CLASS = _ANNOT + """\
-class Box {
- public:
-  void put(int v) { items_.push_back(v); }
- private:
-  std::vector<int> items_;
-};
-"""
-
-
-@case
-def shard_safety_unguarded_mutation_caught():
-    with tempfile.TemporaryDirectory() as d:
-        tmp = pathlib.Path(d)
-        ctx = _run_tree(tmp, {"src/vic/box.hpp": _UNGUARDED_CLASS},
-                        ["shard-safety"])
-        assert _rules_of(ctx) == ["shard-safety"], ctx.findings
-        assert "'Box::put'" in ctx.findings[0].message
-
-
-@case
-def shard_safety_guarded_and_private_clean():
-    with tempfile.TemporaryDirectory() as d:
-        tmp = pathlib.Path(d)
-        ctx = _run_tree(tmp, {"src/vic/box.hpp": _GUARDED_CLASS},
-                        ["shard-safety"])
-        # put() is guarded, size() is const, grow() is private: all clean.
-        assert not ctx.findings, ctx.findings
-
-
-@case
-def shard_safety_unannotated_class_exempt():
-    with tempfile.TemporaryDirectory() as d:
-        tmp = pathlib.Path(d)
-        ctx = _run_tree(tmp, {
-            "src/vic/box.hpp": _UNGUARDED_CLASS.replace(_ANNOT, ""),
-        }, ["shard-safety"])
-        assert not ctx.findings, ctx.findings
-
-
-@case
-def shard_safety_out_of_line_definition_caught():
-    with tempfile.TemporaryDirectory() as d:
-        tmp = pathlib.Path(d)
-        ctx = _run_tree(tmp, {
-            "src/vic/box.hpp": _ANNOT + (
-                "class Box {\n"
-                " public:\n"
-                "  void put(int v);\n"
-                " private:\n"
-                "  int n_ = 0;\n"
-                "};\n"),
-            "src/vic/box.cpp":
-                '#include "vic/box.hpp"\n'
-                "void Box::put(int v) { n_ = v; }\n",
-        }, ["shard-safety"])
-        assert _rules_of(ctx) == ["shard-safety"], ctx.findings
-        assert ctx.findings[0].path == "src/vic/box.cpp"
-
-
-@case
-def shard_safety_suppression_needs_justification():
-    suppressed = _UNGUARDED_CLASS.replace(
-        "  void put(int v)",
-        "  // dvx-analyze: allow(shard-safety) -- config-time only\n"
-        "  void put(int v)")
-    bare = _UNGUARDED_CLASS.replace(
-        "  void put(int v)",
-        "  // dvx-analyze: allow(shard-safety)\n"
-        "  void put(int v)")
-    with tempfile.TemporaryDirectory() as d:
-        tmp = pathlib.Path(d)
-        ctx = _run_tree(tmp, {"src/vic/box.hpp": suppressed}, ["shard-safety"])
-        assert not ctx.findings and len(ctx.suppressions) == 1, ctx.findings
-    with tempfile.TemporaryDirectory() as d:
-        tmp = pathlib.Path(d)
-        ctx = _run_tree(tmp, {"src/vic/box.hpp": bare}, ["shard-safety"])
-        # Bare allow: both the original finding AND the bare-suppression one.
-        got = sorted(_rules_of(ctx))
-        assert got == ["shard-safety", "shard-safety"], ctx.findings
-        assert any("without a justification" in f.message
-                   for f in ctx.findings), ctx.findings
-
-
-# --------------------------------------------------------------------------
-# shard-partitioned
-# --------------------------------------------------------------------------
-
-_PART_ANNOT = "// dvx-analyze: shard-partitioned\n"
-
-
-@case
-def shard_partitioned_unguarded_mutation_caught():
-    with tempfile.TemporaryDirectory() as d:
-        tmp = pathlib.Path(d)
-        ctx = _run_tree(tmp, {
-            "src/vic/box.hpp": _UNGUARDED_CLASS.replace(_ANNOT, _PART_ANNOT),
-        }, ["shard-partitioned"])
-        assert _rules_of(ctx) == ["shard-partitioned"], ctx.findings
-        f = ctx.findings[0]
-        assert "'Box::put'" in f.message and "shard-partitioned" in f.message, f
-
-
-@case
-def shard_partitioned_guarded_clean_and_group_selection():
-    guarded = _GUARDED_CLASS.replace(_ANNOT, _PART_ANNOT).replace(
-        'DVX_SHARD_GUARDED("x.Box", -1)', 'DVX_SHARD_GUARDED("x.Box", node)')
-    with tempfile.TemporaryDirectory() as d:
-        tmp = pathlib.Path(d)
-        ctx = _run_tree(tmp, {"src/vic/box.hpp": guarded},
-                        ["shard-partitioned"])
-        assert not ctx.findings, ctx.findings
-    # A partitioned class is NOT shard-safety's business: scanning with only
-    # the other group enabled must stay silent (and vice versa).
-    with tempfile.TemporaryDirectory() as d:
-        tmp = pathlib.Path(d)
-        ctx = _run_tree(tmp, {
-            "src/vic/box.hpp": _UNGUARDED_CLASS.replace(_ANNOT, _PART_ANNOT),
-        }, ["shard-safety"])
-        assert not ctx.findings, ctx.findings
-
-
-@case
-def shard_rules_coexist_with_distinct_rule_names():
-    shared = _UNGUARDED_CLASS
-    part = _UNGUARDED_CLASS.replace(_ANNOT, _PART_ANNOT).replace(
-        "class Box", "class Cell")
-    with tempfile.TemporaryDirectory() as d:
-        tmp = pathlib.Path(d)
-        ctx = _run_tree(tmp, {
-            "src/vic/box.hpp": shared,
-            "src/vic/cell.hpp": part,
-        }, ["shard-safety", "shard-partitioned"])
-        got = sorted(_rules_of(ctx))
-        assert got == ["shard-partitioned", "shard-safety"], ctx.findings
-        by_rule = {f.rule: f for f in ctx.findings}
-        assert "'Cell::put'" in by_rule["shard-partitioned"].message
-        assert "'Box::put'" in by_rule["shard-safety"].message
-
-
-@case
-def shard_partitioned_out_of_line_definition_caught():
-    with tempfile.TemporaryDirectory() as d:
-        tmp = pathlib.Path(d)
-        ctx = _run_tree(tmp, {
-            "src/vic/box.hpp": _PART_ANNOT + (
-                "class Box {\n"
-                " public:\n"
-                "  void put(int v);\n"
-                " private:\n"
-                "  int n_ = 0;\n"
-                "};\n"),
-            "src/vic/box.cpp":
-                '#include "vic/box.hpp"\n'
-                "void Box::put(int v) { n_ = v; }\n",
-        }, ["shard-partitioned"])
-        assert _rules_of(ctx) == ["shard-partitioned"], ctx.findings
-        assert ctx.findings[0].path == "src/vic/box.cpp"
-
-
-@case
-def tokenizer_records_annotation_kind():
-    stripped, comments = tokenizer.strip_lines([
-        "// dvx-analyze: shard-partitioned",
-        "class Cell { public: void go() {} };",
-        "// dvx-analyze: shared-across-shards",
-        "class Box { public: void go() {} };",
-        "",
-        "class Plain {};",
-    ])
-    classes = tokenizer._collect_classes(stripped, comments, [
-        "dvx-analyze: shared-across-shards", "dvx-analyze: shard-partitioned"])
-    kinds = {c.name: c.annotation for c in classes}
-    assert kinds == {
-        "Cell": "dvx-analyze: shard-partitioned",
-        "Box": "dvx-analyze: shared-across-shards",
-        "Plain": None,
-    }, kinds
 
 
 # --------------------------------------------------------------------------

@@ -1,12 +1,9 @@
 """Lightweight C++ tokenizer for the dvx_analyze rule engine.
 
 Deliberately not a parser (no libclang in the build image, and the repo's
-style is regular enough): it strips comments/strings column-preservingly,
-extracts #include directives, and recovers just enough class structure —
-annotated classes, access regions, public method heads, inline and
-out-of-line bodies — for the shard-safety rule. Anything it cannot parse it
-skips silently rather than mis-reporting; the dynamic recorder is the
-backstop for what static heuristics miss.
+style is regular enough): it strips comments/strings column-preservingly and
+extracts #include directives, which is all the layering and determinism
+rules need.
 """
 
 from __future__ import annotations
@@ -26,34 +23,12 @@ class Include:
 
 
 @dataclasses.dataclass
-class Method:
-    name: str
-    line: int  # 1-based line of the method head
-    access: str  # "public" | "protected" | "private"
-    body: str | None  # stripped inline body text, None for declarations
-    body_line: int  # 1-based line where the body starts (== line if none)
-
-
-@dataclasses.dataclass
-class ClassInfo:
-    name: str
-    line: int  # 1-based line of the class head
-    annotated: bool
-    methods: list[Method]
-    annotation: str | None = None  # which annotation string bound, if any
-
-    def public_methods(self) -> set[str]:
-        return {m.name for m in self.methods if m.access == "public"}
-
-
-@dataclasses.dataclass
 class FileScan:
     path: pathlib.Path
     raw_lines: list[str]
     stripped: list[str]  # comments/strings blanked, columns preserved
     comments: dict[int, str]  # 1-based line -> comment text on that line
     includes: list[Include]
-    classes: list[ClassInfo]
 
     def stripped_text(self) -> str:
         return "\n".join(self.stripped)
@@ -120,188 +95,7 @@ def strip_lines(raw_lines: list[str]) -> tuple[list[str], dict[int, str]]:
     return stripped, comments
 
 
-_CLASS_RE = re.compile(r"\b(?:class|struct)\s+([A-Za-z_]\w*)")
-_ACCESS_RE = re.compile(r"\b(public|protected|private)\s*:")
-_METHOD_RE = re.compile(r"(~?[A-Za-z_]\w*)\s*\(")
-
-# Keywords a _METHOD_RE hit can never be (control flow, declarators).
-_NOT_METHODS = {
-    "if", "for", "while", "switch", "return", "sizeof", "alignof", "catch",
-    "static_assert", "decltype", "noexcept", "throw", "alignas", "new",
-    "delete", "co_await", "co_return", "co_yield", "assert", "defined",
-}
-
-
-def _match_brace(text: str, open_idx: int) -> int:
-    """Index just past the brace matching text[open_idx] == '{' (-1: none)."""
-    depth = 0
-    for i in range(open_idx, len(text)):
-        c = text[i]
-        if c == "{":
-            depth += 1
-        elif c == "}":
-            depth -= 1
-            if depth == 0:
-                return i + 1
-    return -1
-
-
-def _parse_class_body(
-    scan_text: str, body_start: int, body_end: int, default_access: str,
-    line_of, out: list[Method],
-) -> None:
-    """Walks one class body (between braces), collecting depth-1 methods."""
-    access = default_access
-    i = body_start
-    while i < body_end:
-        c = scan_text[i]
-        if c == "{":  # nested aggregate init / member class we did not claim
-            end = _match_brace(scan_text, i)
-            i = end if end > 0 else i + 1
-            continue
-        am = _ACCESS_RE.match(scan_text, i)
-        if am is not None:
-            access = am.group(1)
-            i = am.end()
-            continue
-        mm = _METHOD_RE.match(scan_text, i)
-        if mm is not None and mm.group(1) not in _NOT_METHODS:
-            # Require the identifier to start a token (not `foo.bar(`).
-            prev = scan_text[i - 1] if i > 0 else " "
-            if prev.isalnum() or prev in "_.:>":
-                i += 1
-                continue
-            name = mm.group(1)
-            close = _find_paren_close(scan_text, mm.end() - 1)
-            if close < 0:
-                i = mm.end()
-                continue
-            head_line, _ = line_of(i)
-            # Scan the trailer for `{` (definition), `;` (declaration) or
-            # `=` (deleted/defaulted/pure) — whichever comes first.
-            j = close
-            while j < body_end and scan_text[j] not in "{;=":
-                j += 1
-            if j < body_end and scan_text[j] == "{":
-                end = _match_brace(scan_text, j)
-                if end < 0:
-                    i = j + 1
-                    continue
-                body_line, _ = line_of(j)
-                out.append(Method(name, head_line, access,
-                                  scan_text[j:end], body_line))
-                i = end
-                continue
-            out.append(Method(name, head_line, access, None, head_line))
-            i = j + 1
-            continue
-        i += 1
-
-
-def _find_paren_close(text: str, open_idx: int) -> int:
-    depth = 0
-    for i in range(open_idx, len(text)):
-        c = text[i]
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-            if depth == 0:
-                return i + 1
-    return -1
-
-
-def _collect_classes(
-    stripped: list[str], comments: dict[int, str],
-    annotations: str | list[str],
-) -> list[ClassInfo]:
-    if isinstance(annotations, str):
-        annotations = [annotations]
-    text = "\n".join(stripped)
-
-    # Precompute line starts for offset -> line translation.
-    line_starts = [0]
-    for line in stripped:
-        line_starts.append(line_starts[-1] + len(line) + 1)
-
-    def line_of(offset: int) -> tuple[int, int]:
-        lo, hi = 0, len(line_starts) - 1
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if line_starts[mid] <= offset:
-                lo = mid
-            else:
-                hi = mid
-        return lo + 1, offset - line_starts[lo] + 1
-
-    # Longest annotation string wins per line, so "shard-partitioned" is not
-    # shadowed by a shorter annotation that happens to be its substring.
-    annotated_lines: dict[int, str] = {}
-    for ln, c in comments.items():
-        hits = [a for a in annotations if a in c]
-        if hits:
-            annotated_lines[ln] = max(hits, key=len)
-
-    classes: list[ClassInfo] = []
-    for m in _CLASS_RE.finditer(text):
-        head_line, _ = line_of(m.start())
-        # Annotation binds to the class whose head is within two lines below
-        # it (allowing one doc-comment line in between).
-        bound: str | None = None
-        for ln in range(head_line - 2, head_line):
-            if ln in annotated_lines:
-                bound = annotated_lines[ln]
-        annotated = bound is not None
-        # Find the body opener; a `;` first means forward declaration.
-        k = m.end()
-        while k < len(text) and text[k] not in "{;":
-            k += 1
-        if k >= len(text) or text[k] == ";":
-            continue
-        end = _match_brace(text, k)
-        if end < 0:
-            continue
-        kind = text[m.start() : m.start() + 6]
-        default_access = "public" if kind.startswith("struct") else "private"
-        methods: list[Method] = []
-        _parse_class_body(text, k + 1, end - 1, default_access, line_of, methods)
-        classes.append(ClassInfo(m.group(1), head_line, annotated, methods, bound))
-    return classes
-
-
-_OUT_OF_LINE_RE = re.compile(r"\b([A-Za-z_]\w*)::(~?[A-Za-z_]\w*)\s*\(")
-
-
-@dataclasses.dataclass
-class OutOfLineDef:
-    class_name: str
-    method: str
-    line: int  # 1-based line of the definition head
-    body: str  # stripped body text
-
-
-def out_of_line_definitions(scan: FileScan) -> list[OutOfLineDef]:
-    """`Ret Class::method(...) ... { body }` definitions in this file."""
-    text = scan.stripped_text()
-    out: list[OutOfLineDef] = []
-    for m in _OUT_OF_LINE_RE.finditer(text):
-        close = _find_paren_close(text, m.end() - 1)
-        if close < 0:
-            continue
-        j = close
-        while j < len(text) and text[j] not in "{;=":
-            j += 1
-        if j >= len(text) or text[j] != "{":
-            continue
-        end = _match_brace(text, j)
-        if end < 0:
-            continue
-        line, _ = scan.line_of_offset(m.start())
-        out.append(OutOfLineDef(m.group(1), m.group(2), line, text[j:end]))
-    return out
-
-
-def scan_file(path: pathlib.Path, annotations: str | list[str]) -> FileScan:
+def scan_file(path: pathlib.Path) -> FileScan:
     raw = path.read_text(encoding="utf-8", errors="replace")
     raw_lines = raw.splitlines()
     stripped, comments = strip_lines(raw_lines)
@@ -310,5 +104,4 @@ def scan_file(path: pathlib.Path, annotations: str | list[str]) -> FileScan:
         im = _INCLUDE_RE.match(line)
         if im is not None:
             includes.append(Include(lineno, im.start(1), im.group(1)))
-    classes = _collect_classes(stripped, comments, annotations)
-    return FileScan(path, raw_lines, stripped, comments, includes, classes)
+    return FileScan(path, raw_lines, stripped, comments, includes)
