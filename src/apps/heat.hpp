@@ -32,7 +32,6 @@ struct HeatResult {
   double final_residual = 0.0;    ///< max |du| of the last step
   double max_serial_diff = 0.0;   ///< only when verify is set
   std::int64_t cell_updates = 0;  ///< cells * steps (for MCUP/s)
-  double mcups() const { return static_cast<double>(cell_updates) / seconds / 1e6; }
 };
 
 HeatResult run_heat_dv(runtime::Cluster& cluster, const HeatParams& params);

@@ -39,9 +39,6 @@ struct SnapResult {
   double flux_sum = 0.0;        ///< checksum of the converged scalar flux
   double min_flux = 0.0;        ///< must stay non-negative
   std::int64_t cell_angle_updates = 0;
-  double sweep_rate() const {
-    return static_cast<double>(cell_angle_updates) / seconds;
-  }
 };
 
 SnapResult run_snap_dv(runtime::Cluster& cluster, const SnapParams& params);

@@ -40,7 +40,6 @@ struct VorticityResult {
     return enstrophy0 != 0.0 ? std::abs(enstrophy1 - enstrophy0) / std::abs(enstrophy0)
                              : 0.0;
   }
-  double steps_per_second() const { return steps / seconds; }
 };
 
 VorticityResult run_vorticity_dv(runtime::Cluster& cluster, const VorticityParams& params);

@@ -94,23 +94,6 @@ MetricMap Workload::execute(const RunPoint& point, std::ostream&) const {
   return run_backend(point.backend, point.nodes, point.params);
 }
 
-void Workload::run(const RunOptions& opt, runtime::ResultSink& sink) const {
-  const auto points = plan(opt);
-  std::vector<PointResult> results;
-  results.reserve(points.size());
-  for (const auto& p : points) results.push_back(execute_point(*this, p, opt));
-  std::string errors;
-  for (const auto& r : results) {
-    if (!r.failed()) continue;
-    if (!errors.empty()) errors += "; ";
-    errors += "point " + std::to_string(r.point.index) + " (" +
-              to_string(r.point.backend) + ", " + std::to_string(r.point.nodes) +
-              " nodes): " + r.error;
-  }
-  if (!errors.empty()) throw std::runtime_error(errors);
-  report(opt, results, sink);
-}
-
 ParamMap Workload::default_params(bool fast) const {
   ParamMap out;
   for (const auto& spec : param_specs()) {

@@ -146,7 +146,7 @@ class Workload {
   /// backends this workload implements, in canonical order.
   std::vector<Backend> selected_backends(const RunOptions& opt) const;
 
-  /// The node counts run() sweeps when RunOptions::nodes is empty.
+  /// The node counts plan() sweeps when RunOptions::nodes is empty.
   virtual std::vector<int> default_nodes(bool fast) const;
 
   /// Runs ONE measurement point: `nodes` simulated nodes, `backend`'s
@@ -171,11 +171,6 @@ class Workload {
   /// appends one BenchRecord per point (plus AnchorChecks) to `sink`.
   virtual void report(const RunOptions& opt, const std::vector<PointResult>& results,
                       runtime::ResultSink& sink) const = 0;
-
-  /// Runs the full figure reproduction sequentially on the calling thread:
-  /// plan, execute every point, then report. Throws std::runtime_error with
-  /// the aggregated messages if any point failed (after all points ran).
-  void run(const RunOptions& opt, runtime::ResultSink& sink) const;
 
   // -- helpers shared by implementations --
 

@@ -47,8 +47,6 @@ class Fabric final : public net::Interconnect {
 
   int nodes() const noexcept override { return nodes_; }
   const IbParams& params() const noexcept { return params_; }
-  int leaves() const noexcept { return leaves_; }
-  int spines() const noexcept { return spines_; }
 
   /// Number of links on the static route src -> dst: 2 within a leaf,
   /// 4 across leaves (up, leaf->spine, spine->leaf, down), 0 loopback.

@@ -20,13 +20,12 @@ MpiWorld::MpiWorld(sim::Engine& engine, std::unique_ptr<net::Interconnect> fabri
     throw std::invalid_argument("MpiWorld: rank count must fit the fabric");
   }
   endpoints_.resize(static_cast<std::size_t>(ranks));
-  stage_seq_.assign(static_cast<std::size_t>(ranks), 0);
   if (obs::Registry* m = obs::metrics()) {
     obs_msg_bytes_ = m->histogram("mpi.msg.bytes");
     obs_eager_msgs_ = m->counter("mpi.msgs", {{"protocol", "eager"}});
     obs_rendezvous_msgs_ = m->counter("mpi.msgs", {{"protocol", "rendezvous"}});
   }
-  engine_.add_window_hook(this, [this] { resolve_window(); });
+  engine_.add_window_hook(this, fabric_->lookahead(), [this] { resolve_window(); });
 }
 
 MpiWorld::~MpiWorld() { engine_.remove_window_hook(this); }
@@ -45,10 +44,6 @@ void MpiWorld::account(const WireOp& op, const net::MsgTiming& t) {
 }
 
 void MpiWorld::fabric_send(WireOp op, std::function<void(const net::MsgTiming&)> k) {
-  if (engine_.window_width() <= 0) {
-    throw std::logic_error("MpiWorld: traffic on an unwindowed engine");
-  }
-  const std::uint64_t seq = stage_seq_[static_cast<std::size_t>(op.src)]++;
   if (op.src == op.dst) {
     // Loopback rides only local state (a byte tally + stateless memcpy
     // timing), so the timing is computed synchronously: the continuation may
@@ -59,7 +54,7 @@ void MpiWorld::fabric_send(WireOp op, std::function<void(const net::MsgTiming&)>
     if (op.acct_bytes >= 0 || op.traced) {
       StagedOp staged;
       staged.op = op;
-      staged.seq = seq;
+      staged.pos = staged_.size();
       staged.loopback = true;
       staged.timing = t;
       staged_.push_back(std::move(staged));
@@ -69,15 +64,17 @@ void MpiWorld::fabric_send(WireOp op, std::function<void(const net::MsgTiming&)>
   }
   StagedOp staged;
   staged.op = std::move(op);
-  staged.seq = seq;
+  staged.pos = staged_.size();
   staged.k = std::move(k);
   staged_.push_back(std::move(staged));
 }
 
 void MpiWorld::resolve_window() {
   // Window-close resolution: replay every staged wire transfer against the
-  // interconnect in canonical (ready, src, per-src seq) order, a pure
-  // function of the window's simulation content. Continuations only
+  // interconnect in canonical (ready, src, ledger position) order, a pure
+  // function of the window's simulation content. One ledger appends in
+  // event order, so the position keeps each source's transfers in stage
+  // order. Continuations only
   // schedule protocol events (at physical times >= the window end) and
   // never re-enter fabric_send.
   std::vector<StagedOp> batch;
@@ -86,7 +83,7 @@ void MpiWorld::resolve_window() {
   std::sort(batch.begin(), batch.end(), [](const StagedOp& a, const StagedOp& b) {
     if (a.op.ready != b.op.ready) return a.op.ready < b.op.ready;
     if (a.op.src != b.op.src) return a.op.src < b.op.src;
-    return a.seq < b.seq;
+    return a.pos < b.pos;
   });
   for (StagedOp& s : batch) {
     const net::MsgTiming t =

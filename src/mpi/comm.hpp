@@ -106,11 +106,12 @@ class Comm {
 /// Owns the per-rank endpoints, the interconnect the bytes travel over, and
 /// runs the eager/rendezvous protocol.
 ///
-/// Windowed operation (DESIGN.md §15): the interconnect is reached only
-/// through fabric_send(), which stages non-loopback wire transfers into one
+/// Windowed operation (DESIGN.md §15): the world windows its engine at the
+/// interconnect's lookahead() when it is built, and a fabric without a
+/// positive one is refused (std::invalid_argument). The interconnect is
+/// reached only through fabric_send(), which stages wire transfers into one
 /// ledger resolved at the engine's window close in canonical (ready, src,
-/// per-src seq) order. Point-to-point traffic on an unwindowed engine
-/// throws std::logic_error.
+/// ledger position) order.
 class MpiWorld {
  public:
   MpiWorld(sim::Engine& engine, std::unique_ptr<net::Interconnect> fabric,
@@ -170,7 +171,7 @@ class MpiWorld {
   /// A wire transfer parked in the ledger until window close.
   struct StagedOp {
     WireOp op;
-    std::uint64_t seq = 0;  ///< per-src monotone stage order
+    std::size_t pos = 0;  ///< ledger position at append: stage order
     bool loopback = false;  ///< timing precomputed; resolution only accounts
     net::MsgTiming timing{};  ///< valid when loopback
     std::function<void(const net::MsgTiming&)> k;  ///< nullable continuation
@@ -178,8 +179,8 @@ class MpiWorld {
 
   /// Single gateway to the interconnect. Loopback (src == dst; purely local
   /// timing) computes synchronously, while remote transfers stage
-  /// {op, seq, k} and the window-close resolution replays them in
-  /// (ready, src, seq) order.
+  /// {op, k} and the window-close resolution replays them in
+  /// (ready, src, ledger position) order.
   void fabric_send(WireOp op, std::function<void(const net::MsgTiming&)> k);
   void account(const WireOp& op, const net::MsgTiming& t);
   void resolve_window();
@@ -203,7 +204,6 @@ class MpiWorld {
 
   // Window staging.
   std::vector<StagedOp> staged_;
-  std::vector<std::uint64_t> stage_seq_;  ///< per src rank
 };
 
 }  // namespace dvx::mpi

@@ -18,9 +18,9 @@
 //   * The DES guarantees nondecreasing `ready` values per source; models
 //     may rely on that the way ib::Fabric's link bank does. mpi::MpiWorld
 //     (DESIGN.md §15) stages wire transfers and replays them at window
-//     closes sorted by (ready, src, seq); since every event left pending
-//     after window W is at or past W's end, ready values stay nondecreasing
-//     across batches too, and the property holds globally. Loopback
+//     closes sorted by (ready, src, ledger position); since every event
+//     left pending after window W is at or past W's end, ready values stay
+//     nondecreasing across batches too, and the property holds globally. Loopback
 //     (src == dst) calls are the one exception: MpiWorld makes them
 //     mid-window, so that branch must not touch the contention state.
 //
@@ -61,9 +61,9 @@ class Interconnect {
 
   /// Conservative lower bound on cross-node delivery latency: no message
   /// injected at time t may arrive at another node before t + lookahead().
-  /// runtime::Cluster uses this as the engine's window width (DESIGN.md
-  /// §12), so the bound must be safe, not tight, and positive: the cluster
-  /// rejects a backend without one.
+  /// mpi::MpiWorld registers it as the width of its window hook (DESIGN.md
+  /// §12), so the bound must be safe, not tight, and positive: the engine
+  /// refuses a hook without one.
   virtual sim::Duration lookahead() const noexcept = 0;
 };
 

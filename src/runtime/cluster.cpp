@@ -80,16 +80,6 @@ class TraceCapture {
   sim::TraceMark mark_;
 };
 
-/// Windows a fresh engine at the fabric's conservative lookahead: every
-/// cluster run moves its traffic at window closes.
-void window_engine(sim::Engine& engine, sim::Duration lookahead) {
-  if (lookahead <= 0) {
-    throw std::invalid_argument(
-        "Cluster: the fabric has no positive lookahead, so it cannot be windowed");
-  }
-  engine.set_window_width(lookahead);
-}
-
 }  // namespace
 
 RunResult Cluster::run_dv(const DvProgram& program) {
@@ -97,7 +87,6 @@ RunResult Cluster::run_dv(const DvProgram& program) {
   TraceCapture capture(tracer_);
   sim::Engine engine;
   vic::DvFabric fabric(engine, config_.nodes, config_.dv);
-  window_engine(engine, fabric.min_remote_latency());
   CostModel cost(config_.cost);
   std::deque<dvapi::DvContext> dv_ctxs;
   std::deque<NodeCtx> node_ctxs;
@@ -127,8 +116,6 @@ RunResult Cluster::run_mpi(const MpiProgram& program) {
       fabric = std::make_unique<torus::Fabric>(config_.nodes, config_.torus);
       break;
   }
-  // The window width is the interconnect's own conservative bound.
-  window_engine(engine, fabric->lookahead());
   mpi::MpiWorld world(engine, std::move(fabric), config_.nodes, config_.mpi,
                       capture.tracer_or_null());
   CostModel cost(config_.cost);

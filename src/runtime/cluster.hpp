@@ -64,7 +64,7 @@ class Cluster {
 
   /// Runs one Data Vortex program per rank on a fresh fabric.
   /// Throws if any rank fails; reports deadlock via std::logic_error.
-  /// Every run is windowed at the fabric's conservative lookahead
+  /// The fabric windows the run's engine at its conservative lookahead
   /// (DESIGN.md §15); a fabric without a positive one throws
   /// std::invalid_argument.
   RunResult run_dv(const DvProgram& program);

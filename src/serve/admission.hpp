@@ -33,8 +33,6 @@ class TokenBucket {
   /// Refills to `now` and takes one token if a whole one is available.
   bool try_take(sim::Time now);
 
-  double tokens() const noexcept { return tokens_; }
-
  private:
   double rate_;
   double burst_;

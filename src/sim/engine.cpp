@@ -1,6 +1,8 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "check/check.hpp"
@@ -15,11 +17,6 @@ Engine::~Engine() {
   for (auto& r : roots_) {
     if (r.handle) r.handle.destroy();
   }
-}
-
-void Engine::set_window_width(Duration width) {
-  DVX_CHECK(width >= 0) << "window width must not be negative: " << width;
-  window_width_ = width;
 }
 
 void Engine::spawn(Coro<void> coro, Time start) {
@@ -155,15 +152,30 @@ void Engine::schedule(Time t, std::function<void()> fn) {
   push_event(t, /*callback=*/true, {}, std::move(fn));
 }
 
-void Engine::add_window_hook(const void* owner, std::function<void()> hook) {
+void Engine::add_window_hook(const void* owner, Duration width,
+                             std::function<void()> hook) {
+  // A plain throw, not a check: a fabric without a positive lookahead must
+  // be refused at every check level.
+  if (width <= 0) {
+    throw std::invalid_argument("Engine: window hook width must be positive, got " +
+                                std::to_string(width) + " ps");
+  }
   DVX_CHECK(owner != nullptr && hook != nullptr);
   remove_window_hook(owner);
-  window_hooks_.emplace_back(owner, std::move(hook));
+  window_hooks_.push_back(WindowHook{owner, width, std::move(hook)});
+  recompute_window_width();
 }
 
 void Engine::remove_window_hook(const void* owner) noexcept {
-  std::erase_if(window_hooks_,
-                [owner](const auto& h) { return h.first == owner; });
+  std::erase_if(window_hooks_, [owner](const WindowHook& h) { return h.owner == owner; });
+  recompute_window_width();
+}
+
+void Engine::recompute_window_width() noexcept {
+  window_width_ = 0;
+  for (const WindowHook& h : window_hooks_) {
+    if (window_width_ == 0 || h.width < window_width_) window_width_ = h.width;
+  }
 }
 
 void Engine::add_auditor(check::InvariantAuditor* auditor) {
@@ -253,7 +265,7 @@ void Engine::close_window(Time floor) {
   // Hooks and audits see the window floor as the clock; the past check
   // still holds what they schedule to the last dispatched event.
   now_ = floor;
-  for (auto& [owner, hook] : window_hooks_) hook();
+  for (WindowHook& h : window_hooks_) h.run();
   if (audit_interval_ != 0 && events_ - last_audit_events_ >= audit_interval_) {
     run_audits();
     last_audit_events_ = events_;

@@ -13,13 +13,14 @@
 // a slot id packed into the low bits of the comparison key, so steady-state
 // dispatch performs zero heap allocations.
 //
-// Windowed execution (DESIGN.md §12): with a positive window width, run()
-// advances in conservative lookahead windows [T0, T0 + width): it dispatches
-// every event inside the window, then runs the registered window hooks,
-// where the fabric models resolve the traffic they staged during the window.
-// The width is the minimum cross-node latency of the network model
-// (net::Interconnect::lookahead, vic::DvFabric::min_remote_latency), so
-// nothing a window stages can land inside that same window.
+// Windowed execution (DESIGN.md §12): while window hooks are registered,
+// run() advances in conservative lookahead windows [T0, T0 + width): it
+// dispatches every event inside the window, then runs the hooks, where the
+// fabric models resolve the traffic they staged during the window. Each hook
+// brings its owner's minimum cross-node latency
+// (net::Interconnect::lookahead, vic::DvFabric::min_remote_latency) and the
+// width is the narrowest of them, so nothing a window stages can land inside
+// that same window.
 
 #include <coroutine>
 #include <cstdint>
@@ -46,13 +47,9 @@ class Engine {
   /// being closed.
   Time now() const noexcept { return now_; }
 
-  /// Sets the lookahead window width. 0 (the default) dispatches straight
-  /// through the heap and never runs window hooks; a positive width makes
-  /// run() advance in windows [T0, T0 + width) with the hooks run at every
-  /// window close. The fabric models need a windowed engine to carry
-  /// traffic, and runtime::Cluster windows every run at the fabric's
-  /// lookahead. Negative widths are rejected.
-  void set_window_width(Duration width);
+  /// The lookahead window width: the narrowest width among the registered
+  /// window hooks, or 0 without hooks, where run() dispatches straight
+  /// through the heap.
   Duration window_width() const noexcept { return window_width_; }
 
   /// Registers a top-level process; it starts at virtual time `start`
@@ -73,9 +70,6 @@ class Engine {
   /// True when every spawned process has run to completion.
   bool all_done() const noexcept;
 
-  /// Number of processes spawned so far.
-  std::size_t spawned() const noexcept { return roots_.size(); }
-
   /// Total events dispatched (diagnostics).
   std::uint64_t events_processed() const noexcept { return events_; }
 
@@ -87,13 +81,16 @@ class Engine {
   /// Unregisters; no-op when the auditor was never added.
   void remove_auditor(check::InvariantAuditor* auditor) noexcept;
 
-  /// Registers a window-close hook keyed by `owner` (one hook per owner).
-  /// Hooks run at every window close — after the window's events, with
-  /// now() at the window floor — in registration order. The fabric models
-  /// use them to resolve the traffic they staged during the window in a
-  /// canonical order; every event a hook schedules must land at or after
-  /// window_end(). Unwindowed runs never invoke hooks.
-  void add_window_hook(const void* owner, std::function<void()> hook);
+  /// Registers a window-close hook keyed by `owner` (one hook per owner;
+  /// a second registration replaces the first). `width` is the owner's
+  /// lookahead: nothing it stages in a window may land less than `width`
+  /// after the window floor. Throws std::invalid_argument unless `width`
+  /// is positive. Hooks run at every window close — after the window's
+  /// events, with now() at the window floor — in registration order. The
+  /// fabric models use them to resolve the traffic they staged during the
+  /// window in a canonical order; every event a hook schedules must land
+  /// at or after window_end().
+  void add_window_hook(const void* owner, Duration width, std::function<void()> hook);
   /// Unregisters; no-op when the owner never added a hook.
   void remove_window_hook(const void* owner) noexcept;
 
@@ -170,6 +167,12 @@ class Engine {
     bool done = false;
   };
 
+  struct WindowHook {
+    const void* owner;
+    Duration width;  ///< the owner's lookahead
+    std::function<void()> run;
+  };
+
   static bool entry_before(const HeapEntry& a, const HeapEntry& b) noexcept {
     return a.t != b.t ? a.t < b.t : a.key < b.key;
   }
@@ -206,6 +209,8 @@ class Engine {
                   std::function<void()> fn);
   void dispatch_one();
   void close_window(Time floor);
+  /// Recomputes window_width_ from the registered hooks.
+  void recompute_window_width() noexcept;
   Time finish_run();
 
   void run_audits();
@@ -220,11 +225,11 @@ class Engine {
   Time clock_ = 0;  ///< time of the last dispatched event
   std::uint64_t next_seq_ = 0;  ///< insertion-seq counter
   std::uint64_t events_ = 0;    ///< events dispatched
-  Duration window_width_ = 0;   ///< 0: unwindowed
+  Duration window_width_ = 0;   ///< narrowest hook width; 0: no hooks
   Time window_end_ = 0;         ///< exclusive bound of the executing window
   std::deque<Root> roots_;      // deque: &done must stay stable
   std::vector<check::InvariantAuditor*> auditors_;
-  std::vector<std::pair<const void*, std::function<void()>>> window_hooks_;
+  std::vector<WindowHook> window_hooks_;
   std::uint64_t audit_interval_ = 0;  // ctor sets the level-dependent default
   std::uint64_t audits_run_ = 0;
   std::uint64_t last_audit_events_ = 0;  ///< windowed-mode cadence bookkeeping

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <sstream>
 
 namespace dvx::sim {
 
@@ -38,8 +37,6 @@ void RunningStats::merge(const RunningStats& other) {
 double RunningStats::variance() const noexcept {
   return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
 }
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
 void LogHistogram::add(std::uint64_t value) {
   const unsigned b = value < 2 ? 0u : static_cast<unsigned>(std::bit_width(value) - 1);
@@ -104,15 +101,6 @@ double LogHistogram::quantile_upper_bound(double q) const {
   // Rounding pushed target past the accumulated mass; the upper edge of the
   // last non-empty bucket bounds every recorded sample.
   return std::ldexp(1.0, static_cast<int>(last));
-}
-
-std::string LogHistogram::to_string() const {
-  std::ostringstream os;
-  for (std::size_t b = 0; b < buckets_.size(); ++b) {
-    if (buckets_[b] == 0) continue;
-    os << "[2^" << b << ",2^" << b + 1 << "): " << buckets_[b] << "\n";
-  }
-  return os.str();
 }
 
 double harmonic_mean(const std::vector<double>& xs) {

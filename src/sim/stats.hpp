@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace dvx::sim {
@@ -17,7 +16,6 @@ class RunningStats {
   std::uint64_t count() const noexcept { return n_; }
   double mean() const noexcept { return n_ ? mean_ : 0.0; }
   double variance() const noexcept;
-  double stddev() const noexcept;
   double min() const noexcept { return n_ ? min_ : 0.0; }
   double max() const noexcept { return n_ ? max_ : 0.0; }
   double total() const noexcept { return sum_; }
@@ -50,7 +48,6 @@ class LogHistogram {
   /// the q-th sample. Guaranteed >= the true quantile (the midpoint
   /// estimate is not), which is the honest direction for SLO tails.
   double quantile_upper_bound(double q) const;
-  std::string to_string() const;
 
  private:
   std::vector<std::uint64_t> buckets_;

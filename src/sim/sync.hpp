@@ -63,10 +63,6 @@ class Condition {
   /// Wakes every current waiter at virtual time `at` (clamped to now).
   void notify_all(Time at);
 
-  /// Wakes the oldest still-pending waiter at virtual time `at`.
-  void notify_one(Time at);
-
-  std::size_t waiting() const noexcept { return waiters_.size(); }
   Engine& engine() noexcept { return engine_; }
 
  private:
@@ -74,30 +70,9 @@ class Condition {
     std::coroutine_handle<> handle;
     bool fired;
   };
-  friend struct WaiterAccess;
 
   Engine& engine_;
   std::vector<std::shared_ptr<Waiter>> waiters_;
-};
-
-/// Counting semaphore with timed releases.
-class Semaphore {
- public:
-  Semaphore(Engine& engine, std::int64_t initial)
-      : engine_(engine), count_(initial), cond_(engine) {}
-
-  /// Acquires one unit, suspending while the count is zero.
-  Coro<void> acquire();
-
-  /// Releases `n` units at virtual time `at` (clamped to now).
-  void release(Time at, std::int64_t n = 1);
-
-  std::int64_t count() const noexcept { return count_; }
-
- private:
-  Engine& engine_;
-  std::int64_t count_;
-  Condition cond_;
 };
 
 /// Typed message queue: values become visible at their arrival time.
@@ -157,23 +132,6 @@ class Mailbox {
   Engine& engine_;
   Condition cond_;
   std::deque<Item> items_;
-};
-
-/// N-party reusable barrier (test utility; the simulated networks implement
-/// their own barriers with network traffic).
-class PhaseBarrier {
- public:
-  PhaseBarrier(Engine& engine, std::size_t parties)
-      : engine_(engine), parties_(parties), cond_(engine) {}
-
-  Coro<void> arrive_and_wait();
-
- private:
-  Engine& engine_;
-  std::size_t parties_;
-  std::size_t arrived_ = 0;
-  std::uint64_t phase_ = 0;
-  Condition cond_;
 };
 
 }  // namespace dvx::sim

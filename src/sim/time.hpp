@@ -33,8 +33,6 @@ constexpr Duration seconds(double v) { return static_cast<Duration>(v * kSecond)
 constexpr double to_seconds(Duration d) { return static_cast<double>(d) / kSecond; }
 /// Converts a virtual time span to floating-point microseconds (for reporting).
 constexpr double to_us(Duration d) { return static_cast<double>(d) / kMicrosecond; }
-/// Converts a virtual time span to floating-point nanoseconds (for reporting).
-constexpr double to_ns(Duration d) { return static_cast<double>(d) / kNanosecond; }
 
 /// Time to move `bytes` at `bytes_per_sec`, rounded up to a whole picosecond.
 /// A small relative tolerance absorbs floating-point noise so that exact

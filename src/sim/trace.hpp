@@ -113,21 +113,4 @@ class Tracer {
   mutable bool flat_dirty_ = false;
 };
 
-/// RAII helper charging a state interval on scope exit.
-class ScopedState {
- public:
-  ScopedState(Tracer& tracer, int node, NodeState s, const Time& now_ref)
-      : tracer_(tracer), node_(node), state_(s), now_(now_ref), begin_(now_ref) {}
-  ~ScopedState() { tracer_.record_state(node_, state_, begin_, now_); }
-  ScopedState(const ScopedState&) = delete;
-  ScopedState& operator=(const ScopedState&) = delete;
-
- private:
-  Tracer& tracer_;
-  int node_;
-  NodeState state_;
-  const Time& now_;
-  Time begin_;
-};
-
 }  // namespace dvx::sim

@@ -21,7 +21,6 @@ DmaResult DmaEngine::transfer(std::int64_t bytes, sim::Time ready) {
   const auto& p = link_.params();
   if (bytes <= 0) return DmaResult{ready, ready};
   ++transactions_;
-  moved_ += bytes;
   if (obs_bytes_ != nullptr) {
     obs_bytes_->add(static_cast<std::uint64_t>(bytes));
     obs_transactions_->inc();

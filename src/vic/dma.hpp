@@ -29,9 +29,6 @@ class DmaEngine {
   /// order.
   DmaResult transfer(std::int64_t bytes, sim::Time ready);
 
-  PcieDir direction() const noexcept { return dir_; }
-  sim::Time busy_until() const noexcept { return busy_; }
-  std::int64_t bytes_moved() const noexcept { return moved_; }
   std::uint64_t transactions() const noexcept { return transactions_; }
 
  private:
@@ -41,7 +38,6 @@ class DmaEngine {
   obs::Counter* obs_bytes_ = nullptr;
   obs::Counter* obs_transactions_ = nullptr;
   sim::Time busy_ = 0;
-  std::int64_t moved_ = 0;
   std::uint64_t transactions_ = 0;
 };
 

@@ -9,7 +9,6 @@ sim::Time PcieLink::occupy(PcieDir dir, std::int64_t bytes, double bw, sim::Time
   auto& free = free_[static_cast<int>(dir)];
   const sim::Time start = std::max(ready, free);
   free = start + sim::transfer_time(bytes, bw);
-  bytes_[static_cast<int>(dir)] += bytes;
   return free;
 }
 

@@ -61,17 +61,9 @@ class PcieLink {
   /// Programmed-I/O read of `bytes` (adds the round-trip read latency).
   sim::Time direct_read(std::int64_t bytes, sim::Time ready);
 
-  sim::Time dir_free(PcieDir dir) const noexcept {
-    return free_[static_cast<int>(dir)];
-  }
-
-  std::int64_t bytes_down() const noexcept { return bytes_[0]; }
-  std::int64_t bytes_up() const noexcept { return bytes_[1]; }
-
  private:
   PcieParams params_;
   sim::Time free_[2] = {0, 0};
-  std::int64_t bytes_[2] = {0, 0};
 };
 
 }  // namespace dvx::vic

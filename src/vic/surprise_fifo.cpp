@@ -1,6 +1,5 @@
 #include "vic/surprise_fifo.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -27,12 +26,12 @@ void SurpriseFifo::deposit(sim::Time at, Packet p) {
     return;
   }
   if (at < engine_.now()) at = engine_.now();
-  if (pending_.empty() && (sorted_.empty() || at >= sorted_.back().at)) {
-    sorted_.push_back(Entry{at, p});
-  } else {
-    if (pending_.empty() || at < pending_min_) pending_min_ = at;
-    pending_.push_back(Entry{at, p});
+  if (!entries_.empty() && at < entries_.back().at) {
+    throw std::logic_error("SurpriseFifo: deposit arriving at " + std::to_string(at) +
+                           " ps is earlier than the previous arrival at " +
+                           std::to_string(entries_.back().at) + " ps");
   }
+  entries_.push_back(Entry{at, p});
   ++deposited_;
   if (obs_deposits_ != nullptr) {
     obs_deposits_->inc();
@@ -44,38 +43,20 @@ void SurpriseFifo::deposit(sim::Time at, Packet p) {
   cond_.notify_all(at);
 }
 
-sim::Time SurpriseFifo::earliest() const noexcept {
-  if (pending_.empty()) return sorted_[head_].at;
-  if (head_ == sorted_.size()) return pending_min_;
-  return std::min(sorted_[head_].at, pending_min_);
-}
-
-void SurpriseFifo::merge_pending() {
-  // Both steps are stable: the sort keeps deposit order among equal
-  // arrivals, and the merge keeps sorted_'s (older) entries ahead of
-  // pending_'s on equal arrivals.
-  const auto by_arrival = [](const Entry& a, const Entry& b) { return a.at < b.at; };
-  std::stable_sort(pending_.begin(), pending_.end(), by_arrival);
-  const auto mid = sorted_.insert(sorted_.end(), pending_.begin(), pending_.end());
-  std::inplace_merge(sorted_.begin() + static_cast<std::ptrdiff_t>(head_), mid,
-                     sorted_.end(), by_arrival);
-  pending_.clear();
-}
-
 std::vector<Packet> SurpriseFifo::poll() {
   std::vector<Packet> out;
   const sim::Time now = engine_.now();
   if (buffered() > 0 && earliest() <= now) {
-    if (!pending_.empty()) merge_pending();
     std::size_t end = head_;
-    while (end < sorted_.size() && sorted_[end].at <= now) ++end;
+    while (end < entries_.size() && entries_[end].at <= now) ++end;
     out.reserve(end - head_);
-    for (std::size_t i = head_; i < end; ++i) out.push_back(sorted_[i].packet);
+    for (std::size_t i = head_; i < end; ++i) out.push_back(entries_[i].packet);
     head_ = end;
     // Drop the drained prefix once it outweighs the live entries, so the
     // copy is paid for by the polls that drained it.
-    if (2 * head_ >= sorted_.size()) {
-      sorted_.erase(sorted_.begin(), sorted_.begin() + static_cast<std::ptrdiff_t>(head_));
+    if (2 * head_ >= entries_.size()) {
+      entries_.erase(entries_.begin(),
+                     entries_.begin() + static_cast<std::ptrdiff_t>(head_));
       head_ = 0;
     }
   }

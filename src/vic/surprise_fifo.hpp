@@ -30,8 +30,11 @@ class SurpriseFifo {
   explicit SurpriseFifo(sim::Engine& engine, std::size_t capacity = kDefaultCapacity,
                         int node = -1);
 
-  /// Network-side deposit: the packet becomes visible to the host at `at`.
-  /// On overflow the packet is dropped (counted in dropped()).
+  /// Network-side deposit: the packet becomes visible to the host at `at`
+  /// (clamped to now). On overflow the packet is dropped (counted in
+  /// dropped()). Throws std::logic_error when the clamped arrival is earlier
+  /// than the last buffered one: the fabric ejects into a VIC through one
+  /// switch port whose next-free time only moves forward (DESIGN.md §10.5).
   void deposit(sim::Time at, Packet p);
 
   /// Host-side poll: removes and returns every packet visible now.
@@ -43,26 +46,20 @@ class SurpriseFifo {
   /// True if a packet is visible at the current virtual time.
   bool ready() const;
 
-  std::size_t buffered() const noexcept {
-    return sorted_.size() - head_ + pending_.size();
-  }
+  std::size_t buffered() const noexcept { return entries_.size() - head_; }
   std::size_t capacity() const noexcept { return capacity_; }
   std::uint64_t dropped() const noexcept { return dropped_; }
   std::uint64_t total_deposited() const noexcept { return deposited_; }
   std::uint64_t total_drained() const noexcept { return drained_; }
 
  private:
-  // Packets leave in (arrival, deposit seq) order; the seq is implicit in
-  // each entry's position (DESIGN.md §10.5).
   struct Entry {
     sim::Time at;
     Packet packet;
   };
 
   /// Arrival of the next packet to leave; requires buffered() > 0.
-  sim::Time earliest() const noexcept;
-  /// Folds pending_ into sorted_ behind older entries of equal arrival.
-  void merge_pending();
+  sim::Time earliest() const noexcept { return entries_[head_].at; }
 
   sim::Engine& engine_;
   sim::Condition cond_;
@@ -71,15 +68,11 @@ class SurpriseFifo {
   obs::Gauge* obs_depth_ = nullptr;
   obs::Counter* obs_deposits_ = nullptr;
   obs::Counter* obs_dropped_ = nullptr;
-  // sorted_[head_..] is in (arrival, deposit seq) order and is empty (with
-  // head_ == 0) once drained. A deposit joins it directly while pending_ is
-  // empty and the arrival is no earlier than its last entry; every other
-  // deposit goes to pending_, in deposit order, so each pending entry is
-  // younger than each sorted one. pending_min_ is pending_'s earliest arrival.
-  std::vector<Entry> sorted_;
+  // entries_[head_..] are the buffered packets in arrival order, equal
+  // arrivals in deposit order (DESIGN.md §10.5); entries_[..head_] were
+  // drained and are erased once they make up half the vector.
+  std::vector<Entry> entries_;
   std::size_t head_ = 0;
-  std::vector<Entry> pending_;
-  sim::Time pending_min_ = 0;
   std::size_t capacity_;
   std::uint64_t dropped_ = 0;
   std::uint64_t deposited_ = 0;

@@ -75,9 +75,9 @@ DvFabric::DvFabric(sim::Engine& engine, int nodes, DvFabricParams params)
     vics_.push_back(std::make_unique<Vic>(engine, *this, i, params.vic));
     barrier_conds_.push_back(std::make_unique<sim::Condition>(engine));
   }
-  stage_seq_.assign(static_cast<std::size_t>(nodes), 0);
+  // The hook first: if its width is refused, nothing is left registered.
+  engine_.add_window_hook(this, min_remote_latency(), [this] { resolve_window(); });
   engine_.add_auditor(this);
-  engine_.add_window_hook(this, [this] { resolve_window(); });
 }
 
 DvFabric::~DvFabric() {
@@ -98,25 +98,17 @@ void DvFabric::audit(std::int64_t now_ps) {
   }
 }
 
-void DvFabric::require_windowed() const {
-  if (engine_.window_width() <= 0) {
-    throw std::logic_error("DvFabric: traffic on an unwindowed engine");
-  }
-}
-
 DvFabric::StagedBurst& DvFabric::stage(int src, sim::Time ready) {
-  return staged_.emplace_back(
-      StagedBurst{ready, src, stage_seq_[static_cast<std::size_t>(src)]++, {}, {}, {}});
+  return staged_.emplace_back(StagedBurst{ready, src, staged_.size(), {}, {}, {}});
 }
 
 void DvFabric::transmit(int src, std::span<const Packet> packets, sim::Time ready) {
-  require_windowed();
   if (packets.empty()) return;
   if (resolving_) {
     // A query reply emitted while the resolution replays deliveries: defer
     // it to the in-resolution fixpoint queue (its ready time is already a
     // physical arrival >= the closing window's end).
-    resolve_pending_.push_back(StagedBurst{
+    resolve_replies_.push_back(StagedBurst{
         ready, src, 0, std::vector<Packet>(packets.begin(), packets.end()), {}, {}});
     return;
   }
@@ -126,7 +118,6 @@ void DvFabric::transmit(int src, std::span<const Packet> packets, sim::Time read
 
 void DvFabric::transmit(int src, std::span<const Run> runs,
                         std::span<const std::uint64_t> payload, sim::Time ready) {
-  require_windowed();
   if (payload.empty()) return;
   // Rank context only: the resolution re-enters transmit with query
   // replies, which are packets.
@@ -192,8 +183,9 @@ void DvFabric::replay(const StagedBurst& b) {
 
 void DvFabric::resolve_window() {
   // Window-close resolution: replay every staged burst against the switch
-  // model in canonical (ready, src, per-src seq) order, a pure function of
-  // the window's simulation content.
+  // model in canonical (ready, src, ledger position) order, a pure function
+  // of the window's simulation content. One ledger appends in event order,
+  // so the position keeps each source's bursts in stage order.
   std::vector<StagedBurst> batch;
   batch.swap(staged_);
   if (!batch.empty()) {
@@ -201,18 +193,18 @@ void DvFabric::resolve_window() {
               [](const StagedBurst& a, const StagedBurst& b) {
                 if (a.ready != b.ready) return a.ready < b.ready;
                 if (a.src != b.src) return a.src < b.src;
-                return a.seq < b.seq;
+                return a.pos < b.pos;
               });
     resolving_ = true;
     for (const StagedBurst& b : batch) replay(b);
     // Fixpoint over query replies: delivering a kQuery packet re-transmits
-    // through the fabric; those bursts append to resolve_pending_ and are
+    // through the fabric; those bursts append to resolve_replies_ and are
     // replayed in emission order (itself canonical) until none remain.
-    for (std::size_t i = 0; i < resolve_pending_.size(); ++i) {
-      const StagedBurst b = std::move(resolve_pending_[i]);
+    for (std::size_t i = 0; i < resolve_replies_.size(); ++i) {
+      const StagedBurst b = std::move(resolve_replies_[i]);
       replay(b);
     }
-    resolve_pending_.clear();
+    resolve_replies_.clear();
     resolving_ = false;
   }
   resolve_barrier_arrivals();
@@ -247,7 +239,6 @@ void DvFabric::resolve_barrier_arrivals() {
 }
 
 sim::Coro<void> DvFabric::intrinsic_barrier(int rank) {
-  require_windowed();
   // Stage the arrival; the VIC-side AND-tree completes at the window-close
   // resolution, which computes the release time and wakes every rank
   // through its own condition.

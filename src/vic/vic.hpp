@@ -92,11 +92,11 @@ struct DvFabricParams {
 
 /// The whole Data Vortex side of the cluster: one switch + N VICs.
 ///
-/// Windowed operation (DESIGN.md §15): rank-context transmits and barrier
+/// Windowed operation (DESIGN.md §15): the fabric windows its engine at
+/// min_remote_latency() when it is built. Rank-context transmits and barrier
 /// arrivals are staged into one ledger and resolved at the engine's window
-/// close in canonical (ready, src, per-src seq) order, so the switch model
-/// and the destination VICs are only mutated by the resolution. The fabric
-/// carries traffic only on a windowed engine (Engine::set_window_width).
+/// close in canonical (ready, src, ledger position) order, so the switch
+/// model and the destination VICs are only mutated by the resolution.
 class DvFabric : public check::InvariantAuditor {
  public:
   DvFabric(sim::Engine& engine, int nodes, DvFabricParams params = {});
@@ -113,7 +113,7 @@ class DvFabric : public check::InvariantAuditor {
   /// staged for the window-close resolution, where consecutive packets to
   /// the same destination share one fabric burst; senders are paced by
   /// their PCIe/DMA hand-off times, and receivers see the ejection times on
-  /// counters and the FIFO. Throws std::logic_error on an unwindowed engine.
+  /// counters and the FIFO.
   void transmit(int src, std::span<const Packet> packets, sim::Time ready);
 
   /// The run form of transmit: run k carries the next `runs[k].words` words
@@ -125,15 +125,15 @@ class DvFabric : public check::InvariantAuditor {
 
   /// Hardware barrier built on the two reserved counters: rank's VIC arrives
   /// at the current virtual time; resumes when every VIC has arrived plus
-  /// the (small, log-depth) hardware latency. Throws std::logic_error on an
-  /// unwindowed engine.
+  /// the (small, log-depth) hardware latency.
   sim::Coro<void> intrinsic_barrier(int rank);
 
   /// Conservative lower bound on remote delivery latency, the DV analogue
   /// of net::Interconnect::lookahead(): a packet already resident on the
   /// source card still pays at least the uncontended fabric traversal
   /// before it can eject anywhere (PCIe/DMA time only adds to that).
-  /// runtime::Cluster uses it as the engine's window width (DESIGN.md §12).
+  /// The constructor registers it as the width of the fabric's window hook
+  /// (DESIGN.md §12); a fabric without a positive one cannot be built.
   sim::Duration min_remote_latency() const noexcept {
     return model_.base_latency();
   }
@@ -150,7 +150,7 @@ class DvFabric : public check::InvariantAuditor {
   struct StagedBurst {
     sim::Time ready;
     int src;
-    std::uint64_t seq;  ///< per-src monotone stage order
+    std::size_t pos;  ///< ledger position at append: stage order
     // Owned copies (caller spans die early): packets, or runs over payload.
     std::vector<Packet> packets;
     std::vector<Run> runs;
@@ -164,8 +164,6 @@ class DvFabric : public check::InvariantAuditor {
   void transmit_now(int src, std::span<const Packet> packets, sim::Time ready);
   void transmit_now(int src, std::span<const Run> runs,
                     std::span<const std::uint64_t> payload, sim::Time ready);
-  /// Throws std::logic_error unless the engine is windowed.
-  void require_windowed() const;
   StagedBurst& stage(int src, sim::Time ready);
   void replay(const StagedBurst& b);
   void resolve_window();
@@ -185,8 +183,7 @@ class DvFabric : public check::InvariantAuditor {
   bool resolving_ = false;  ///< inside resolve_window (query replies re-enter)
   std::vector<StagedBurst> staged_;
   std::vector<BarrierArrival> barrier_staged_;
-  std::vector<std::uint64_t> stage_seq_;      ///< per src rank
-  std::vector<StagedBurst> resolve_pending_;  ///< replies emitted mid-resolve
+  std::vector<StagedBurst> resolve_replies_;  ///< replies emitted mid-resolve
   /// Per-rank barrier conditions, released in rank order.
   std::vector<std::unique_ptr<sim::Condition>> barrier_conds_;
 };

@@ -35,7 +35,6 @@ template <typename Body>
 sim::Time run_nodes(int nodes, Body body, vic::DvFabricParams params = {}) {
   Engine engine;
   vic::DvFabric fabric(engine, nodes, params);
-  engine.set_window_width(fabric.min_remote_latency());
   std::deque<dvapi::DvContext> ctxs;
   for (int r = 0; r < nodes; ++r) ctxs.emplace_back(engine, fabric, r);
   for (int r = 0; r < nodes; ++r) {
@@ -505,7 +504,6 @@ class RealSide {
   RealSide(Engine& e, int nodes) : fabric_(e, nodes) {
     for (int r = 0; r < nodes; ++r) ctxs_.emplace_back(e, fabric_, r);
   }
-  vic::DvFabric& fabric() { return fabric_; }
   vic::GroupCounter& counter(int n, int c) { return fabric_.vic(n).counters().at(c); }
   vic::DvMemory& memory(int n) { return fabric_.vic(n).memory(); }
   vic::SurpriseFifo& fifo(int n) { return fabric_.vic(n).fifo(); }
@@ -529,13 +527,12 @@ class PerWordSide {
  public:
   explicit PerWordSide(Engine& e) : engine_(e) {
     for (int i = 0; i < kRefNodes; ++i) nodes_.push_back(std::make_unique<Node>(e, i));
-    e.add_window_hook(this, [this] { resolve(); });
+    e.add_window_hook(this, model_.base_latency(), [this] { resolve(); });
   }
   ~PerWordSide() { engine_.remove_window_hook(this); }
   PerWordSide(const PerWordSide&) = delete;
   PerWordSide& operator=(const PerWordSide&) = delete;
 
-  const dvnet::FabricModel& model() const { return model_; }
   vic::GroupCounter& counter(int n, int c) { return node(n).counters.at(c); }
   vic::DvMemory& memory(int n) { return node(n).memory; }
   vic::SurpriseFifo& fifo(int n) { return node(n).fifo; }
@@ -724,7 +721,6 @@ TEST_P(RunDelivery, MatchesPerWordReference) {
     const obs::ScopedCollector scope(collector);
     Engine e;
     RealSide real(e, kRefNodes);
-    e.set_window_width(real.fabric().min_remote_latency());
     got = run_traffic(e, real, traffic);
     for (const auto& [key, metric] : collector.registry.metrics()) {
       if (const auto* c = std::get_if<obs::Counter>(&metric)) {
@@ -737,7 +733,6 @@ TEST_P(RunDelivery, MatchesPerWordReference) {
   {
     Engine e;
     PerWordSide ref(e);
-    e.set_window_width(ref.model().base_latency());
     want = run_traffic(e, ref, traffic);
     want.bursts = ref.bursts();
     want.words = ref.words();

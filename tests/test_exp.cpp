@@ -272,7 +272,7 @@ TEST(Driver, WritesPerFigureBenchFile) {
   opt.fast = true;
   opt.nodes = {2};
   opt.out = &tables;
-  w->run(opt, sink);
+  EXPECT_EQ(exp::run_workloads({w}, opt, 1, sink), 0);
   ASSERT_FALSE(sink.records().empty());
   // Table text and JSON metrics come from the same measurement: the DV
   // latency formatted into the table appears verbatim in the table dump.
@@ -394,16 +394,6 @@ TEST(Parallel, ThrowingPointFailsOnlyItsOwnFigure) {
   }
   EXPECT_FALSE(any_failing);
   EXPECT_TRUE(any_fig4);
-}
-
-TEST(Parallel, SequentialRunSurfacesPointFailuresAfterSiblingsRan) {
-  FailingWorkload failing;
-  exp::RunOptions opt;
-  std::ostringstream tables;
-  opt.out = &tables;
-  dvx::runtime::ResultSink sink;
-  EXPECT_THROW(failing.run(opt, sink), std::runtime_error);
-  EXPECT_TRUE(sink.records().empty());
 }
 
 TEST(Parallel, SubSeedsAreDerivedPerPointAndStable) {

@@ -92,7 +92,6 @@ template <typename Body>
 sim::Time run_ranks(int n, Body body) {
   Engine engine;
   mpi::MpiWorld world(engine, std::make_unique<ib::Fabric>(n), n);
-  engine.set_window_width(world.fabric().lookahead());
   for (int r = 0; r < n; ++r) engine.spawn(body(world.comm(r)));
   const auto t = engine.run();
   EXPECT_TRUE(engine.all_done()) << "a rank deadlocked";
@@ -306,16 +305,14 @@ TEST(MiniMpi, BarrierLatencyGrowsWithNodeCount) {
   EXPECT_LT(sim::to_us(t32), 30.0);
 }
 
-TEST(MiniMpi, PointToPointOnUnwindowedEngineThrows) {
+TEST(MiniMpi, WorldWindowsItsEngineAtTheFabricLookahead) {
   Engine engine;
-  mpi::MpiWorld world(engine, std::make_unique<ib::Fabric>(2), 2);
-  EXPECT_THROW(world.comm(0).isend(1, 0, std::vector<std::uint64_t>{1}), std::logic_error);
-  // Inside a rank coroutine the throw surfaces from the engine run.
-  engine.spawn([](mpi::Comm comm) -> Coro<void> {
-    std::vector<std::uint64_t> payload = {2};
-    co_await comm.send(1, 0, std::move(payload));
-  }(world.comm(0)));
-  EXPECT_THROW(engine.run(), std::logic_error);
+  {
+    mpi::MpiWorld world(engine, std::make_unique<ib::Fabric>(4), 4);
+    EXPECT_GT(world.fabric().lookahead(), 0);
+    EXPECT_EQ(engine.window_width(), world.fabric().lookahead());
+  }
+  EXPECT_EQ(engine.window_width(), 0);  // the hook left with its world
 }
 
 }  // namespace

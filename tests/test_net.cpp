@@ -281,7 +281,7 @@ TEST(NetSeam, LookaheadBoundsAreConservative) {
 TEST(NetSeam, MiniMpiRunsOverTorus) {
   sim::Engine engine;
   mpi::MpiWorld world(engine, std::make_unique<torus::Fabric>(8), 8);
-  engine.set_window_width(world.fabric().lookahead());
+  EXPECT_EQ(engine.window_width(), world.fabric().lookahead());
   for (int r = 0; r < 8; ++r) {
     engine.spawn([](mpi::Comm comm) -> sim::Coro<void> {
       const int n = comm.size();

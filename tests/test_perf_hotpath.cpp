@@ -308,7 +308,6 @@ TEST(SchedulerEquivalence, WindowedPathMatchesReferenceWindowModel) {
     // --- engine run ---
     sim::Engine engine;
     engine.set_audit_interval(0);
-    engine.set_window_width(kWinWidth);
     WinLog log;
     std::vector<WinChain> chains(kWinChains);
     for (int c = 0; c < kWinChains; ++c) {
@@ -323,7 +322,7 @@ TEST(SchedulerEquivalence, WindowedPathMatchesReferenceWindowModel) {
       engine.schedule(d, [p] { win_chain_fire(p); });
     }
     int late = 0;  // one-shots that fired outside the window after staging
-    engine.add_window_hook(&log, [&engine, &log, &late] {
+    engine.add_window_hook(&log, kWinWidth, [&engine, &log, &late] {
       log.entries.emplace_back(kHookMark, engine.now());
       log.window_ends.push_back(engine.window_end());
       EXPECT_EQ(engine.window_end(), engine.now() + kWinWidth);

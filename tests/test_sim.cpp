@@ -89,32 +89,45 @@ TEST(Engine, MakeKeyGuardsSeqExhaustion) {
   EXPECT_TRUE(ran);
 }
 
-TEST(Engine, WindowWidthValidation) {
-#if DVX_CHECK_LEVEL < 1
-  GTEST_SKIP() << "the width guard is a DVX_CHECK, compiled out at level 0";
-#endif
+TEST(Engine, WindowWidthIsTheNarrowestHookWidth) {
   Engine e;
-  EXPECT_EQ(e.window_width(), 0);  // unwindowed by default
-  EXPECT_THROW(e.set_window_width(-1), dvx::check::CheckError);
-  e.set_window_width(sim::us(1));
-  EXPECT_EQ(e.window_width(), sim::us(1));
-  e.set_window_width(0);
+  EXPECT_EQ(e.window_width(), 0);  // no hooks: unwindowed
+  int wide = 0, narrow = 0;
+  // A plain throw, so a width that is not positive is refused at every
+  // check level.
+  EXPECT_THROW(e.add_window_hook(&wide, 0, [] {}), std::invalid_argument);
+  EXPECT_THROW(e.add_window_hook(&wide, -1, [] {}), std::invalid_argument);
   EXPECT_EQ(e.window_width(), 0);
-}
-
-TEST(Engine, UnwindowedRunNeverCallsWindowHooks) {
-  Engine e;
-  int hooks = 0;
-  e.add_window_hook(&hooks, [&hooks] { ++hooks; });
-  for (int i = 0; i < 4; ++i) e.schedule(sim::us(i), [] {});
+  e.add_window_hook(&wide, sim::ns(100), [&e, &wide] {
+    ++wide;
+    EXPECT_EQ(e.window_end() - e.now(), e.window_width());
+  });
+  EXPECT_EQ(e.window_width(), sim::ns(100));
+  e.add_window_hook(&narrow, sim::ns(10), [&narrow] { ++narrow; });
+  EXPECT_EQ(e.window_width(), sim::ns(10));
+  // Events 0, 50 and 150 ns after now.
+  auto schedule_three = [&e] {
+    for (const double t : {0.0, 50.0, 150.0}) e.schedule(e.now() + sim::ns(t), [] {});
+  };
+  // Three 10-ns windows, each closed once by each hook.
+  schedule_three();
   e.run();
-  EXPECT_EQ(hooks, 0);
-  // The same events on a windowed engine close one window each.
-  e.set_window_width(sim::ns(10));
-  for (int i = 0; i < 4; ++i) e.schedule(e.now() + sim::us(i + 1), [] {});
+  EXPECT_EQ(narrow, 3);
+  EXPECT_EQ(wide, 3);
+  // Without the narrow hook the width is 100 ns again: the first two
+  // events share a window.
+  e.remove_window_hook(&narrow);
+  EXPECT_EQ(e.window_width(), sim::ns(100));
+  schedule_three();
   e.run();
-  EXPECT_EQ(hooks, 4);
-  e.remove_window_hook(&hooks);
+  EXPECT_EQ(narrow, 3);
+  EXPECT_EQ(wide, 5);
+  // Without hooks the engine is unwindowed again and closes no window.
+  e.remove_window_hook(&wide);
+  EXPECT_EQ(e.window_width(), 0);
+  schedule_three();
+  e.run();
+  EXPECT_EQ(wide, 5);
 }
 
 TEST(Engine, NestedCoroutinesPropagateValues) {
@@ -200,45 +213,6 @@ TEST(Mailbox, DeliversAtArrivalTimeInArrivalOrder) {
   EXPECT_EQ(got[0], std::make_pair(sim::ns(15), 2));
   EXPECT_EQ(got[1], std::make_pair(sim::ns(30), 1));
   EXPECT_EQ(got[2], std::make_pair(sim::ns(100), 3));
-}
-
-TEST(Semaphore, BlocksUntilRelease) {
-  Engine e;
-  sim::Semaphore sem(e, 0);
-  sim::Time acquired = -1;
-  e.spawn([](sim::Semaphore& s, Engine& eng, sim::Time& out) -> Coro<void> {
-    co_await s.acquire();
-    out = eng.now();
-  }(sem, e, acquired));
-  e.spawn([](sim::Semaphore& s, Engine& eng) -> Coro<void> {
-    co_await eng.delay(sim::ns(25));
-    s.release(eng.now());
-  }(sem, e));
-  e.run();
-  EXPECT_EQ(acquired, sim::ns(25));
-  EXPECT_EQ(sem.count(), 0);
-}
-
-TEST(PhaseBarrier, AllPartiesLeaveTogetherAndItIsReusable) {
-  Engine e;
-  constexpr int kParties = 5;
-  sim::PhaseBarrier bar(e, kParties);
-  std::vector<sim::Time> leave;
-  for (int i = 0; i < kParties; ++i) {
-    e.spawn([](sim::PhaseBarrier& b, Engine& eng, int id, auto& out) -> Coro<void> {
-      co_await eng.delay(sim::ns(10 * (id + 1)));
-      co_await b.arrive_and_wait();
-      out.push_back(eng.now());
-      co_await eng.delay(sim::ns(5 * (kParties - id)));
-      co_await b.arrive_and_wait();
-      out.push_back(eng.now());
-    }(bar, e, i, leave));
-  }
-  e.run();
-  ASSERT_EQ(leave.size(), 2u * kParties);
-  // First phase: everyone leaves at the slowest arrival (50 ns).
-  for (int i = 0; i < kParties; ++i) EXPECT_EQ(leave[i] % sim::ns(50), 0);
-  EXPECT_TRUE(e.all_done());
 }
 
 TEST(Rng, DeterministicAndUniform) {

@@ -179,22 +179,33 @@ TEST(GroupCounterFile, ReservedIdsAndBounds) {
   EXPECT_EQ(vic::kFirstUserCounter, 1);
 }
 
-TEST(SurpriseFifo, ArrivalTimeOrderingAcrossSenders) {
+TEST(SurpriseFifo, DepositBeforeThePreviousArrivalThrows) {
   Engine e;
   vic::SurpriseFifo fifo(e, 16);
   std::vector<std::uint64_t> got;
-  e.spawn([]([[maybe_unused]] Engine& eng, vic::SurpriseFifo& f, auto& out) -> Coro<void> {
-    // Out-of-order deposits: arrival times decide visibility order.
+  e.spawn([](Engine& eng, vic::SurpriseFifo& f, auto& out) -> Coro<void> {
     f.deposit(sim::us(5), vic::Packet{{}, 50});
-    f.deposit(sim::us(2), vic::Packet{{}, 20});
+    f.deposit(sim::us(5), vic::Packet{{}, 51});  // equal arrival: accepted
+    EXPECT_THROW(f.deposit(sim::us(2), vic::Packet{{}, 20}), std::logic_error);
+    EXPECT_EQ(f.buffered(), 2u);
+    EXPECT_EQ(f.total_deposited(), 2u);
     f.deposit(sim::us(8), vic::Packet{{}, 80});
     while (out.size() < 3) {
       auto batch = co_await f.wait_packets();
       for (const auto& p : batch) out.push_back(p.payload);
     }
+    // The check follows the clamp: an arrival behind now lands at now,
+    // level with the previous one, and is accepted.
+    co_await eng.delay(sim::us(2));
+    f.deposit(sim::us(10), vic::Packet{{}, 100});
+    f.deposit(sim::us(1), vic::Packet{{}, 10});
+    const auto last = f.poll();
+    for (const auto& p : last) out.push_back(p.payload);
   }(e, fifo, got));
   e.run();
-  EXPECT_EQ(got, (std::vector<std::uint64_t>{20, 50, 80}));
+  EXPECT_TRUE(e.all_done());
+  EXPECT_EQ(got, (std::vector<std::uint64_t>{50, 51, 80, 100, 10}));
+  EXPECT_EQ(fifo.total_drained(), 5u);
 }
 
 TEST(SurpriseFifo, PollOnlyReturnsVisiblePackets) {
@@ -275,14 +286,15 @@ class SurpriseFifoOrder : public ::testing::TestWithParam<std::uint64_t> {};
 
 // One seeded stream of deposits, polls, waits and idle time, fed to the FIFO
 // and to the reference heap: every output, visibility answer and wake-up
-// time must agree.
+// time must agree. Like the fabric's ejections, the arrivals never go behind
+// the previous one once clamped to now.
 TEST_P(SurpriseFifoOrder, MatchesReferenceHeap) {
   constexpr std::size_t kCapacity = 48;
   Engine e;
   vic::SurpriseFifo fifo(e, kCapacity);
   ReferenceFifo ref(kCapacity);
   struct Coverage {
-    int out_of_order = 0, equal_time = 0, clamped = 0, polls = 0, waits = 0;
+    int equal_time = 0, clamped = 0, polls = 0, waits = 0;
   } seen;
   e.spawn([](Engine& eng, vic::SurpriseFifo& f, ReferenceFifo& r, Coverage& cov,
              std::uint64_t seed) -> Coro<void> {
@@ -295,21 +307,24 @@ TEST_P(SurpriseFifoOrder, MatchesReferenceHeap) {
       const bool flood = step % 1000 >= 900;
       const std::uint64_t op = rng.below(flood ? 55 : 100);
       if (op < 55) {
-        // Arrivals mostly run forward in small steps, sometimes repeat the
-        // last one, and sometimes land behind it or behind now.
+        // Arrivals mostly run forward in small steps, sometimes jump ahead,
+        // sometimes repeat the last one, and sometimes land behind now after
+        // idling past the last one.
         const std::uint64_t kind = rng.below(10);
+        const sim::Time from = std::max(last_at, eng.now());
         sim::Time at = last_at;
         if (kind < 5) {
-          at = std::max(last_at, eng.now()) + sim::ns(static_cast<double>(rng.below(20)));
+          at = from + sim::ns(static_cast<double>(rng.below(20)));
         } else if (kind < 8) {
-          at = eng.now() + sim::ns(static_cast<double>(rng.below(300)));
+          at = from + sim::ns(static_cast<double>(rng.below(300)));
         } else if (kind < 9) {
+          if (last_at > eng.now()) co_await eng.delay(last_at - eng.now());
           at = eng.now() - sim::ns(static_cast<double>(1 + rng.below(50)));
         }
-        cov.equal_time += at == last_at ? 1 : 0;
-        cov.out_of_order += at < last_at ? 1 : 0;
+        const sim::Time landed = std::max(at, eng.now());
+        cov.equal_time += landed == last_at ? 1 : 0;
         cov.clamped += at < eng.now() ? 1 : 0;
-        last_at = at;
+        last_at = landed;
         f.deposit(at, vic::Packet{{}, next_payload});
         r.deposit(eng.now(), at, next_payload);
         ++next_payload;
@@ -334,7 +349,6 @@ TEST_P(SurpriseFifoOrder, MatchesReferenceHeap) {
   EXPECT_EQ(fifo.dropped(), ref.dropped());
   EXPECT_EQ(fifo.total_deposited(), fifo.total_drained() + fifo.buffered());
   // The stream reached every path the contract covers.
-  EXPECT_GT(seen.out_of_order, 0);
   EXPECT_GT(seen.equal_time, 0);
   EXPECT_GT(seen.clamped, 0);
   EXPECT_GT(seen.polls, 0);
@@ -411,7 +425,6 @@ TEST(Dma, InAndOutOverlap) {
 TEST(DvFabric, MemoryPacketWritesRemoteWordAndDecrementsCounter) {
   Engine e;
   vic::DvFabric fabric(e, 4);
-  e.set_window_width(fabric.min_remote_latency());
   dvx::dvnet::FabricModel ref(fabric.params().fabric);
   e.spawn([](Engine& eng, vic::DvFabric& f, dvx::dvnet::FabricModel& m) -> Coro<void> {
     f.vic(2).counters().at(5).set(eng.now(), 1);
@@ -434,7 +447,6 @@ TEST(DvFabric, MemoryPacketWritesRemoteWordAndDecrementsCounter) {
 TEST(DvFabric, QueryTriggersHostFreeReply) {
   Engine e;
   vic::DvFabric fabric(e, 4);
-  e.set_window_width(fabric.min_remote_latency());
   e.spawn([](Engine& eng, vic::DvFabric& f) -> Coro<void> {
     f.vic(3).memory().write(50, 0xabcdef);
     // Query VIC 3, addr 50; reply goes to VIC 1's FIFO (not the sender!).
@@ -455,7 +467,6 @@ TEST(DvFabric, QueryTriggersHostFreeReply) {
 TEST(DvFabric, TransmitCoalescesRunsToSameDestination) {
   Engine e;
   vic::DvFabric fabric(e, 4);
-  e.set_window_width(fabric.min_remote_latency());
   constexpr int kCtr = 5;
   std::vector<vic::Packet> batch;
   for (int i = 0; i < 100; ++i) {
@@ -490,8 +501,7 @@ TEST(DvFabric, IntrinsicBarrierIsNearlyFlatInNodeCount) {
   auto barrier_cost = [](int nodes) {
     Engine e;
     vic::DvFabric fabric(e, nodes);
-    e.set_window_width(fabric.min_remote_latency());
-    for (int r = 0; r < nodes; ++r) {
+      for (int r = 0; r < nodes; ++r) {
       e.spawn([](vic::DvFabric& f, int rank) -> Coro<void> {
         co_await f.intrinsic_barrier(rank);
       }(fabric, r));
@@ -509,7 +519,6 @@ TEST(DvFabric, IntrinsicBarrierIsNearlyFlatInNodeCount) {
 TEST(DvFabric, BarrierIsReusableAcrossPhases) {
   Engine e;
   vic::DvFabric fabric(e, 3);
-  e.set_window_width(fabric.min_remote_latency());
   std::vector<sim::Time> done;
   for (int r = 0; r < 3; ++r) {
     e.spawn([](Engine& eng, vic::DvFabric& f, int rank, auto& out) -> Coro<void> {
@@ -526,18 +535,24 @@ TEST(DvFabric, BarrierIsReusableAcrossPhases) {
   EXPECT_EQ(done[1], done[2]);
 }
 
-TEST(DvFabric, TrafficOnUnwindowedEngineThrows) {
+TEST(DvFabric, WindowsItsEngineAtItsLookahead) {
   Engine e;
-  vic::DvFabric fabric(e, 2);
-  const vic::Packet p{vic::Header{1, vic::DestKind::kFifo, vic::kNoCounter, 0}, 7};
-  EXPECT_THROW(fabric.transmit(0, std::span<const vic::Packet>(&p, 1), 0), std::logic_error);
-  const vic::Run run{.dst = 1, .addr = 0, .words = 1};
-  const std::uint64_t word = 7;
-  EXPECT_THROW(fabric.transmit(0, std::span<const vic::Run>(&run, 1),
-                               std::span<const std::uint64_t>(&word, 1), 0),
-               std::logic_error);
-  e.spawn([](vic::DvFabric& f) -> Coro<void> { co_await f.intrinsic_barrier(0); }(fabric));
-  EXPECT_THROW(e.run(), std::logic_error);
+  {
+    vic::DvFabric fabric(e, 4);
+    EXPECT_GT(fabric.min_remote_latency(), 0);
+    EXPECT_EQ(e.window_width(), fabric.min_remote_latency());
+  }
+  EXPECT_EQ(e.window_width(), 0);  // the hook left with its fabric
+  // A traversal that rounds down to 0 ps gives no lookahead: the fabric is
+  // refused and leaves neither its hook nor its auditor behind.
+  vic::DvFabricParams instant;
+  instant.fabric.cycle = 1;
+  instant.fabric.base_hops = 0.5;
+  EXPECT_THROW((vic::DvFabric{e, 4, instant}), std::invalid_argument);
+  EXPECT_EQ(e.window_width(), 0);
+  e.schedule(sim::ns(1), [] {});
+  e.run();
+  EXPECT_EQ(e.audits_run(), 0u);
 }
 
 }  // namespace
