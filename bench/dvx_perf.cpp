@@ -20,6 +20,9 @@
 //     numerics and the three pack/alltoall/unpack transposes, end to end.
 //   * fft_dv_point            — the same fig7 point over Data Vortex: the
 //     numerics plus three scatter transposes carried as DV-memory runs.
+//   * vorticity_dv_point      — one whole full-size fig9 vorticity point over
+//     Data Vortex (grid cells x steps/s): a 256 x 256 grid, 8 RK2 steps on
+//     32 nodes, the spectral numerics and ten scatter transposes per step.
 //   * gups_mpi_point          — one whole full-size fig6 MPI/IB GUPS point
 //     (updates/s): 2^16 updates per node over 32 nodes, the hypercube
 //     bucket routing of every update through apps::run_gups_mpi.
@@ -50,6 +53,7 @@
 #include "apps/bfs.hpp"
 #include "apps/fft1d.hpp"
 #include "apps/gups.hpp"
+#include "apps/vorticity.hpp"
 #include "dvnet/cycle_switch.hpp"
 #include "dvnet/fabric_model.hpp"
 #include "kernels/fft.hpp"
@@ -148,8 +152,9 @@ BenchResult fabric_burst() {
   sim::Xoshiro256 rng(2);
   sim::Time now = 0;
   for (std::uint64_t i = 0; i < kBursts; ++i) {
-    fm.send_burst(static_cast<int>(rng.below(32)), static_cast<int>(rng.below(32)), 8,
-                  now);
+    const auto dst = static_cast<int>(rng.below(32));
+    const auto src = static_cast<int>(rng.below(32));
+    fm.send_burst(src, dst, 8, now);
     now += sim::ns(10);
   }
   const double s = seconds_since(t0);
@@ -169,8 +174,9 @@ BenchResult fabric_torus() {
   sim::Xoshiro256 rng(3);
   sim::Time now = 0;
   for (std::uint64_t i = 0; i < kMsgs; ++i) {
-    fabric.send_message(static_cast<int>(rng.below(64)),
-                        static_cast<int>(rng.below(64)), 4096, now);
+    const auto dst = static_cast<int>(rng.below(64));
+    const auto src = static_cast<int>(rng.below(64));
+    fabric.send_message(src, dst, 4096, now);
     now += sim::ns(100);
   }
   const double s = seconds_since(t0);
@@ -279,6 +285,27 @@ BenchResult fft_dv_point() {
   return {"fft_dv_point", "points/s", work, s, work / s};
 }
 
+/// End-to-end fig9 canary: the full-size vorticity point (a 256 x 256 grid,
+/// 8 RK2 steps) over Data Vortex on 32 nodes through apps::run_vorticity_dv,
+/// cluster construction included: the pseudo-spectral numerics plus the
+/// five scatter transposes of each right-hand side, two per step. Rated in
+/// grid cells x steps per second.
+BenchResult vorticity_dv_point() {
+  namespace apps = dvx::apps;
+  const apps::VorticityParams params{.n = 256, .steps = 8};
+
+  const auto t0 = Clock::now();
+  runtime::Cluster cluster(runtime::ClusterConfig{.nodes = 32});
+  const apps::VorticityResult result = apps::run_vorticity_dv(cluster, params);
+  const double s = seconds_since(t0);
+  if (!(result.seconds > 0) || !std::isfinite(result.omega_checksum)) {
+    std::cerr << "dvx_perf: vorticity_dv_point stepped nothing\n";
+    std::exit(1);
+  }
+  const double work = static_cast<double>(params.n) * params.n * params.steps;
+  return {"vorticity_dv_point", "cells*steps/s", work, s, work / s};
+}
+
 /// End-to-end fig6 canary: the full-size GUPS point over MPI on a 32-node
 /// InfiniBand cluster (2^16 table words and 2^16 updates per node) through
 /// apps::run_gups_mpi, cluster construction included: the log2(P) stages of
@@ -357,6 +384,7 @@ constexpr BenchEntry kBenches[] = {
     {"bfs_dv_point", bfs_dv_point},
     {"fft_mpi_point", fft_mpi_point},
     {"fft_dv_point", fft_dv_point},
+    {"vorticity_dv_point", vorticity_dv_point},
     {"gups_mpi_point", gups_mpi_point},
     {"local_fft", local_fft},
     {"kronecker_edges", kronecker_edges},

@@ -29,18 +29,25 @@ inline Shape shape_for(int log_size, int ranks) {
   return Shape{n1, n2, n1 / ranks};
 }
 
-/// Deterministic random point for global index i (same on every rank).
+/// Deterministic random point for global index i (same on every rank). The
+/// draws are named because the order in which function arguments are
+/// evaluated is unspecified: the first draw is the imaginary part.
 inline Complex input_point(std::uint64_t i) {
   sim::Xoshiro256 rng(sim::mix64(i + 0x5eedULL));
-  return Complex(rng.uniform(-1, 1), rng.uniform(-1, 1));
+  const double im = rng.uniform(-1, 1);
+  const double re = rng.uniform(-1, 1);
+  return Complex(re, im);
 }
 
-/// This rank's slice of the input: rows_local rows of length n2.
+/// This rank's slice of the input: rows_local rows of length n2. Every
+/// point seeds its own generator from its global index, so the input is the
+/// same at every rank count.
 inline std::vector<Complex> make_local_input(int rank, const Shape& s) {
-  std::vector<Complex> out(static_cast<std::size_t>(s.rows_local * s.n2));
-  const std::uint64_t base = static_cast<std::uint64_t>(rank) *
-                             static_cast<std::uint64_t>(s.rows_local * s.n2);
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = input_point(base + i);
+  const auto count = static_cast<std::uint64_t>(s.rows_local * s.n2);
+  const std::uint64_t base = static_cast<std::uint64_t>(rank) * count;
+  std::vector<Complex> out;
+  out.reserve(count);
+  for (std::uint64_t i = 0; i < count; ++i) out.push_back(input_point(base + i));
   return out;
 }
 

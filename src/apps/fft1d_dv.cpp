@@ -30,8 +30,10 @@ FftResult run_fft_dv(runtime::Cluster& cluster, const FftParams& params) {
         co_await ctx.barrier();
         node.roi_begin();
 
+        // The transposes ping-pong between `local` and `work`.
+        std::vector<Complex> work;
         // Step 1: transpose n1 x n2 -> n2 x n1.
-        auto work = co_await transpose_dv(ctx, node, local, s.n1, s.n2, kDvBase, kCtr);
+        co_await transpose_dv(ctx, node, local, s.n1, s.n2, kDvBase, kCtr, work);
         // Step 2: local FFTs of length n1.
         co_await fft_detail::fft_rows(node, work, s.n1);
         // Step 3: twiddle W_N^{row*col}.
@@ -40,11 +42,11 @@ FftResult run_fft_dv(runtime::Cluster& cluster, const FftParams& params) {
                                           static_cast<std::int64_t>(ctx.rank()) * rows2_local,
                                           s.n1, n);
         // Step 4: transpose back to n1 x n2.
-        work = co_await transpose_dv(ctx, node, work, s.n2, s.n1, kDvBase, kCtr);
+        co_await transpose_dv(ctx, node, work, s.n2, s.n1, kDvBase, kCtr, local);
         // Step 5: local FFTs of length n2.
-        co_await fft_detail::fft_rows(node, work, s.n2);
+        co_await fft_detail::fft_rows(node, local, s.n2);
         // Step 6: final transpose for natural order.
-        work = co_await transpose_dv(ctx, node, work, s.n1, s.n2, kDvBase, kCtr);
+        co_await transpose_dv(ctx, node, local, s.n1, s.n2, kDvBase, kCtr, work);
 
         co_await ctx.barrier();
         node.roi_end();

@@ -26,15 +26,17 @@ FftResult run_fft_mpi(runtime::Cluster& cluster, const FftParams& params) {
         co_await comm.barrier();
         node.roi_begin();
 
-        auto work = co_await transpose_mpi(comm, node, local, s.n1, s.n2, /*tag=*/10);
+        // The transposes ping-pong between `local` and `work`.
+        std::vector<Complex> work;
+        co_await transpose_mpi(comm, node, local, s.n1, s.n2, work);
         co_await fft_detail::fft_rows(node, work, s.n1);
         const std::int64_t rows2_local = s.n2 / p;
         co_await fft_detail::twiddle_rows(node, work,
                                           static_cast<std::int64_t>(comm.rank()) * rows2_local,
                                           s.n1, n);
-        work = co_await transpose_mpi(comm, node, work, s.n2, s.n1, /*tag=*/11);
-        co_await fft_detail::fft_rows(node, work, s.n2);
-        work = co_await transpose_mpi(comm, node, work, s.n1, s.n2, /*tag=*/12);
+        co_await transpose_mpi(comm, node, work, s.n2, s.n1, local);
+        co_await fft_detail::fft_rows(node, local, s.n2);
+        co_await transpose_mpi(comm, node, local, s.n1, s.n2, work);
 
         co_await comm.barrier();
         node.roi_end();

@@ -3,8 +3,11 @@
 // benchmark and the pseudo-spectral vorticity solver (paper §VI/§VII).
 //
 // A rows x cols complex matrix is distributed by whole rows over P ranks
-// (rows % P == 0, cols % P == 0). The transpose returns each rank's rows of
-// the cols x rows result.
+// (rows % P == 0, cols % P == 0). The transpose writes each rank's rows of
+// the cols x rows result into `out`, a buffer the caller owns: it is
+// resized to (cols/P)*rows elements, left unfilled when it already has that
+// size, and then every element is overwritten. `out` must not share storage
+// with the input (std::invalid_argument).
 //
 //  * MPI: pack per-destination sub-blocks, pairwise alltoall, unpack — the
 //    standard approach; it pays two extra passes over the data (pack and
@@ -29,9 +32,9 @@
 namespace dvx::apps {
 
 /// MPI distributed transpose; `local` holds this rank's rows/P rows.
-sim::Coro<std::vector<kernels::Complex>> transpose_mpi(
-    mpi::Comm comm, runtime::NodeCtx& node, std::span<const kernels::Complex> local,
-    std::int64_t rows, std::int64_t cols, int tag);
+sim::Coro<void> transpose_mpi(mpi::Comm comm, runtime::NodeCtx& node,
+                              std::span<const kernels::Complex> local, std::int64_t rows,
+                              std::int64_t cols, std::vector<kernels::Complex>& out);
 
 /// Maximum row groups (and thus group counters) a DV transpose uses for its
 /// pipelined receive-side drain.
@@ -40,9 +43,9 @@ inline constexpr int kTransposeGroups = 16;
 /// Data Vortex distributed transpose through DV memory at `dv_base`.
 /// Reserves group counters [counter, counter + kTransposeGroups) and needs
 /// (cols/P)*rows*2 words of DV memory headroom at dv_base on every VIC.
-sim::Coro<std::vector<kernels::Complex>> transpose_dv(
-    dvapi::DvContext& ctx, runtime::NodeCtx& node,
-    std::span<const kernels::Complex> local, std::int64_t rows, std::int64_t cols,
-    std::uint32_t dv_base, int counter);
+sim::Coro<void> transpose_dv(dvapi::DvContext& ctx, runtime::NodeCtx& node,
+                             std::span<const kernels::Complex> local, std::int64_t rows,
+                             std::int64_t cols, std::uint32_t dv_base, int counter,
+                             std::vector<kernels::Complex>& out);
 
 }  // namespace dvx::apps

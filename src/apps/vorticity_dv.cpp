@@ -46,8 +46,9 @@ VorticityResult run_vorticity_dv(runtime::Cluster& cluster,
         const std::int64_t row0 = static_cast<std::int64_t>(ctx.rank()) * rows_local;
         auto transpose = [&](std::vector<Complex> data, std::int64_t rows,
                              std::int64_t cols) -> sim::Coro<std::vector<Complex>> {
-          co_return co_await transpose_dv(ctx, node, data, rows, cols, kDvBase,
-                                          kTransposeCtr);
+          std::vector<Complex> out;
+          co_await transpose_dv(ctx, node, data, rows, cols, kDvBase, kTransposeCtr, out);
+          co_return out;
         };
 
         auto state = vd::initial_rows(ctx.rank(), p, n, params.shear_delta,

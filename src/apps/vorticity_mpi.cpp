@@ -24,7 +24,9 @@ VorticityResult run_vorticity_mpi(runtime::Cluster& cluster,
         const std::int64_t row0 = static_cast<std::int64_t>(comm.rank()) * rows_local;
         auto transpose = [&](std::vector<Complex> data, std::int64_t rows,
                              std::int64_t cols) -> sim::Coro<std::vector<Complex>> {
-          co_return co_await transpose_mpi(comm, node, data, rows, cols, /*tag=*/20);
+          std::vector<Complex> out;
+          co_await transpose_mpi(comm, node, data, rows, cols, out);
+          co_return out;
         };
 
         // Initial condition -> spectral state (forward 2-D FFT).

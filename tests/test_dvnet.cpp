@@ -161,7 +161,9 @@ TEST(CycleSwitch, LightLoadLatencyMatchesAnalyticBaseHops) {
   // One packet at a time: measure uncontended latency.
   sim::RunningStats lat;
   for (int i = 0; i < 400; ++i) {
-    sw.inject(static_cast<int>(rng.below(32)), static_cast<int>(rng.below(32)));
+    const auto dst = static_cast<int>(rng.below(32));
+    const auto src = static_cast<int>(rng.below(32));
+    sw.inject(src, dst);
     ASSERT_TRUE(sw.drain());
   }
   lat = sw.latency_stats();

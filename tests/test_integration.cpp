@@ -21,6 +21,7 @@ namespace apps = dvx::apps;
 namespace dvapi = dvx::dvapi;
 namespace runtime = dvx::runtime;
 
+using dvx::kernels::Complex;
 using sim::Coro;
 
 namespace {
@@ -29,10 +30,14 @@ runtime::Cluster make_cluster(int nodes, bool trace = false) {
   return runtime::Cluster(runtime::ClusterConfig{.nodes = nodes, .trace = trace});
 }
 
-std::vector<dvx::kernels::Complex> random_matrix(std::int64_t elems, std::uint64_t seed) {
+std::vector<Complex> random_matrix(std::int64_t elems, std::uint64_t seed) {
   sim::Xoshiro256 rng(seed);
-  std::vector<dvx::kernels::Complex> m(static_cast<std::size_t>(elems));
-  for (auto& z : m) z = dvx::kernels::Complex(rng.uniform(-1, 1), rng.uniform(-1, 1));
+  std::vector<Complex> m(static_cast<std::size_t>(elems));
+  for (auto& z : m) {
+    const double im = rng.uniform(-1, 1);
+    const double re = rng.uniform(-1, 1);
+    z = Complex(re, im);
+  }
   return m;
 }
 
@@ -51,8 +56,9 @@ TEST_P(TransposeProperty, DoubleTransposeIsIdentity) {
     cluster.run_mpi([&](dvx::mpi::Comm comm, runtime::NodeCtx& node) -> Coro<void> {
       const auto mine =
           random_matrix(rows / p * cols, 100 + static_cast<unsigned>(comm.rank()));
-      auto t = co_await apps::transpose_mpi(comm, node, mine, rows, cols, 1);
-      auto tt = co_await apps::transpose_mpi(comm, node, t, cols, rows, 2);
+      std::vector<Complex> t, tt;
+      co_await apps::transpose_mpi(comm, node, mine, rows, cols, t);
+      co_await apps::transpose_mpi(comm, node, t, cols, rows, tt);
       err = std::max(err, dvx::kernels::max_abs_diff(tt, mine));
     });
     EXPECT_EQ(err, 0.0) << "MPI double transpose must be exact";
@@ -64,12 +70,11 @@ TEST_P(TransposeProperty, DoubleTransposeIsIdentity) {
     cluster.run_dv([&](dvapi::DvContext& ctx, runtime::NodeCtx& node) -> Coro<void> {
       const auto mine =
           random_matrix(rows / p * cols, 100 + static_cast<unsigned>(ctx.rank()));
-      auto t = co_await apps::transpose_dv(ctx, node, mine, rows, cols,
-                                           dvapi::kFirstFreeDvWord,
-                                           dvapi::kFirstFreeCounter);
-      auto tt = co_await apps::transpose_dv(ctx, node, t, cols, rows,
-                                            dvapi::kFirstFreeDvWord,
-                                            dvapi::kFirstFreeCounter);
+      std::vector<Complex> t, tt;
+      co_await apps::transpose_dv(ctx, node, mine, rows, cols, dvapi::kFirstFreeDvWord,
+                                  dvapi::kFirstFreeCounter, t);
+      co_await apps::transpose_dv(ctx, node, t, cols, rows, dvapi::kFirstFreeDvWord,
+                                  dvapi::kFirstFreeCounter, tt);
       err = std::max(err, dvx::kernels::max_abs_diff(tt, mine));
     });
     EXPECT_EQ(err, 0.0) << "DV double transpose must be exact";
@@ -83,14 +88,14 @@ INSTANTIATE_TEST_SUITE_P(Ranks, TransposeProperty, ::testing::Values(1, 2, 4, 8)
 TEST(TransposeProperty, BackendsAgreeExactly) {
   const int p = 4;
   const std::int64_t rows = 32, cols = 64;
-  std::vector<std::vector<dvx::kernels::Complex>> mpi_out(p), dv_out(p);
+  std::vector<std::vector<Complex>> mpi_out(p), dv_out(p);
   {
     auto cluster = make_cluster(p);
     cluster.run_mpi([&](dvx::mpi::Comm comm, runtime::NodeCtx& node) -> Coro<void> {
       const auto mine =
           random_matrix(rows / p * cols, 7 + static_cast<unsigned>(comm.rank()));
-      mpi_out[static_cast<std::size_t>(comm.rank())] =
-          co_await apps::transpose_mpi(comm, node, mine, rows, cols, 1);
+      co_await apps::transpose_mpi(comm, node, mine, rows, cols,
+                                   mpi_out[static_cast<std::size_t>(comm.rank())]);
     });
   }
   {
@@ -98,15 +103,98 @@ TEST(TransposeProperty, BackendsAgreeExactly) {
     cluster.run_dv([&](dvapi::DvContext& ctx, runtime::NodeCtx& node) -> Coro<void> {
       const auto mine =
           random_matrix(rows / p * cols, 7 + static_cast<unsigned>(ctx.rank()));
-      dv_out[static_cast<std::size_t>(ctx.rank())] = co_await apps::transpose_dv(
-          ctx, node, mine, rows, cols, dvapi::kFirstFreeDvWord,
-          dvapi::kFirstFreeCounter);
+      co_await apps::transpose_dv(ctx, node, mine, rows, cols, dvapi::kFirstFreeDvWord,
+                                  dvapi::kFirstFreeCounter,
+                                  dv_out[static_cast<std::size_t>(ctx.rank())]);
     });
   }
   for (int r = 0; r < p; ++r) {
     EXPECT_EQ(dvx::kernels::max_abs_diff(mpi_out[static_cast<std::size_t>(r)],
                                          dv_out[static_cast<std::size_t>(r)]),
               0.0);
+  }
+}
+
+// Property: each backend writes out[cl*rows + gr] = in[gr][rank*cols_block + cl]
+// for every element. The per-rank blocks, 13 x 7, are not multiples of the
+// copy tile, and the second transpose reuses the first one's output buffer,
+// so an element that either pass skips keeps a wrong value.
+TEST(TransposeProperty, MatchesExplicitReferenceIntoReusedOutput) {
+  constexpr int p = 3;
+  constexpr std::int64_t rows = 39, cols = 21;
+  constexpr std::int64_t rows_local = rows / p, cols_block = cols / p;
+  const std::vector<std::vector<Complex>> inputs = {random_matrix(rows * cols, 41),
+                                                    random_matrix(rows * cols, 42)};
+  const auto slice = [&](const std::vector<Complex>& m, int rank) {
+    const auto first = m.begin() + rank * rows_local * cols;
+    return std::vector<Complex>(first, first + rows_local * cols);
+  };
+  // Elements of `rank`'s output that differ from the reference.
+  const auto mismatches = [&](const std::vector<Complex>& m, int rank,
+                              const std::vector<Complex>& out) {
+    if (out.size() != static_cast<std::size_t>(cols_block * rows)) return cols_block * rows;
+    std::int64_t bad = 0;
+    for (std::int64_t cl = 0; cl < cols_block; ++cl) {
+      for (std::int64_t gr = 0; gr < rows; ++gr) {
+        bad += out[static_cast<std::size_t>(cl * rows + gr)] !=
+               m[static_cast<std::size_t>(gr * cols + rank * cols_block + cl)];
+      }
+    }
+    return bad;
+  };
+
+  std::int64_t mpi_bad = 0;
+  {
+    auto cluster = make_cluster(p);
+    cluster.run_mpi([&](dvx::mpi::Comm comm, runtime::NodeCtx& node) -> Coro<void> {
+      std::vector<Complex> out;
+      for (const auto& m : inputs) {
+        const auto mine = slice(m, comm.rank());
+        co_await apps::transpose_mpi(comm, node, mine, rows, cols, out);
+        mpi_bad += mismatches(m, comm.rank(), out);
+      }
+    });
+  }
+  std::int64_t dv_bad = 0;
+  {
+    auto cluster = make_cluster(p);
+    cluster.run_dv([&](dvapi::DvContext& ctx, runtime::NodeCtx& node) -> Coro<void> {
+      std::vector<Complex> out;
+      for (const auto& m : inputs) {
+        const auto mine = slice(m, ctx.rank());
+        co_await apps::transpose_dv(ctx, node, mine, rows, cols, dvapi::kFirstFreeDvWord,
+                                    dvapi::kFirstFreeCounter, out);
+        dv_bad += mismatches(m, ctx.rank(), out);
+      }
+    });
+  }
+  EXPECT_EQ(mpi_bad, 0) << "MPI transpose misplaced elements";
+  EXPECT_EQ(dv_bad, 0) << "DV transpose misplaced elements";
+}
+
+// The output may not be the input's own storage: both backends reject it
+// before any word moves.
+TEST(TransposeProperty, OutputThatIsTheInputIsRejected) {
+  constexpr int p = 2;
+  constexpr std::int64_t rows = 8, cols = 4;
+  {
+    auto cluster = make_cluster(p);
+    EXPECT_THROW(
+        cluster.run_mpi([&](dvx::mpi::Comm comm, runtime::NodeCtx& node) -> Coro<void> {
+          auto mine = random_matrix(rows / p * cols, 5);
+          co_await apps::transpose_mpi(comm, node, mine, rows, cols, mine);
+        }),
+        std::invalid_argument);
+  }
+  {
+    auto cluster = make_cluster(p);
+    EXPECT_THROW(
+        cluster.run_dv([&](dvapi::DvContext& ctx, runtime::NodeCtx& node) -> Coro<void> {
+          auto mine = random_matrix(rows / p * cols, 5);
+          co_await apps::transpose_dv(ctx, node, mine, rows, cols, dvapi::kFirstFreeDvWord,
+                                      dvapi::kFirstFreeCounter, mine);
+        }),
+        std::invalid_argument);
   }
 }
 
@@ -167,7 +255,9 @@ TEST(ModelValidation, AnalyticLatencyTracksCycleSwitchAtLightLoad) {
   dvx::dvnet::CycleSwitch sw(g);
   sim::Xoshiro256 rng(11);
   for (int i = 0; i < 500; ++i) {
-    sw.inject(static_cast<int>(rng.below(32)), static_cast<int>(rng.below(32)));
+    const auto dst = static_cast<int>(rng.below(32));
+    const auto src = static_cast<int>(rng.below(32));
+    sw.inject(src, dst);
     ASSERT_TRUE(sw.drain());
   }
   const double cyc = sw.latency_stats().mean();

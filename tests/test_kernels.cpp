@@ -25,7 +25,11 @@ namespace {
 std::vector<Complex> random_signal(std::size_t n, std::uint64_t seed) {
   sim::Xoshiro256 rng(seed);
   std::vector<Complex> v(n);
-  for (auto& x : v) x = Complex(rng.uniform(-1, 1), rng.uniform(-1, 1));
+  for (auto& x : v) {
+    const double im = rng.uniform(-1, 1);
+    const double re = rng.uniform(-1, 1);
+    x = Complex(re, im);
+  }
   return v;
 }
 

@@ -218,6 +218,47 @@ def check_determinism(ctx: Context, scan: tokenizer.FileScan) -> None:
                     continue
                 ctx.add(scan.path, lineno, m.start() + 1, "determinism",
                         f"banned token '{entry['token']}': {entry['reason']}")
+    check_paired_draws(ctx, scan)
+
+
+def check_paired_draws(ctx: Context, scan: tokenizer.FileScan) -> None:
+    """Two draws from one generator in different arguments of one call."""
+    methods = ctx.config.get("determinism", {}).get("paired_draws", {}).get("methods", [])
+    if not methods:
+        return
+    token_re = re.compile(
+        r"(?P<gen>[A-Za-z_]\w*)\s*(?:\.|->)\s*(?:"
+        + "|".join(re.escape(m) for m in methods)
+        + r")\s*(?=\()|(?P<bracket>[()\[\]{},])")
+    text = scan.stripped_text()
+    # One frame per open bracket: [bracket, argument index,
+    # {generator: argument index of its first draw}, generators reported].
+    stack: list[list] = []
+    for m in token_re.finditer(text):
+        gen, bracket = m.group("gen"), m.group("bracket")
+        if gen is not None:
+            for frame in stack:
+                if frame[0] != "(":
+                    continue
+                first = frame[2].setdefault(gen, frame[1])
+                if first == frame[1] or gen in frame[3]:
+                    continue
+                frame[3].add(gen)
+                line, col = scan.line_of_offset(m.start())
+                if ctx.allows(scan, range(line - 1, line + 1), "determinism"):
+                    continue
+                ctx.add(scan.path, line, col, "determinism",
+                        f"two draws from '{gen}' in one argument list: the "
+                        "order in which C++ evaluates arguments is "
+                        "unspecified, so compilers draw different values; "
+                        "draw into named locals first")
+        elif bracket in "([{":
+            stack.append([bracket, 0, {}, set()])
+        elif bracket == ",":
+            if stack:
+                stack[-1][1] += 1
+        elif stack:
+            stack.pop()
 
 
 RULE_GROUPS = ["layering", "report-determinism", "determinism"]

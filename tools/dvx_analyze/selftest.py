@@ -160,6 +160,25 @@ def determinism_banned_token_and_allow():
 
 
 @case
+def determinism_paired_draws_in_one_argument_list():
+    with tempfile.TemporaryDirectory() as d:
+        tmp = pathlib.Path(d)
+        ctx = _run_tree(tmp, {
+            "tests/test_draws.cpp":
+                "auto a = Complex(r.uniform(), r.uniform());\n"
+                "Complex b = {r.uniform(), r.uniform()};\n"
+                "auto c = Complex(r.uniform(), s.uniform());\n"
+                "auto d = g({r.chance(0.5), r.chance(0.5)}, 1) + r.below(2);\n"
+                "sw.inject(static_cast<int>(r.below(32)),\n"
+                "          static_cast<int>(r.below(32)));\n",
+        }, ["determinism"])
+        assert _rules_of(ctx) == ["determinism", "determinism"], ctx.findings
+        assert [(f.line, f.col) for f in ctx.findings] == [(1, 31), (6, 28)], \
+            ctx.findings
+        assert "two draws from 'r'" in ctx.findings[0].message
+
+
+@case
 def report_determinism_range_for_caught():
     with tempfile.TemporaryDirectory() as d:
         tmp = pathlib.Path(d)
