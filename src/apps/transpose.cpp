@@ -188,8 +188,9 @@ sim::Coro<void> transpose_dv(dvapi::DvContext& ctx, runtime::NodeCtx& node,
       runs, std::span<const std::uint64_t>(words.data(),
                                            static_cast<std::size_t>(payload_words)));
 
-  // Drain group by group into the same buffer: the fabric staged its own
-  // copy of every payload word at hand-off, so nothing reads them any more.
+  // Drain group by group into the same buffer: every payload word reached
+  // its destination's DV memory at its hand-off, so nothing reads them any
+  // more.
   // Each read overlaps the later groups' arrivals.
   sim::Time last_read = ctx.engine().now();
   for (std::int64_t g = 0; g < groups; ++g) {

@@ -66,6 +66,9 @@ class DvContext {
   const DvApiParams& params() const noexcept { return params_; }
 
   // --- send paths (return when the host-side hand-off completes) -----------
+  // The fabric reads a batch when each chunk of it reaches the card (DESIGN.md
+  // §15), so a batch must stay alive and unchanged until the awaited send
+  // returns.
 
   /// One packet, header+payload PIO'd from host memory (16 B over PCIe).
   sim::Coro<void> send_direct(const vic::Packet& p);
@@ -84,7 +87,7 @@ class DvContext {
   /// DMA/Cached send of DV-memory runs: run k carries the next
   /// `runs[k].words` words of `payload`. Timing, bursts and effects are
   /// those of send_dma_batch over the equivalent packets, but only payload
-  /// words are built and staged. Throws std::invalid_argument, before any
+  /// words are built and moved. Throws std::invalid_argument, before any
   /// PCIe time is charged, when a run names a destination outside
   /// [0, nodes()) or a counter outside [0, kNumGroupCounters) other than
   /// vic::kNoCounter, or when the runs do not cover `payload` exactly.

@@ -36,6 +36,8 @@ sim::Coro<void> DvContext::pio_batch(std::span<const vic::Packet> batch,
   }
   packets_sent_ += batch.size();
   // PIO writes are posted but the lane's pace throttles the writing core.
+  // The fabric reads each chunk when it lands on the card, the last one at
+  // `last`, so awaiting `last` also keeps `batch` alive for it.
   co_await engine_.resume_at(last);
   trace_state(sim::NodeState::kSend, t0);
 }

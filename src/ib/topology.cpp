@@ -46,13 +46,11 @@ MsgTiming Fabric::send_message(int src, int dst, std::int64_t bytes, sim::Time r
 
   if (src == dst) {
     // Loopback: the MPI runtime short-circuits through shared memory; pure
-    // local math, so MpiWorld may call it mid-window.
+    // local math.
       const sim::Time done = ready + sim::transfer_time(bytes, params_.memcpy_bw);
     return MsgTiming{done, done};
   }
 
-  // Everything below mutates the link/NIC ledgers: MpiWorld reaches it only
-  // from the canonical window-close replay.
   // Message-rate gate: the NIC cannot start messages faster than msg_rate.
   auto& gate = nic_gate_[static_cast<std::size_t>(src)];
   const auto gap = static_cast<sim::Duration>(1e12 / params_.msg_rate);

@@ -13,9 +13,9 @@
 //
 // Like the Data Vortex FabricModel, this is pure timing math over per-link
 // next-free times, with messages chunked at MTU granularity so concurrent
-// flows interleave; the DES guarantees nondecreasing call times (the MPI
-// world's canonical window-close replay preserves that order). It is one
-// implementation of the net::Interconnect seam the MPI runtime is built on.
+// flows interleave; the MPI world calls it when it issues each transfer, so
+// call times are nondecreasing. It is one implementation of the
+// net::Interconnect seam the MPI runtime is built on.
 
 #include <cstdint>
 #include <vector>
@@ -38,9 +38,7 @@ struct IbParams {
 
 using MsgTiming = net::MsgTiming;
 
-// The link/NIC ledgers are touched only from the window-close resolution
-// (MpiWorld::resolve_window, DESIGN.md §15); loopback sends return before
-// reaching them.
+// Loopback sends return before reaching the link/NIC ledgers.
 class Fabric final : public net::Interconnect {
  public:
   explicit Fabric(int nodes, IbParams params = {});
@@ -64,13 +62,6 @@ class Fabric final : public net::Interconnect {
   }
 
   void reset() override;
-
-  /// Conservative cross-node latency bound (net::Interconnect contract):
-  /// even the intra-leaf path pays the NIC-to-NIC wire latency plus one
-  /// switch hop before the first byte can land on another node.
-  sim::Duration lookahead() const noexcept override {
-    return params_.wire_latency + params_.switch_hop;
-  }
 
  private:
   int leaf_of(int node) const noexcept { return node / params_.nodes_per_leaf; }

@@ -106,17 +106,14 @@ class Comm {
 /// Owns the per-rank endpoints, the interconnect the bytes travel over, and
 /// runs the eager/rendezvous protocol.
 ///
-/// Windowed operation (DESIGN.md §15): the world windows its engine at the
-/// interconnect's lookahead() when it is built, and a fabric without a
-/// positive one is refused (std::invalid_argument). The interconnect is
-/// reached only through fabric_send(), which stages wire transfers into one
-/// ledger resolved at the engine's window close in canonical (ready, src,
-/// ledger position) order.
+/// Injection-time resolution (DESIGN.md §15): the interconnect is reached
+/// only through fabric_send(), which times each wire transfer when it is
+/// issued, at now(). Transfers therefore meet the links in the order they
+/// become ready.
 class MpiWorld {
  public:
   MpiWorld(sim::Engine& engine, std::unique_ptr<net::Interconnect> fabric,
            int ranks, MpiParams params = {}, sim::Tracer* tracer = nullptr);
-  ~MpiWorld();
 
   int size() const noexcept { return ranks_; }
   sim::Engine& engine() noexcept { return engine_; }
@@ -157,33 +154,20 @@ class MpiWorld {
 
   /// One wire transfer routed through fabric_send. `acct_bytes >= 0` carries
   /// the obs per-message accounting (full message size + protocol counter);
-  /// `traced` records the tracer message line when the timing is known.
+  /// `traced` records the tracer message line.
   struct WireOp {
     int src = 0;
     int dst = 0;
     std::int64_t bytes = 0;  ///< on-the-wire bytes of this transfer
-    sim::Time ready = 0;
     std::int64_t acct_bytes = -1;
     bool eager = false;
     bool traced = false;
     int tag = 0;
   };
-  /// A wire transfer parked in the ledger until window close.
-  struct StagedOp {
-    WireOp op;
-    std::size_t pos = 0;  ///< ledger position at append: stage order
-    bool loopback = false;  ///< timing precomputed; resolution only accounts
-    net::MsgTiming timing{};  ///< valid when loopback
-    std::function<void(const net::MsgTiming&)> k;  ///< nullable continuation
-  };
 
-  /// Single gateway to the interconnect. Loopback (src == dst; purely local
-  /// timing) computes synchronously, while remote transfers stage
-  /// {op, k} and the window-close resolution replays them in
-  /// (ready, src, ledger position) order.
-  void fabric_send(WireOp op, std::function<void(const net::MsgTiming&)> k);
-  void account(const WireOp& op, const net::MsgTiming& t);
-  void resolve_window();
+  /// Single gateway to the interconnect: injects `op` at now(), accounts
+  /// it, and returns its timing.
+  net::MsgTiming fabric_send(const WireOp& op);
 
   void deliver_eager(int dst, Message msg);
   void handle_rts(int dst, Rts rts);
@@ -201,9 +185,6 @@ class MpiWorld {
   obs::Counter* obs_eager_msgs_ = nullptr;
   obs::Counter* obs_rendezvous_msgs_ = nullptr;
   std::vector<Endpoint> endpoints_;
-
-  // Window staging.
-  std::vector<StagedOp> staged_;
 };
 
 }  // namespace dvx::mpi

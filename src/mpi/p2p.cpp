@@ -18,17 +18,13 @@ Request MpiWorld::start_send(int src, int dst, int tag, std::vector<std::uint64_
   const sim::Time now = engine_.now();
 
   if (bytes <= params_.eager_threshold) {
-    WireOp wire{src, dst, bytes, now, /*acct_bytes=*/bytes, /*eager=*/true,
-                /*traced=*/tracer_ != nullptr, tag};
-    Message msg{src, tag, std::move(data)};
-    fabric_send(std::move(wire),
-                [this, dst, m = std::move(msg)](const net::MsgTiming& t) mutable {
-                  engine_.schedule(
-                      t.last_arrival,
-                      [this, dst, m2 = std::move(m)]() mutable {
-                        deliver_eager(dst, std::move(m2));
-                      });
-                });
+    const net::MsgTiming t =
+        fabric_send(WireOp{src, dst, bytes, /*acct_bytes=*/bytes, /*eager=*/true,
+                           /*traced=*/tracer_ != nullptr, tag});
+    engine_.schedule(t.last_arrival,
+                     [this, dst, m = Message{src, tag, std::move(data)}]() mutable {
+                       deliver_eager(dst, std::move(m));
+                     });
     // Eager sends complete once the payload is handed to the NIC; model that
     // as the source-side injection cost (first chunk formation).
     complete(op, now + params_.sw_overhead);
@@ -42,16 +38,12 @@ Request MpiWorld::start_send(int src, int dst, int tag, std::vector<std::uint64_
   pending->tag = tag;
   pending->data = std::move(data);
   pending->op = op;
-  WireOp rts_wire{src, dst, params_.envelope_bytes, now, /*acct_bytes=*/bytes,
-                  /*eager=*/false, /*traced=*/false, tag};
-  fabric_send(std::move(rts_wire),
-              [this, dst, src, tag, pending](const net::MsgTiming& rts_t) {
-                engine_.schedule(
-                    rts_t.last_arrival,
-                    [this, dst, src, tag, pending, rts_t] {
-                      handle_rts(dst, Rts{src, tag, rts_t.last_arrival, pending});
-                    });
-              });
+  const net::MsgTiming rts_t =
+      fabric_send(WireOp{src, dst, params_.envelope_bytes, /*acct_bytes=*/bytes,
+                         /*eager=*/false, /*traced=*/false, tag});
+  engine_.schedule(rts_t.last_arrival, [this, dst, src, tag, pending, rts_t] {
+    handle_rts(dst, Rts{src, tag, rts_t.last_arrival, pending});
+  });
   return op;
 }
 
@@ -113,30 +105,24 @@ void MpiWorld::grant_rts(int dst, const Rts& rts, const Request& recv_op) {
   // CTS back to the sender, then the bulk payload to the receiver. Both legs
   // run through fabric_send; the payload leaves once the CTS has arrived.
   auto pending = rts.sender;
-  WireOp cts{dst, rts.src, params_.envelope_bytes, engine_.now()};
-  fabric_send(std::move(cts), [this, pending, recv_op](const net::MsgTiming& cts_t) {
-    engine_.schedule(
-        cts_t.last_arrival,
-        [this, pending, recv_op] {
-          const auto bytes = static_cast<std::int64_t>(pending->data.size()) * 8 +
-                             params_.envelope_bytes;
-          WireOp payload{pending->src, pending->dst,    bytes, engine_.now(),
-                         /*acct_bytes=*/-1, /*eager=*/false,
-                         /*traced=*/tracer_ != nullptr, pending->tag};
-          fabric_send(std::move(payload),
-                      [this, pending, recv_op](const net::MsgTiming& t) {
-                        // The sender unblocks once the payload drained its NIC.
-                        complete(pending->op, t.last_arrival);
-                        Message msg{pending->src, pending->tag,
-                                    std::move(pending->data)};
-                        engine_.schedule(
-                            t.last_arrival,
-                            [this, recv_op, m = std::move(msg)]() mutable {
-                              recv_op->msg = std::move(m);
-                              complete(recv_op, engine_.now());
-                            });
-                      });
-        });
+  const net::MsgTiming cts_t =
+      fabric_send(WireOp{dst, rts.src, params_.envelope_bytes});
+  engine_.schedule(cts_t.last_arrival, [this, pending, recv_op] {
+    const auto bytes =
+        static_cast<std::int64_t>(pending->data.size()) * 8 + params_.envelope_bytes;
+    const net::MsgTiming t =
+        fabric_send(WireOp{pending->src, pending->dst, bytes, /*acct_bytes=*/-1,
+                           /*eager=*/false, /*traced=*/tracer_ != nullptr,
+                           pending->tag});
+    // The sender unblocks once the payload drained its NIC.
+    complete(pending->op, t.last_arrival);
+    engine_.schedule(t.last_arrival,
+                     [this, recv_op,
+                      m = Message{pending->src, pending->tag,
+                                  std::move(pending->data)}]() mutable {
+                       recv_op->msg = std::move(m);
+                       complete(recv_op, engine_.now());
+                     });
   });
 }
 

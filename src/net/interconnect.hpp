@@ -15,14 +15,11 @@
 //     read wall-clock time or unseeded entropy (the `determinism` rule group
 //     of tools/dvx_analyze enforces the ban), so the same call sequence
 //     yields byte-identical timings on every host.
-//   * The DES guarantees nondecreasing `ready` values per source; models
-//     may rely on that the way ib::Fabric's link bank does. mpi::MpiWorld
-//     (DESIGN.md §15) stages wire transfers and replays them at window
-//     closes sorted by (ready, src, ledger position); since every event
-//     left pending after window W is at or past W's end, ready values stay
-//     nondecreasing across batches too, and the property holds globally. Loopback
-//     (src == dst) calls are the one exception: MpiWorld makes them
-//     mid-window, so that branch must not touch the contention state.
+//   * `ready` values are nondecreasing across calls, and models may rely on
+//     that the way ib::Fabric's link bank does. It holds by construction:
+//     mpi::MpiWorld (DESIGN.md §15) calls send_message when it issues a
+//     wire transfer, with `ready` at the engine's current time, which never
+//     runs backwards.
 //
 // Adding a backend = implement this class, add an exp::Backend id, and
 // register the construction in runtime::Cluster. Nothing in src/mpi changes.
@@ -58,13 +55,6 @@ class Interconnect {
   /// Clears all contention state (link next-free times, NIC gates, counters)
   /// back to construction values.
   virtual void reset() = 0;
-
-  /// Conservative lower bound on cross-node delivery latency: no message
-  /// injected at time t may arrive at another node before t + lookahead().
-  /// mpi::MpiWorld registers it as the width of its window hook (DESIGN.md
-  /// §12), so the bound must be safe, not tight, and positive: the engine
-  /// refuses a hook without one.
-  virtual sim::Duration lookahead() const noexcept = 0;
 };
 
 }  // namespace dvx::net

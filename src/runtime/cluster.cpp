@@ -47,9 +47,6 @@ RunResult collect(sim::Engine& engine, std::deque<NodeCtx>& ctxs) {
   // are harvested here rather than self-attached.
   if (obs::Registry* m = obs::metrics()) {
     m->counter("sim.engine.events")->add(engine.events_processed());
-    // The conservative window width the run advanced in.
-    m->gauge("sim.engine.lookahead_ps")
-        ->sample(static_cast<double>(engine.window_width()));
   }
   return RunResult{finished, e > b ? e - b : 0};
 }

@@ -64,13 +64,10 @@ class Cluster {
 
   /// Runs one Data Vortex program per rank on a fresh fabric.
   /// Throws if any rank fails; reports deadlock via std::logic_error.
-  /// The fabric windows the run's engine at its conservative lookahead
-  /// (DESIGN.md §15); a fabric without a positive one throws
-  /// std::invalid_argument.
   RunResult run_dv(const DvProgram& program);
 
   /// Runs one MPI program per rank on a fresh fabric of config().mpi_fabric;
-  /// same windowing and errors as run_dv.
+  /// same errors as run_dv.
   RunResult run_mpi(const MpiProgram& program);
 
  private:

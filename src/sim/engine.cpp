@@ -1,8 +1,6 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "check/check.hpp"
@@ -117,8 +115,8 @@ std::uint64_t Engine::make_key(bool callback, std::uint32_t slot) {
 
 void Engine::push_event(Time t, bool callback, std::coroutine_handle<> h,
                         std::function<void()> fn) {
-  DVX_CHECK(t >= clock_) << "cannot schedule into the past: t=" << t
-                         << " now=" << clock_;
+  DVX_CHECK(t >= now_) << "cannot schedule into the past: t=" << t
+                       << " now=" << now_;
   std::uint32_t slot;
   if (!callback) {
     if (!handle_free_.empty()) {
@@ -150,32 +148,6 @@ void Engine::schedule_handle(Time t, std::coroutine_handle<> h) {
 
 void Engine::schedule(Time t, std::function<void()> fn) {
   push_event(t, /*callback=*/true, {}, std::move(fn));
-}
-
-void Engine::add_window_hook(const void* owner, Duration width,
-                             std::function<void()> hook) {
-  // A plain throw, not a check: a fabric without a positive lookahead must
-  // be refused at every check level.
-  if (width <= 0) {
-    throw std::invalid_argument("Engine: window hook width must be positive, got " +
-                                std::to_string(width) + " ps");
-  }
-  DVX_CHECK(owner != nullptr && hook != nullptr);
-  remove_window_hook(owner);
-  window_hooks_.push_back(WindowHook{owner, width, std::move(hook)});
-  recompute_window_width();
-}
-
-void Engine::remove_window_hook(const void* owner) noexcept {
-  std::erase_if(window_hooks_, [owner](const WindowHook& h) { return h.owner == owner; });
-  recompute_window_width();
-}
-
-void Engine::recompute_window_width() noexcept {
-  window_width_ = 0;
-  for (const WindowHook& h : window_hooks_) {
-    if (window_width_ == 0 || h.width < window_width_) window_width_ = h.width;
-  }
 }
 
 void Engine::add_auditor(check::InvariantAuditor* auditor) {
@@ -217,9 +189,8 @@ void Engine::dispatch_one() {
   const HeapEntry ev = heap_pop();
   // Event-time monotonicity: the queue must never yield an event behind
   // the clock (would reorder causally dependent wake-ups).
-  DVX_CHECK(ev.t >= clock_) << "non-monotonic event: t=" << ev.t
-                            << " behind now=" << clock_;
-  clock_ = ev.t;
+  DVX_CHECK(ev.t >= now_) << "non-monotonic event: t=" << ev.t
+                          << " behind now=" << now_;
   now_ = ev.t;
 #if DVX_CHECK_LEVEL >= 1
   check::context().sim_time_ps = ev.t;
@@ -245,39 +216,13 @@ void Engine::dispatch_one() {
 }
 
 Time Engine::run() {
-  if (window_width_ == 0) {
-    while (!heap_empty()) {
-      dispatch_one();
-      if (audit_interval_ != 0 && events_ % audit_interval_ == 0) run_audits();
-    }
-    return finish_run();
-  }
   while (!heap_empty()) {
-    const Time floor = heap_[kHeapPad].t;
-    window_end_ = floor + window_width_;
-    while (!heap_empty() && heap_[kHeapPad].t < window_end_) dispatch_one();
-    close_window(floor);
+    dispatch_one();
+    if (audit_interval_ != 0 && events_ % audit_interval_ == 0) run_audits();
   }
-  return finish_run();
-}
-
-void Engine::close_window(Time floor) {
-  // Hooks and audits see the window floor as the clock; the past check
-  // still holds what they schedule to the last dispatched event.
-  now_ = floor;
-  for (WindowHook& h : window_hooks_) h.run();
-  if (audit_interval_ != 0 && events_ - last_audit_events_ >= audit_interval_) {
-    run_audits();
-    last_audit_events_ = events_;
-  }
-}
-
-Time Engine::finish_run() {
-  now_ = clock_;
   // The heap drained: no live entry can tie with a future one, so the
   // tie-break counter rewinds and kMaxSeq bounds a busy period, not a run.
   next_seq_ = 0;
-  last_audit_events_ = events_;
   run_audits();  // drain-time sweep: short runs get audited too
   // Surface failures from simulated processes to the caller (tests rely on it).
   for (auto& r : roots_) {

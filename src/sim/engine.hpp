@@ -13,14 +13,10 @@
 // a slot id packed into the low bits of the comparison key, so steady-state
 // dispatch performs zero heap allocations.
 //
-// Windowed execution (DESIGN.md §12): while window hooks are registered,
-// run() advances in conservative lookahead windows [T0, T0 + width): it
-// dispatches every event inside the window, then runs the hooks, where the
-// fabric models resolve the traffic they staged during the window. Each hook
-// brings its owner's minimum cross-node latency
-// (net::Interconnect::lookahead, vic::DvFabric::min_remote_latency) and the
-// width is the narrowest of them, so nothing a window stages can land inside
-// that same window.
+// One loop (DESIGN.md §12): run() pops and dispatches one event at a time
+// until the heap drains. The fabric models resolve each transfer when it is
+// handed to them, at the current time or in one event at its ready time
+// (DESIGN.md §15), so the engine knows nothing about the networks.
 
 #include <coroutine>
 #include <cstdint>
@@ -42,15 +38,8 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
   ~Engine();
 
-  /// Current virtual time: the time of the event being dispatched; inside
-  /// window hooks and audits of a windowed run, the floor of the window
-  /// being closed.
+  /// Current virtual time: the time of the event being dispatched.
   Time now() const noexcept { return now_; }
-
-  /// The lookahead window width: the narrowest width among the registered
-  /// window hooks, or 0 without hooks, where run() dispatches straight
-  /// through the heap.
-  Duration window_width() const noexcept { return window_width_; }
 
   /// Registers a top-level process; it starts at virtual time `start`
   /// (-1 = now).
@@ -74,29 +63,11 @@ class Engine {
   std::uint64_t events_processed() const noexcept { return events_; }
 
   /// Registers an invariant auditor; audit() runs every audit_interval()
-  /// dispatched events (at window closes in windowed mode) and once when
-  /// the event queue drains. Observational only — auditors must not mutate
+  /// dispatched events and once when the event queue drains. Observational only — auditors must not mutate
   /// simulation state (DESIGN.md §7).
   void add_auditor(check::InvariantAuditor* auditor);
   /// Unregisters; no-op when the auditor was never added.
   void remove_auditor(check::InvariantAuditor* auditor) noexcept;
-
-  /// Registers a window-close hook keyed by `owner` (one hook per owner;
-  /// a second registration replaces the first). `width` is the owner's
-  /// lookahead: nothing it stages in a window may land less than `width`
-  /// after the window floor. Throws std::invalid_argument unless `width`
-  /// is positive. Hooks run at every window close — after the window's
-  /// events, with now() at the window floor — in registration order. The
-  /// fabric models use them to resolve the traffic they staged during the
-  /// window in a canonical order; every event a hook schedules must land
-  /// at or after window_end().
-  void add_window_hook(const void* owner, Duration width, std::function<void()> hook);
-  /// Unregisters; no-op when the owner never added a hook.
-  void remove_window_hook(const void* owner) noexcept;
-
-  /// Exclusive upper bound of the window being closed (valid inside window
-  /// hooks); hooks use it to clamp resolution-scheduled times.
-  Time window_end() const noexcept { return window_end_; }
 
   /// Events between automatic audit sweeps; 0 disables the cadence (the
   /// drain-time sweep still runs). Defaults to check::default_audit_interval()
@@ -167,12 +138,6 @@ class Engine {
     bool done = false;
   };
 
-  struct WindowHook {
-    const void* owner;
-    Duration width;  ///< the owner's lookahead
-    std::function<void()> run;
-  };
-
   static bool entry_before(const HeapEntry& a, const HeapEntry& b) noexcept {
     return a.t != b.t ? a.t < b.t : a.key < b.key;
   }
@@ -208,11 +173,6 @@ class Engine {
   void push_event(Time t, bool callback, std::coroutine_handle<> h,
                   std::function<void()> fn);
   void dispatch_one();
-  void close_window(Time floor);
-  /// Recomputes window_width_ from the registered hooks.
-  void recompute_window_width() noexcept;
-  Time finish_run();
-
   void run_audits();
 
   std::vector<HeapEntry, CacheAlignedAlloc<HeapEntry>> heap_;
@@ -221,18 +181,13 @@ class Engine {
   std::vector<std::function<void()>> fn_slab_;
   std::vector<std::uint32_t> fn_free_;
 
-  Time now_ = 0;    ///< what now() reports (the window floor inside hooks)
-  Time clock_ = 0;  ///< time of the last dispatched event
+  Time now_ = 0;                ///< time of the last dispatched event
   std::uint64_t next_seq_ = 0;  ///< insertion-seq counter
   std::uint64_t events_ = 0;    ///< events dispatched
-  Duration window_width_ = 0;   ///< narrowest hook width; 0: no hooks
-  Time window_end_ = 0;         ///< exclusive bound of the executing window
   std::deque<Root> roots_;      // deque: &done must stay stable
   std::vector<check::InvariantAuditor*> auditors_;
-  std::vector<WindowHook> window_hooks_;
   std::uint64_t audit_interval_ = 0;  // ctor sets the level-dependent default
   std::uint64_t audits_run_ = 0;
-  std::uint64_t last_audit_events_ = 0;  ///< windowed-mode cadence bookkeeping
 };
 
 }  // namespace dvx::sim

@@ -46,9 +46,8 @@ struct TorusParams {
 
 using MsgTiming = net::MsgTiming;
 
-// The link/NIC ledgers, conservation counters and obs instruments are
-// touched only from the window-close resolution (MpiWorld::resolve_window,
-// DESIGN.md §15); loopback sends return before reaching them.
+// Loopback sends return before reaching the link/NIC ledgers, conservation
+// counters and obs instruments.
 class Fabric final : public net::Interconnect {
  public:
   explicit Fabric(int nodes, TorusParams params = {});
@@ -88,13 +87,6 @@ class Fabric final : public net::Interconnect {
   std::int64_t link_bytes() const noexcept { return link_bytes_; }
 
   void reset() override;
-
-  /// Conservative cross-node latency bound (net::Interconnect contract):
-  /// every remote message pays the NIC-to-NIC wire latency plus at least
-  /// one router forwarding delay before it can arrive anywhere.
-  sim::Duration lookahead() const noexcept override {
-    return params_.wire_latency + params_.hop_latency;
-  }
 
   // Directed links: 6 per node, ordered +x, -x, +y, -y, +z, -z. Public so
   // the routing property tests can name exact links on the expected path.

@@ -22,9 +22,8 @@ GroupCounter::GroupCounter(sim::Engine& engine, int node)
 void GroupCounter::set(sim::Time at, std::uint64_t v) {
   value_ = v;
   settle_ = std::max(settle_, std::max(at, engine_.now()));
-  // Network sets arrive from the window-close resolution, whose clock sits
-  // at the window floor, behind the waiters' own clock; the notify therefore
-  // carries the physical settle time.
+  // A network set is applied when its burst is injected, ahead of its
+  // physical arrival; the notify therefore carries the settle time.
   cond_.notify_all(settle_);
 }
 

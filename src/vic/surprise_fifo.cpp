@@ -37,9 +37,8 @@ void SurpriseFifo::deposit(sim::Time at, Packet p) {
     obs_deposits_->inc();
     obs_depth_->sample(static_cast<double>(buffered()));
   }
-  // Deposits come from the window-close resolution, where the engine clock
-  // sits at the window floor, behind the waiters' own clock. Notifying at
-  // the (physical, >= window end) arrival time keeps the wake-up legal.
+  // A deposit is made when its burst is injected, ahead of its physical
+  // arrival; notifying at the arrival time wakes pollers when it lands.
   cond_.notify_all(at);
 }
 

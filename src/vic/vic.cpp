@@ -1,8 +1,9 @@
 #include "vic/vic.hpp"
 
-#include <algorithm>
 #include <bit>
+#include <coroutine>
 #include <stdexcept>
+#include <utility>
 
 #include "check/check.hpp"
 
@@ -37,11 +38,14 @@ void Vic::deliver(const Packet& p, sim::Time arrival) {
     case DestKind::kQuery: {
       // Remote read without host intervention (paper §III): the payload is
       // the header of the reply, whose payload is the requested word. The
-      // reply destination need not be the original sender.
+      // reply destination need not be the original sender. The reply is
+      // one more transmit when the query lands, holding its packet by value.
       Packet reply;
       reply.header = decode_header(p.payload);
       reply.payload = memory_.read(p.header.addr);
-      fabric_.transmit(id_, std::span<const Packet>(&reply, 1), arrival);
+      engine_.schedule(arrival, [this, reply, arrival] {
+        fabric_.transmit(id_, std::span<const Packet>(&reply, 1), arrival);
+      });
       break;
     }
   }
@@ -75,15 +79,10 @@ DvFabric::DvFabric(sim::Engine& engine, int nodes, DvFabricParams params)
     vics_.push_back(std::make_unique<Vic>(engine, *this, i, params.vic));
     barrier_conds_.push_back(std::make_unique<sim::Condition>(engine));
   }
-  // The hook first: if its width is refused, nothing is left registered.
-  engine_.add_window_hook(this, min_remote_latency(), [this] { resolve_window(); });
   engine_.add_auditor(this);
 }
 
-DvFabric::~DvFabric() {
-  engine_.remove_auditor(this);
-  engine_.remove_window_hook(this);
-}
+DvFabric::~DvFabric() { engine_.remove_auditor(this); }
 
 void DvFabric::audit(std::int64_t now_ps) {
   (void)now_ps;
@@ -98,33 +97,26 @@ void DvFabric::audit(std::int64_t now_ps) {
   }
 }
 
-DvFabric::StagedBurst& DvFabric::stage(int src, sim::Time ready) {
-  return staged_.emplace_back(StagedBurst{ready, src, staged_.size(), {}, {}, {}});
-}
-
 void DvFabric::transmit(int src, std::span<const Packet> packets, sim::Time ready) {
   if (packets.empty()) return;
-  if (resolving_) {
-    // A query reply emitted while the resolution replays deliveries: defer
-    // it to the in-resolution fixpoint queue (its ready time is already a
-    // physical arrival >= the closing window's end).
-    resolve_replies_.push_back(StagedBurst{
-        ready, src, 0, std::vector<Packet>(packets.begin(), packets.end()), {}, {}});
+  if (ready <= engine_.now()) {
+    transmit_now(src, packets, ready);
     return;
   }
-  // Rank context: stage for the window-close resolution.
-  stage(src, ready).packets.assign(packets.begin(), packets.end());
+  // Still crossing PCIe: resolve at `ready`, reading the caller's span then.
+  engine_.schedule(ready, [this, src, packets, ready] { transmit_now(src, packets, ready); });
 }
 
 void DvFabric::transmit(int src, std::span<const Run> runs,
                         std::span<const std::uint64_t> payload, sim::Time ready) {
   if (payload.empty()) return;
-  // Rank context only: the resolution re-enters transmit with query
-  // replies, which are packets.
-  DVX_CHECK(!resolving_) << "DV-memory runs transmitted during resolution";
-  StagedBurst& b = stage(src, ready);
-  b.runs.assign(runs.begin(), runs.end());
-  b.payload.assign(payload.begin(), payload.end());
+  if (ready <= engine_.now()) {
+    transmit_now(src, runs, payload, ready);
+    return;
+  }
+  engine_.schedule(ready, [this, src, runs, payload, ready] {
+    transmit_now(src, runs, payload, ready);
+  });
 }
 
 void DvFabric::transmit_now(int src, std::span<const Packet> packets, sim::Time ready) {
@@ -173,80 +165,36 @@ void DvFabric::transmit_now(int src, std::span<const Run> runs,
   DVX_CHECK_EQ(word, payload.size()) << "runs do not cover their payload. ";
 }
 
-void DvFabric::replay(const StagedBurst& b) {
-  if (b.runs.empty()) {
-    transmit_now(b.src, b.packets, b.ready);
-  } else {
-    transmit_now(b.src, b.runs, b.payload, b.ready);
-  }
-}
-
-void DvFabric::resolve_window() {
-  // Window-close resolution: replay every staged burst against the switch
-  // model in canonical (ready, src, ledger position) order, a pure function
-  // of the window's simulation content. One ledger appends in event order,
-  // so the position keeps each source's bursts in stage order.
-  std::vector<StagedBurst> batch;
-  batch.swap(staged_);
-  if (!batch.empty()) {
-    std::sort(batch.begin(), batch.end(),
-              [](const StagedBurst& a, const StagedBurst& b) {
-                if (a.ready != b.ready) return a.ready < b.ready;
-                if (a.src != b.src) return a.src < b.src;
-                return a.pos < b.pos;
-              });
-    resolving_ = true;
-    for (const StagedBurst& b : batch) replay(b);
-    // Fixpoint over query replies: delivering a kQuery packet re-transmits
-    // through the fabric; those bursts append to resolve_replies_ and are
-    // replayed in emission order (itself canonical) until none remain.
-    for (std::size_t i = 0; i < resolve_replies_.size(); ++i) {
-      const StagedBurst b = std::move(resolve_replies_[i]);
-      replay(b);
-    }
-    resolve_replies_.clear();
-    resolving_ = false;
-  }
-  resolve_barrier_arrivals();
-}
-
-void DvFabric::resolve_barrier_arrivals() {
-  std::vector<BarrierArrival> arrivals;
-  arrivals.swap(barrier_staged_);
-  if (arrivals.empty()) return;
-  std::sort(arrivals.begin(), arrivals.end(),
-            [](const BarrierArrival& a, const BarrierArrival& b) {
-              return a.at != b.at ? a.at < b.at : a.rank < b.rank;
-            });
-  for (const BarrierArrival& a : arrivals) {
-    DVX_CHECK(barrier_arrived_ < nodes())
-        << "barrier over-arrival in phase " << barrier_phase_;
-    barrier_latest_ = std::max(barrier_latest_, a.at);
-    if (++barrier_arrived_ == nodes()) {
-      const int levels = std::bit_width(static_cast<unsigned>(nodes() - 1));
-      sim::Time release = barrier_latest_ + params_.barrier_base +
-                          static_cast<sim::Duration>(levels) * params_.barrier_per_level;
-      // Defensive clamp: the release must not land inside the closing
-      // window (almost never active: the barrier base cost exceeds the
-      // fabric lookahead).
-      release = std::max(release, engine_.window_end());
-      barrier_arrived_ = 0;
-      barrier_latest_ = 0;
-      ++barrier_phase_;
-      for (auto& cond : barrier_conds_) cond->notify_all(release);
-    }
-  }
+void DvFabric::arrive_at_barrier() {
+  DVX_CHECK(barrier_arrived_ < nodes())
+      << "barrier over-arrival in phase " << barrier_phase_;
+  if (++barrier_arrived_ < nodes()) return;
+  // Arrivals are counted in time order, so this one is the latest.
+  const int levels = std::bit_width(static_cast<unsigned>(nodes() - 1));
+  const sim::Time release = engine_.now() + params_.barrier_base +
+                            static_cast<sim::Duration>(levels) * params_.barrier_per_level;
+  barrier_arrived_ = 0;
+  ++barrier_phase_;
+  for (auto& cond : barrier_conds_) cond->notify_all(release);
 }
 
 sim::Coro<void> DvFabric::intrinsic_barrier(int rank) {
-  // Stage the arrival; the VIC-side AND-tree completes at the window-close
-  // resolution, which computes the release time and wakes every rank
-  // through its own condition.
+  // The VIC-side AND-tree. The rank parks on its own condition before its
+  // arrival is counted, so the arrival that completes the phase wakes every
+  // rank, itself included, in rank order.
+  struct ParkThenArrive {
+    decltype(std::declval<sim::Condition&>().wait()) park;
+    DvFabric& fabric;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      park.await_suspend(h);
+      fabric.arrive_at_barrier();
+    }
+    void await_resume() const noexcept {}
+  };
   const std::uint64_t my_phase = barrier_phase_;
-  barrier_staged_.push_back(BarrierArrival{engine_.now(), rank});
-  sim::Condition& cond = *barrier_conds_[static_cast<std::size_t>(rank)];
-  while (barrier_phase_ == my_phase) co_await cond.wait();
-  DVX_CHECK(barrier_phase_ > my_phase) << "barrier phase went backwards";
+  co_await ParkThenArrive{barrier_conds_[static_cast<std::size_t>(rank)]->wait(), *this};
+  DVX_CHECK(barrier_phase_ > my_phase) << "barrier woke before its phase completed";
 }
 
 }  // namespace dvx::vic

@@ -10,12 +10,13 @@
 // Data-vs-time convention: packet *data effects* (DV-memory writes, counter
 // sets) are applied as soon as the fabric moves the burst, ahead of the
 // words' arrival times, while their *timing* is carried by arrival times on
-// group counters and the FIFO. A burst moves when resolve_window replays it
-// at the close of the window it was transmitted in. A conforming Data Vortex
-// program only reads data after synchronizing on a counter, barrier, or FIFO
-// arrival, so the early visibility is unobservable; it is what lets the
-// simulator move bursts in O(1) instead of per-packet events, and DV-memory
-// runs in one block write.
+// group counters and the FIFO. A burst moves when it is injected: at its
+// ready time, which is the transmit call itself unless the chunk is still
+// crossing PCIe (DESIGN.md §15). A conforming Data Vortex program only reads
+// data after synchronizing on a counter, barrier, or FIFO arrival, so the
+// early visibility is unobservable; it is what lets the simulator move
+// bursts in O(1) instead of per-packet events, and DV-memory runs in one
+// block write.
 
 #include <cstdint>
 #include <memory>
@@ -57,8 +58,8 @@ class Vic {
   DmaEngine& dma_from_vic() noexcept { return dma_up_; }
 
   /// Network ingress: applies one packet whose last bit lands at `arrival`;
-  /// a DV-memory packet is a one-word run (below). Query packets trigger a
-  /// host-free reply through the fabric.
+  /// a DV-memory packet is a one-word run (below). A query packet reads its
+  /// word now and sends the reply, host-free, when the query lands.
   void deliver(const Packet& p, sim::Time arrival);
 
   /// Network ingress of one DV-memory run: `words` land at `addr`, `addr+1`,
@@ -92,11 +93,9 @@ struct DvFabricParams {
 
 /// The whole Data Vortex side of the cluster: one switch + N VICs.
 ///
-/// Windowed operation (DESIGN.md §15): the fabric windows its engine at
-/// min_remote_latency() when it is built. Rank-context transmits and barrier
-/// arrivals are staged into one ledger and resolved at the engine's window
-/// close in canonical (ready, src, ledger position) order, so the switch
-/// model and the destination VICs are only mutated by the resolution.
+/// Injection-time resolution (DESIGN.md §15): a transmit meets the switch
+/// model at its ready time, so the switch ports serve bursts in the order
+/// they become ready, and a barrier arrival is counted when it happens.
 class DvFabric : public check::InvariantAuditor {
  public:
   DvFabric(sim::Engine& engine, int nodes, DvFabricParams params = {});
@@ -108,35 +107,27 @@ class DvFabric : public check::InvariantAuditor {
   sim::Engine& engine() noexcept { return engine_; }
   const DvFabricParams& params() const noexcept { return params_; }
 
-  /// Injects a batch of packets from `src`'s VIC, already resident on the
-  /// card, first word able to enter the switch at `ready`. The batch is
-  /// staged for the window-close resolution, where consecutive packets to
-  /// the same destination share one fabric burst; senders are paced by
-  /// their PCIe/DMA hand-off times, and receivers see the ejection times on
-  /// counters and the FIFO.
+  /// Injects a batch of packets from `src`'s VIC, first word able to enter
+  /// the switch at `ready`; consecutive packets to the same destination
+  /// share one fabric burst. With `ready <= now()` the batch is resolved at
+  /// once. Otherwise one engine event resolves it at `ready`, and that event
+  /// reads `packets` then: the caller keeps the span alive and unchanged
+  /// until `ready` (pio_batch does, by awaiting its last chunk's `ready`).
+  /// Senders are paced by their PCIe/DMA hand-off times, and receivers see
+  /// the ejection times on counters and the FIFO.
   void transmit(int src, std::span<const Packet> packets, sim::Time ready);
 
   /// The run form of transmit: run k carries the next `runs[k].words` words
   /// of `payload`, and every run is non-empty. Moves exactly what the
   /// equivalent kDvMemory packets would, in the same bursts, with the same
-  /// timing and staging rules; only the payload words are staged.
+  /// timing and the same span contract for both spans.
   void transmit(int src, std::span<const Run> runs,
                 std::span<const std::uint64_t> payload, sim::Time ready);
 
   /// Hardware barrier built on the two reserved counters: rank's VIC arrives
-  /// at the current virtual time; resumes when every VIC has arrived plus
-  /// the (small, log-depth) hardware latency.
+  /// at the current virtual time; every rank resumes at the last arrival
+  /// plus the (small, log-depth) hardware latency.
   sim::Coro<void> intrinsic_barrier(int rank);
-
-  /// Conservative lower bound on remote delivery latency, the DV analogue
-  /// of net::Interconnect::lookahead(): a packet already resident on the
-  /// source card still pays at least the uncontended fabric traversal
-  /// before it can eject anywhere (PCIe/DMA time only adds to that).
-  /// The constructor registers it as the width of the fabric's window hook
-  /// (DESIGN.md §12); a fabric without a positive one cannot be built.
-  sim::Duration min_remote_latency() const noexcept {
-    return model_.base_latency();
-  }
 
   /// Epoch invariants across the fabric assembly (DESIGN.md §7): barrier
   /// arrival count within bounds, and per-VIC surprise-FIFO conservation
@@ -145,29 +136,12 @@ class DvFabric : public check::InvariantAuditor {
   void audit(std::int64_t now_ps) override;
 
  private:
-  /// One rank-context injection parked in the ledger until the window-close
-  /// resolution replays it against the switch model.
-  struct StagedBurst {
-    sim::Time ready;
-    int src;
-    std::size_t pos;  ///< ledger position at append: stage order
-    // Owned copies (caller spans die early): packets, or runs over payload.
-    std::vector<Packet> packets;
-    std::vector<Run> runs;
-    std::vector<std::uint64_t> payload;
-  };
-  struct BarrierArrival {
-    sim::Time at;
-    int rank;
-  };
-
   void transmit_now(int src, std::span<const Packet> packets, sim::Time ready);
   void transmit_now(int src, std::span<const Run> runs,
                     std::span<const std::uint64_t> payload, sim::Time ready);
-  StagedBurst& stage(int src, sim::Time ready);
-  void replay(const StagedBurst& b);
-  void resolve_window();
-  void resolve_barrier_arrivals();
+  /// Counts one barrier arrival at now(); the one that completes the phase
+  /// releases every rank.
+  void arrive_at_barrier();
 
   sim::Engine& engine_;
   DvFabricParams params_;
@@ -177,13 +151,6 @@ class DvFabric : public check::InvariantAuditor {
   // Intrinsic barrier bookkeeping.
   int barrier_arrived_ = 0;
   std::uint64_t barrier_phase_ = 0;
-  sim::Time barrier_latest_ = 0;
-
-  // Window staging.
-  bool resolving_ = false;  ///< inside resolve_window (query replies re-enter)
-  std::vector<StagedBurst> staged_;
-  std::vector<BarrierArrival> barrier_staged_;
-  std::vector<StagedBurst> resolve_replies_;  ///< replies emitted mid-resolve
   /// Per-rank barrier conditions, released in rank order.
   std::vector<std::unique_ptr<sim::Condition>> barrier_conds_;
 };

@@ -116,7 +116,8 @@ def main():
     env.pop("DVX_BENCH_FAST", None)  # the golden is full size
     with tempfile.TemporaryDirectory(prefix="dvx_golden_") as tmp:
         out = os.path.join(tmp, "bench_full_3way.json")
-        proc = subprocess.run([args.bench, *BENCH_ARGS, "--json", out], cwd=tmp,
+        proc = subprocess.run([os.path.abspath(args.bench), *BENCH_ARGS, "--json", out],
+                              cwd=tmp,
                               env=env, stdout=subprocess.DEVNULL,
                               stderr=subprocess.PIPE, text=True, check=False)
         if proc.returncode != 0:

@@ -30,9 +30,8 @@ using sim::Engine;
 
 namespace {
 
-/// Runs `body(ctx)` as one simulated process per rank over a fabric on an
-/// engine windowed at its lookahead, as every cluster run is; returns
-/// finish time.
+/// Runs `body(ctx)` as one simulated process per rank over a fabric;
+/// returns finish time.
 template <typename Body>
 sim::Time run_nodes(int nodes, Body body, vic::DvFabricParams params = {}) {
   Engine engine;
@@ -365,13 +364,14 @@ TEST(DvApi, PutRejectsUnknownCounterOrDestinationBeforePcie) {
 // --- DV-memory runs against a per-word reference ----------------------------
 //
 // The same seeded traffic runs through the real stack (dvapi sends into a
-// windowed DvFabric, which stages them and delivers DV-memory runs at window
-// close) and through a reference written here the way the fabric delivered
-// traffic one word at a time: every word is its own packet, applied with one
-// DvMemory::write and one GroupCounter::decrement(at, 1). The reference
-// paces sends as dvapi does (one DMA transfer handed to the fabric one
-// 512-word DMA entry at a time, or PIO chunks) and replays them at window
-// close in (ready, src, seq) order through its own FabricModel.
+// DvFabric, which delivers DV-memory runs) and through a reference written
+// here the way the fabric delivered traffic one word at a time: every word
+// is its own packet, applied with one DvMemory::write and one
+// GroupCounter::decrement(at, 1). The reference paces sends as dvapi does
+// (one DMA transfer handed to the fabric one 512-word DMA entry at a time,
+// or PIO chunks) and resolves each at injection through its own
+// FabricModel: at once when it is ready, else in one event at its ready
+// time, and a query reply in one event when the query lands.
 
 constexpr int kRefNodes = 4;
 constexpr std::uint32_t kRefWords = 8192;  // DV-memory words traffic may touch
@@ -521,7 +521,7 @@ RefTraffic make_ref_traffic(std::uint64_t seed) {
   return t;
 }
 
-/// The real stack: dvapi contexts over a windowed DvFabric.
+/// The real stack: dvapi contexts over a DvFabric.
 class RealSide {
  public:
   RealSide(Engine& e, int nodes) : fabric_(e, nodes) {
@@ -550,9 +550,7 @@ class PerWordSide {
  public:
   explicit PerWordSide(Engine& e) : engine_(e) {
     for (int i = 0; i < kRefNodes; ++i) nodes_.push_back(std::make_unique<Node>(e, i));
-    e.add_window_hook(this, model_.base_latency(), [this] { resolve(); });
   }
-  ~PerWordSide() { engine_.remove_window_hook(this); }
   PerWordSide(const PerWordSide&) = delete;
   PerWordSide& operator=(const PerWordSide&) = delete;
 
@@ -563,7 +561,7 @@ class PerWordSide {
   std::uint64_t words() const { return words_; }
 
   /// dvapi's send paths: the host overhead, then DMA entries or PIO chunks,
-  /// each staged at the time it lands on the card.
+  /// each resolved at the time it lands on the card.
   Coro<void> send(int src, const RefSend& s) {
     const std::vector<vic::Packet> packets =
         s.path == RefSend::Path::kDmaRuns ? packets_of(s) : s.packets;
@@ -577,7 +575,9 @@ class PerWordSide {
         const std::size_t n = std::min(chunk, packets.size() - i);
         last = pcie.direct_write(static_cast<std::int64_t>(n) * vic::kPacketBytes,
                                  engine_.now());
-        stage(src, last, all.subspan(i, n));
+        engine_.schedule(last, [this, src, chunk = all.subspan(i, n), last] {
+          transmit(src, chunk, last);
+        });
       }
       co_await engine_.resume_at(last);
       co_return;
@@ -592,7 +592,7 @@ class PerWordSide {
       ready += sim::transfer_time(static_cast<std::int64_t>(n) * vic::kWordBytes,
                                   pp.dma_to_vic_bw);
       co_await engine_.resume_at(ready);
-      stage(src, engine_.now(), all.subspan(i, n));
+      transmit(src, all.subspan(i, n), engine_.now());
     }
   }
 
@@ -609,33 +609,7 @@ class PerWordSide {
     vic::PcieLink pcie;
     vic::DmaEngine dma;
   };
-  struct Staged {
-    sim::Time ready;
-    int src;
-    std::uint64_t seq;
-    std::vector<vic::Packet> packets;
-  };
-
   Node& node(int n) { return *nodes_[static_cast<std::size_t>(n)]; }
-
-  void stage(int src, sim::Time ready, std::span<const vic::Packet> packets) {
-    staged_.push_back(Staged{ready, src, seq_++, {packets.begin(), packets.end()}});
-  }
-
-  void resolve() {
-    std::sort(staged_.begin(), staged_.end(), [](const Staged& a, const Staged& b) {
-      if (a.ready != b.ready) return a.ready < b.ready;
-      if (a.src != b.src) return a.src < b.src;
-      return a.seq < b.seq;
-    });
-    for (const Staged& b : staged_) transmit(b.src, b.packets, b.ready);
-    for (std::size_t i = 0; i < replies_.size(); ++i) {
-      const Staged b = replies_[i];  // a copy: transmit may append replies
-      transmit(b.src, b.packets, b.ready);
-    }
-    staged_.clear();
-    replies_.clear();
-  }
 
   void transmit(int src, std::span<const vic::Packet> packets, sim::Time ready) {
     for (std::size_t i = 0; i < packets.size();) {
@@ -668,7 +642,9 @@ class PerWordSide {
         break;
       case vic::DestKind::kQuery: {
         const vic::Packet reply{vic::decode_header(p.payload), n.memory.read(h.addr)};
-        replies_.push_back(Staged{at, dst, 0, {reply}});
+        engine_.schedule(at, [this, dst, reply, at] {
+          transmit(dst, std::span<const vic::Packet>(&reply, 1), at);
+        });
         break;
       }
     }
@@ -682,8 +658,6 @@ class PerWordSide {
   dvnet::FabricModel model_{dvnet::FabricParams{}};
   dvapi::DvApiParams api_{};
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::vector<Staged> staged_, replies_;
-  std::uint64_t seq_ = 0;
   std::uint64_t bursts_ = 0, words_ = 0;
 };
 
@@ -702,7 +676,7 @@ Coro<void> ref_sender(Engine& e, Side& side, int src, const std::vector<RefSend>
 }
 
 /// Presets the counters, starts a waiter on each traffic counter and the
-/// senders, runs `e` (windowed) to the end and reads back what is compared.
+/// senders, runs `e` to the end and reads back what is compared.
 template <typename Side>
 RefOutcome run_traffic(Engine& e, Side& side, const RefTraffic& t) {
   RefOutcome out;

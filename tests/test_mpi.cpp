@@ -305,14 +305,4 @@ TEST(MiniMpi, BarrierLatencyGrowsWithNodeCount) {
   EXPECT_LT(sim::to_us(t32), 30.0);
 }
 
-TEST(MiniMpi, WorldWindowsItsEngineAtTheFabricLookahead) {
-  Engine engine;
-  {
-    mpi::MpiWorld world(engine, std::make_unique<ib::Fabric>(4), 4);
-    EXPECT_GT(world.fabric().lookahead(), 0);
-    EXPECT_EQ(engine.window_width(), world.fabric().lookahead());
-  }
-  EXPECT_EQ(engine.window_width(), 0);  // the hook left with its world
-}
-
 }  // namespace

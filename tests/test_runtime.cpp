@@ -80,23 +80,6 @@ TEST(Cluster, ComputeChargesShowUpInTrace) {
   EXPECT_GT(sum.at(1).per_state[static_cast<int>(sim::NodeState::kBarrier)], 0);
 }
 
-TEST(Cluster, FabricWithoutPositiveLookaheadIsRejected) {
-  // Every cluster run is windowed at its fabric's lookahead; a fabric
-  // without a positive one cannot be windowed, so the run is refused.
-  auto program = [](dvx::mpi::Comm comm, runtime::NodeCtx&) -> Coro<void> {
-    co_await comm.barrier();
-  };
-  runtime::ClusterConfig cfg;
-  cfg.nodes = 4;
-  cfg.ib.wire_latency = 0;
-  cfg.ib.switch_hop = 0;
-  runtime::Cluster cluster(cfg);
-  EXPECT_THROW(cluster.run_mpi(program), std::invalid_argument);
-  cfg.ib = {};
-  runtime::Cluster ok(cfg);
-  EXPECT_GT(ok.run_mpi(program).finished, 0);
-}
-
 TEST(Report, TableAlignsAndCsvRoundTrips) {
   runtime::Table t("demo", {"nodes", "GUPS"});
   t.row({"4", "0.12"}).row({"32", "1.20"});

@@ -89,47 +89,6 @@ TEST(Engine, MakeKeyGuardsSeqExhaustion) {
   EXPECT_TRUE(ran);
 }
 
-TEST(Engine, WindowWidthIsTheNarrowestHookWidth) {
-  Engine e;
-  EXPECT_EQ(e.window_width(), 0);  // no hooks: unwindowed
-  int wide = 0, narrow = 0;
-  // A plain throw, so a width that is not positive is refused at every
-  // check level.
-  EXPECT_THROW(e.add_window_hook(&wide, 0, [] {}), std::invalid_argument);
-  EXPECT_THROW(e.add_window_hook(&wide, -1, [] {}), std::invalid_argument);
-  EXPECT_EQ(e.window_width(), 0);
-  e.add_window_hook(&wide, sim::ns(100), [&e, &wide] {
-    ++wide;
-    EXPECT_EQ(e.window_end() - e.now(), e.window_width());
-  });
-  EXPECT_EQ(e.window_width(), sim::ns(100));
-  e.add_window_hook(&narrow, sim::ns(10), [&narrow] { ++narrow; });
-  EXPECT_EQ(e.window_width(), sim::ns(10));
-  // Events 0, 50 and 150 ns after now.
-  auto schedule_three = [&e] {
-    for (const double t : {0.0, 50.0, 150.0}) e.schedule(e.now() + sim::ns(t), [] {});
-  };
-  // Three 10-ns windows, each closed once by each hook.
-  schedule_three();
-  e.run();
-  EXPECT_EQ(narrow, 3);
-  EXPECT_EQ(wide, 3);
-  // Without the narrow hook the width is 100 ns again: the first two
-  // events share a window.
-  e.remove_window_hook(&narrow);
-  EXPECT_EQ(e.window_width(), sim::ns(100));
-  schedule_three();
-  e.run();
-  EXPECT_EQ(narrow, 3);
-  EXPECT_EQ(wide, 5);
-  // Without hooks the engine is unwindowed again and closes no window.
-  e.remove_window_hook(&wide);
-  EXPECT_EQ(e.window_width(), 0);
-  schedule_three();
-  e.run();
-  EXPECT_EQ(wide, 5);
-}
-
 TEST(Engine, NestedCoroutinesPropagateValues) {
   Engine e;
   int result = 0;

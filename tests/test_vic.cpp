@@ -535,24 +535,75 @@ TEST(DvFabric, BarrierIsReusableAcrossPhases) {
   EXPECT_EQ(done[1], done[2]);
 }
 
-TEST(DvFabric, WindowsItsEngineAtItsLookahead) {
+TEST(DvFabric, BarrierReleasesEveryRankAtTheLastArrivalPlusTheTreeLatency) {
   Engine e;
-  {
-    vic::DvFabric fabric(e, 4);
-    EXPECT_GT(fabric.min_remote_latency(), 0);
-    EXPECT_EQ(e.window_width(), fabric.min_remote_latency());
+  vic::DvFabric fabric(e, 3);
+  std::vector<int> woke;
+  std::vector<sim::Time> at;
+  // Rank 2 arrives first and rank 0 last, at 3 us; the last arrival waits
+  // for the release too, and every rank wakes in rank order.
+  for (int r = 0; r < 3; ++r) {
+    e.spawn([](Engine& eng, vic::DvFabric& f, int rank, std::vector<int>& order,
+               std::vector<sim::Time>& times) -> Coro<void> {
+      co_await eng.delay(sim::us(3 - rank));
+      co_await f.intrinsic_barrier(rank);
+      order.push_back(rank);
+      times.push_back(eng.now());
+    }(e, fabric, r, woke, at));
   }
-  EXPECT_EQ(e.window_width(), 0);  // the hook left with its fabric
-  // A traversal that rounds down to 0 ps gives no lookahead: the fabric is
-  // refused and leaves neither its hook nor its auditor behind.
-  vic::DvFabricParams instant;
-  instant.fabric.cycle = 1;
-  instant.fabric.base_hops = 0.5;
-  EXPECT_THROW((vic::DvFabric{e, 4, instant}), std::invalid_argument);
-  EXPECT_EQ(e.window_width(), 0);
-  e.schedule(sim::ns(1), [] {});
   e.run();
-  EXPECT_EQ(e.audits_run(), 0u);
+  const auto& p = fabric.params();
+  // Three VICs: a two-level AND-tree.
+  const sim::Time release = sim::us(3) + p.barrier_base + 2 * p.barrier_per_level;
+  EXPECT_EQ(woke, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(at, std::vector<sim::Time>(3, release));
+}
+
+TEST(DvFabric, EarlierReadyBurstEjectsFirstWhateverTheCallOrder) {
+  // A (VIC 0) hands over a chunk still crossing PCIe, ready three fabric
+  // traversals ahead. B (VIC 1) transmits to the same destination two
+  // traversals later, ready at once: earlier than A. The ejection port
+  // serves bursts in ready order, so B's lands first.
+  Engine e;
+  vic::DvFabric fabric(e, 3);
+  const sim::Duration traversal = fabric.model().base_latency();
+  const vic::Header to2{2, vic::DestKind::kFifo, vic::kNoCounter, 0};
+  const std::vector<vic::Packet> a(16, vic::Packet{to2, 0xA});
+  const vic::Packet b{to2, 0xB};
+  e.schedule(0, [&] { fabric.transmit(0, a, 3 * traversal); });
+  e.schedule(2 * traversal, [&] {
+    fabric.transmit(1, std::span<const vic::Packet>(&b, 1), e.now());
+  });
+  std::vector<vic::Packet> got;
+  e.schedule(100 * traversal, [&] { got = fabric.vic(2).fifo().poll(); });
+  e.run();
+  ASSERT_EQ(got.size(), 17u);
+  EXPECT_EQ(got.front().payload, 0xBu);
+  EXPECT_EQ(got.back().payload, 0xAu);
+}
+
+TEST(DvFabric, DeferredTransmitReadsItsSpansAtReady) {
+  // A transmit whose ready lies ahead keeps no copy: it reads the caller's
+  // spans at ready, so what lands is what they hold then.
+  Engine e;
+  vic::DvFabric fabric(e, 2);
+  const sim::Time ready = sim::us(1);
+  vic::Packet p{vic::Header{1, vic::DestKind::kDvMemory, vic::kNoCounter, 100}, 1};
+  const vic::Run run{1, vic::kNoCounter, 200, 2};
+  std::vector<std::uint64_t> words = {1, 1};
+  e.schedule(0, [&] {
+    fabric.transmit(0, std::span<const vic::Packet>(&p, 1), ready);
+    fabric.transmit(0, std::span<const vic::Run>(&run, 1), words, ready);
+  });
+  e.schedule(ready / 2, [&] {
+    p.payload = 2;
+    words[0] = 3;
+    words[1] = 4;
+  });
+  e.run();
+  EXPECT_EQ(fabric.vic(1).memory().read(100), 2u);
+  EXPECT_EQ(fabric.vic(1).memory().read(200), 3u);
+  EXPECT_EQ(fabric.vic(1).memory().read(201), 4u);
 }
 
 }  // namespace
