@@ -162,16 +162,21 @@ class AppsWorkload final : public Workload {
           row.push_back(runtime::fmt(speedup));
           row.push_back(paper_label[app]);
           sink.add(make_derived_record(nodes, {{"speedup", speedup}}, kAppNames[app]));
-          // The restructured apps must land in the paper's 2.46-3.41x band
-          // (loosely) and SNAP near 1.19x; checked at the paper's 32 nodes.
+          // The restructured apps must land loosely around the paper's
+          // 2.46-3.41x band and SNAP near 1.19x; checked at the paper's 32
+          // nodes. The detail states the bound the check tests, then the
+          // paper's figure.
           if (nodes == 32) {
             const bool pass = app == kSnap ? (speedup > 1.0 && speedup < 1.5)
                                            : (speedup > 2.0 && speedup < 4.5);
             sink.add_anchor(make_anchor(
                 std::string(kAppNames[app]) + "_speedup", speedup, paper_speedup[app],
                 pass,
-                app == kSnap ? "best-effort port: small gain near 1.19x"
-                             : "restructured app: within the 2.46-3.41x band"));
+                app == kSnap
+                    ? "checks 1.0 < speedup < 1.5; paper: 1.19x, a small gain for "
+                      "the best-effort port"
+                    : "checks 2.0 < speedup < 4.5; paper: the restructured apps "
+                      "land in the 2.46-3.41x band"));
           }
         }
         t.row(std::move(row));
