@@ -154,7 +154,7 @@ class MpiWorld {
 
   /// One wire transfer routed through fabric_send. `acct_bytes >= 0` carries
   /// the obs per-message accounting (full message size + protocol counter);
-  /// `traced` records the tracer message line.
+  /// `traced` records a tracer message line when a tracer is attached.
   struct WireOp {
     int src = 0;
     int dst = 0;

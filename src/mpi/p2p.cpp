@@ -20,7 +20,7 @@ Request MpiWorld::start_send(int src, int dst, int tag, std::vector<std::uint64_
   if (bytes <= params_.eager_threshold) {
     const net::MsgTiming t =
         fabric_send(WireOp{src, dst, bytes, /*acct_bytes=*/bytes, /*eager=*/true,
-                           /*traced=*/tracer_ != nullptr, tag});
+                           /*traced=*/true, tag});
     engine_.schedule(t.last_arrival,
                      [this, dst, m = Message{src, tag, std::move(data)}]() mutable {
                        deliver_eager(dst, std::move(m));
@@ -112,8 +112,7 @@ void MpiWorld::grant_rts(int dst, const Rts& rts, const Request& recv_op) {
         static_cast<std::int64_t>(pending->data.size()) * 8 + params_.envelope_bytes;
     const net::MsgTiming t =
         fabric_send(WireOp{pending->src, pending->dst, bytes, /*acct_bytes=*/-1,
-                           /*eager=*/false, /*traced=*/tracer_ != nullptr,
-                           pending->tag});
+                           /*eager=*/false, /*traced=*/true, pending->tag});
     // The sender unblocks once the payload drained its NIC.
     complete(pending->op, t.last_arrival);
     engine_.schedule(t.last_arrival,

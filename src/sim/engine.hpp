@@ -63,8 +63,8 @@ class Engine {
   std::uint64_t events_processed() const noexcept { return events_; }
 
   /// Registers an invariant auditor; audit() runs every audit_interval()
-  /// dispatched events and once when the event queue drains. Observational only — auditors must not mutate
-  /// simulation state (DESIGN.md §7).
+  /// dispatched events and once when the event queue drains. Observational
+  /// only — auditors must not mutate simulation state (DESIGN.md §7).
   void add_auditor(check::InvariantAuditor* auditor);
   /// Unregisters; no-op when the auditor was never added.
   void remove_auditor(check::InvariantAuditor* auditor) noexcept;
