@@ -117,8 +117,7 @@ def main():
     with tempfile.TemporaryDirectory(prefix="dvx_golden_") as tmp:
         out = os.path.join(tmp, "bench_full_3way.json")
         proc = subprocess.run([os.path.abspath(args.bench), *BENCH_ARGS, "--json", out],
-                              cwd=tmp,
-                              env=env, stdout=subprocess.DEVNULL,
+                              cwd=tmp, env=env, stdout=subprocess.DEVNULL,
                               stderr=subprocess.PIPE, text=True, check=False)
         if proc.returncode != 0:
             sys.stderr.write(proc.stderr)

@@ -575,8 +575,8 @@ class PerWordSide {
         const std::size_t n = std::min(chunk, packets.size() - i);
         last = pcie.direct_write(static_cast<std::int64_t>(n) * vic::kPacketBytes,
                                  engine_.now());
-        engine_.schedule(last, [this, src, chunk = all.subspan(i, n), last] {
-          transmit(src, chunk, last);
+        engine_.schedule(last, [this, src, part = all.subspan(i, n), last] {
+          transmit(src, part, last);
         });
       }
       co_await engine_.resume_at(last);
