@@ -15,12 +15,9 @@
 //
 // As in Graph500, the graph is built once (`build_bfs_graph`) and then
 // searched: both runners take the built graph, so the two networks search
-// one graph and a sweep builds each graph once (`BfsGraphCache`).
+// one graph and a sweep builds each graph once (the fig8 workload's memo).
 
 #include <cstdint>
-#include <future>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -80,31 +77,6 @@ struct BfsGraph {
 /// ranks. Throws std::invalid_argument unless `ranks` is a power of two
 /// dividing the vertex count.
 BfsGraph build_bfs_graph(const BfsParams& params, int ranks);
-
-/// Hands out built graphs, keyed by (scale, edge factor, seed, ranks). One
-/// slot holds the most recent key and its graph, so a sweep that visits
-/// its keys in runs builds each run's graph once and never holds two. A
-/// miss replaces the slot, dropping the cache's reference to the previous
-/// graph, and builds outside the lock; callers of the same key wait for
-/// that build. A build that throws rethrows to every caller waiting on it.
-class BfsGraphCache {
- public:
-  std::shared_ptr<const BfsGraph> get(const BfsParams& params, int ranks);
-
- private:
-  struct Key {
-    int scale = 0;
-    int edge_factor = 0;
-    std::uint64_t seed = 0;
-    int ranks = 0;
-    bool operator==(const Key&) const = default;
-  };
-
-  std::mutex mu_;
-  Key key_;
-  /// The slot's graph; invalid until the first get().
-  std::shared_future<std::shared_ptr<const BfsGraph>> graph_;
-};
 
 /// Both runners search `graph` from `params.searches` roots. They throw
 /// std::invalid_argument when `graph` was built for another rank count than

@@ -1,7 +1,6 @@
 #include "apps/bfs_common.hpp"
 
 #include <bit>
-#include <exception>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -14,29 +13,6 @@ BfsGraph build_bfs_graph(const BfsParams& params, int ranks) {
   return BfsGraph{
       params.scale, params.edge_factor, params.seed,
       bfs_detail::build_distribution(bfs_detail::kronecker_params(params), ranks)};
-}
-
-std::shared_ptr<const BfsGraph> BfsGraphCache::get(const BfsParams& params, int ranks) {
-  const Key key{params.scale, params.edge_factor, params.seed, ranks};
-  std::unique_lock<std::mutex> lock(mu_);
-  if (graph_.valid() && key_ == key) {
-    const auto hit = graph_;
-    lock.unlock();
-    return hit.get();
-  }
-  std::promise<std::shared_ptr<const BfsGraph>> build;
-  key_ = key;
-  graph_ = build.get_future().share();
-  const auto mine = graph_;
-  lock.unlock();
-  try {
-    build.set_value(std::make_shared<const BfsGraph>(build_bfs_graph(params, ranks)));
-  } catch (...) {
-    build.set_exception(std::current_exception());
-  }
-  // The future taken under the lock, never the slot again: another key's
-  // miss may have replaced the slot during the build.
-  return mine.get();
 }
 
 }  // namespace dvx::apps

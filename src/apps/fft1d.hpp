@@ -10,9 +10,15 @@
 //
 // The paper runs 2^33 points; this reproduction defaults to 2^20 (the shape
 // of the comparison, not the absolute GFLOPS, is the target).
+//
+// As with BFS's graph, the input is built once (`make_fft_input`) and then
+// transformed: both runners take it, so a sweep builds it once.
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
+#include "kernels/fft.hpp"
 #include "runtime/cluster.hpp"
 
 namespace dvx::apps {
@@ -29,7 +35,18 @@ struct FftResult {
   double gflops() const { return flops / seconds / 1e9; }
 };
 
-FftResult run_fft_dv(runtime::Cluster& cluster, const FftParams& params);
-FftResult run_fft_mpi(runtime::Cluster& cluster, const FftParams& params);
+/// The transform's N = 2^log_size input points: point i is a pure function
+/// of i (fft_detail::input_point), so every rank count and both networks
+/// transform the same input. Throws std::invalid_argument unless log_size is
+/// in [0, 62].
+std::vector<kernels::Complex> make_fft_input(int log_size);
+
+/// Both runners transform `input`; each rank's first transpose reads its
+/// rows of it in place. They throw std::invalid_argument unless `input`
+/// holds 2^params.log_size points.
+FftResult run_fft_dv(runtime::Cluster& cluster, const FftParams& params,
+                     std::span<const kernels::Complex> input);
+FftResult run_fft_mpi(runtime::Cluster& cluster, const FftParams& params,
+                      std::span<const kernels::Complex> input);
 
 }  // namespace dvx::apps

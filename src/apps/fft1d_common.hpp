@@ -1,10 +1,12 @@
 #pragma once
 // Shared pieces of the two FFT-1D implementations: deterministic input
-// generation, the node-local FFT/twiddle stages with compute charging, and
+// points, the node-local FFT/twiddle stages with compute charging, and
 // verification against the serial six-step transform.
 
 #include <bit>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "apps/fft1d.hpp"
@@ -20,13 +22,26 @@ struct Shape {
   std::int64_t n1, n2, rows_local;  // input matrix n1 x n2, rows per rank
 };
 
-inline Shape shape_for(int log_size, int ranks) {
+/// The shape of `input` over `ranks` ranks. Throws std::invalid_argument
+/// unless `input` holds 2^log_size points and `ranks` divides both extents.
+inline Shape shape_for(int log_size, int ranks, std::span<const Complex> input) {
   const std::int64_t n1 = std::int64_t{1} << ((log_size + 1) / 2);
   const std::int64_t n2 = std::int64_t{1} << (log_size / 2);
+  if (static_cast<std::int64_t>(input.size()) != n1 * n2) {
+    throw std::invalid_argument("fft1d: the input holds " + std::to_string(input.size()) +
+                                " points, not 2^" + std::to_string(log_size));
+  }
   if (n1 % ranks != 0 || n2 % ranks != 0) {
     throw std::invalid_argument("fft1d: rank count must divide both matrix extents");
   }
   return Shape{n1, n2, n1 / ranks};
+}
+
+/// This rank's slice of `input`: rows_local rows of length n2.
+inline std::span<const Complex> local_rows(std::span<const Complex> input, int rank,
+                                           const Shape& s) {
+  const auto count = static_cast<std::size_t>(s.rows_local * s.n2);
+  return input.subspan(static_cast<std::size_t>(rank) * count, count);
 }
 
 /// Deterministic random point for global index i (same on every rank). The
@@ -37,18 +52,6 @@ inline Complex input_point(std::uint64_t i) {
   const double im = rng.uniform(-1, 1);
   const double re = rng.uniform(-1, 1);
   return Complex(re, im);
-}
-
-/// This rank's slice of the input: rows_local rows of length n2. Every
-/// point seeds its own generator from its global index, so the input is the
-/// same at every rank count.
-inline std::vector<Complex> make_local_input(int rank, const Shape& s) {
-  const auto count = static_cast<std::uint64_t>(s.rows_local * s.n2);
-  const std::uint64_t base = static_cast<std::uint64_t>(rank) * count;
-  std::vector<Complex> out;
-  out.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) out.push_back(input_point(base + i));
-  return out;
 }
 
 /// Runs (and charges) one local FFT per row of length row_len.
@@ -69,12 +72,9 @@ inline sim::Coro<void> twiddle_rows(runtime::NodeCtx& node, std::vector<Complex>
 
 /// Max |distributed - serial| over the full output.
 inline double verify_against_serial(const Shape& s, int ranks,
+                                    std::span<const Complex> input,
                                     const std::vector<std::vector<Complex>>& outputs) {
   const std::int64_t n = s.n1 * s.n2;
-  std::vector<Complex> input(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) {
-    input[static_cast<std::size_t>(i)] = input_point(static_cast<std::uint64_t>(i));
-  }
   const auto reference = kernels::six_step_fft(input, s.n1, s.n2);
   double err = 0.0;
   const std::int64_t slice = n / ranks;

@@ -14,9 +14,10 @@ namespace sim = dvx::sim;
 using fft_detail::Shape;
 using kernels::Complex;
 
-FftResult run_fft_dv(runtime::Cluster& cluster, const FftParams& params) {
+FftResult run_fft_dv(runtime::Cluster& cluster, const FftParams& params,
+                     std::span<const Complex> input) {
   const int p = cluster.nodes();
-  const Shape s = fft_detail::shape_for(params.log_size, p);
+  const Shape s = fft_detail::shape_for(params.log_size, p, input);
   const std::int64_t n = s.n1 * s.n2;
 
   std::vector<std::vector<Complex>> outputs(static_cast<std::size_t>(p));
@@ -26,14 +27,16 @@ FftResult run_fft_dv(runtime::Cluster& cluster, const FftParams& params) {
   FftResult result;
   const auto run = cluster.run_dv(
       [&](dvapi::DvContext& ctx, runtime::NodeCtx& node) -> sim::Coro<void> {
-        auto local = fft_detail::make_local_input(ctx.rank(), s);
         co_await ctx.barrier();
         node.roi_begin();
 
-        // The transposes ping-pong between `local` and `work`.
+        // The first transpose reads this rank's rows of `input` in place;
+        // the later ones ping-pong between `work` and `local`.
         std::vector<Complex> work;
+        std::vector<Complex> local;
         // Step 1: transpose n1 x n2 -> n2 x n1.
-        co_await transpose_dv(ctx, node, local, s.n1, s.n2, kDvBase, kCtr, work);
+        co_await transpose_dv(ctx, node, fft_detail::local_rows(input, ctx.rank(), s),
+                              s.n1, s.n2, kDvBase, kCtr, work);
         // Step 2: local FFTs of length n1.
         co_await fft_detail::fft_rows(node, work, s.n1);
         // Step 3: twiddle W_N^{row*col}.
@@ -56,7 +59,7 @@ FftResult run_fft_dv(runtime::Cluster& cluster, const FftParams& params) {
   result.seconds = run.roi_seconds();
   result.flops = kernels::fft_flops(n);
   if (params.verify) {
-    result.max_error = fft_detail::verify_against_serial(s, p, outputs);
+    result.max_error = fft_detail::verify_against_serial(s, p, input, outputs);
   }
   return result;
 }

@@ -12,9 +12,10 @@ namespace sim = dvx::sim;
 using fft_detail::Shape;
 using kernels::Complex;
 
-FftResult run_fft_mpi(runtime::Cluster& cluster, const FftParams& params) {
+FftResult run_fft_mpi(runtime::Cluster& cluster, const FftParams& params,
+                      std::span<const Complex> input) {
   const int p = cluster.nodes();
-  const Shape s = fft_detail::shape_for(params.log_size, p);
+  const Shape s = fft_detail::shape_for(params.log_size, p, input);
   const std::int64_t n = s.n1 * s.n2;
 
   std::vector<std::vector<Complex>> outputs(static_cast<std::size_t>(p));
@@ -22,21 +23,25 @@ FftResult run_fft_mpi(runtime::Cluster& cluster, const FftParams& params) {
   FftResult result;
   const auto run = cluster.run_mpi(
       [&](mpi::Comm comm, runtime::NodeCtx& node) -> sim::Coro<void> {
-        auto local = fft_detail::make_local_input(comm.rank(), s);
         co_await comm.barrier();
         node.roi_begin();
 
-        // The transposes ping-pong between `local` and `work`.
+        // The first transpose reads this rank's rows of `input` in place;
+        // the later ones ping-pong between `work` and `local`. All three
+        // reuse one set of alltoall blocks.
         std::vector<Complex> work;
-        co_await transpose_mpi(comm, node, local, s.n1, s.n2, work);
+        std::vector<Complex> local;
+        TransposeBlocks blocks;
+        co_await transpose_mpi(comm, node, fft_detail::local_rows(input, comm.rank(), s),
+                               s.n1, s.n2, work, blocks);
         co_await fft_detail::fft_rows(node, work, s.n1);
         const std::int64_t rows2_local = s.n2 / p;
         co_await fft_detail::twiddle_rows(node, work,
                                           static_cast<std::int64_t>(comm.rank()) * rows2_local,
                                           s.n1, n);
-        co_await transpose_mpi(comm, node, work, s.n2, s.n1, local);
+        co_await transpose_mpi(comm, node, work, s.n2, s.n1, local, blocks);
         co_await fft_detail::fft_rows(node, local, s.n2);
-        co_await transpose_mpi(comm, node, local, s.n1, s.n2, work);
+        co_await transpose_mpi(comm, node, local, s.n1, s.n2, work, blocks);
 
         co_await comm.barrier();
         node.roi_end();
@@ -46,7 +51,7 @@ FftResult run_fft_mpi(runtime::Cluster& cluster, const FftParams& params) {
   result.seconds = run.roi_seconds();
   result.flops = kernels::fft_flops(n);
   if (params.verify) {
-    result.max_error = fft_detail::verify_against_serial(s, p, outputs);
+    result.max_error = fft_detail::verify_against_serial(s, p, input, outputs);
   }
   return result;
 }

@@ -117,7 +117,7 @@ HeatResult run_heat_dv(runtime::Cluster& cluster, const HeatParams& params) {
             for (const double v : face) payload.push_back(std::bit_cast<std::uint64_t>(v));
           }
           co_await node.compute_stream(16.0 * static_cast<double>(packed_cells));
-          co_await ctx.send_dma_runs(runs, payload);
+          co_await ctx.send_dma_runs(runs, std::as_bytes(std::span(payload)));
 
           co_await ctx.counter_wait_zero(ctr);
           // Re-arm for step+2: neighbors cannot reach it before they receive

@@ -209,7 +209,7 @@ SnapResult run_snap_dv(runtime::Cluster& cluster, const SnapParams& params) {
                     payload.push_back(std::bit_cast<std::uint64_t>(v));
                   }
                 }
-                co_await ctx.send_dma_runs(runs, payload);
+                co_await ctx.send_dma_runs(runs, std::as_bytes(std::span(payload)));
               }
             }
           }

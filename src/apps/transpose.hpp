@@ -31,10 +31,18 @@
 
 namespace dvx::apps {
 
+/// The per-peer word blocks an MPI transpose packs and its alltoall
+/// returns.
+using TransposeBlocks = std::vector<std::vector<std::uint64_t>>;
+
 /// MPI distributed transpose; `local` holds this rank's rows/P rows.
+/// `blocks` is caller-owned like `out`: the transpose packs into it and
+/// leaves the blocks the alltoall returned in it, so a caller that passes
+/// the same `blocks` to every call sizes them once.
 sim::Coro<void> transpose_mpi(mpi::Comm comm, runtime::NodeCtx& node,
                               std::span<const kernels::Complex> local, std::int64_t rows,
-                              std::int64_t cols, std::vector<kernels::Complex>& out);
+                              std::int64_t cols, std::vector<kernels::Complex>& out,
+                              TransposeBlocks& blocks);
 
 /// Maximum row groups (and thus group counters) a DV transpose uses for its
 /// pipelined receive-side drain.
@@ -43,6 +51,8 @@ inline constexpr int kTransposeGroups = 16;
 /// Data Vortex distributed transpose through DV memory at `dv_base`.
 /// Reserves group counters [counter, counter + kTransposeGroups) and needs
 /// (cols/P)*rows*2 words of DV memory headroom at dv_base on every VIC.
+/// `out` also stages the outgoing payload, so the call allocates no
+/// buffer of its size.
 sim::Coro<void> transpose_dv(dvapi::DvContext& ctx, runtime::NodeCtx& node,
                              std::span<const kernels::Complex> local, std::int64_t rows,
                              std::int64_t cols, std::uint32_t dv_base, int counter,

@@ -22,10 +22,11 @@ VorticityResult run_vorticity_mpi(runtime::Cluster& cluster,
       [&](mpi::Comm comm, runtime::NodeCtx& node) -> sim::Coro<void> {
         const std::int64_t rows_local = n / p;
         const std::int64_t row0 = static_cast<std::int64_t>(comm.rank()) * rows_local;
+        TransposeBlocks blocks;  // reused by every transpose of this rank
         auto transpose = [&](std::vector<Complex> data, std::int64_t rows,
                              std::int64_t cols) -> sim::Coro<std::vector<Complex>> {
           std::vector<Complex> out;
-          co_await transpose_mpi(comm, node, data, rows, cols, out);
+          co_await transpose_mpi(comm, node, data, rows, cols, out, blocks);
           co_return out;
         };
 

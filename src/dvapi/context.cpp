@@ -47,10 +47,9 @@ sim::Coro<void> DvContext::send_fifo(int dst, std::uint64_t payload) {
   co_await send_direct(p);
 }
 
-sim::Time DvContext::dma_read_dv_async(std::uint32_t addr,
-                                       std::span<std::uint64_t> out) {
+sim::Time DvContext::dma_read_dv_async(std::uint32_t addr, std::span<std::byte> out) {
   vic().memory().read_block(addr, out);
-  const auto bytes = static_cast<std::int64_t>(out.size()) * 8;
+  const auto bytes = static_cast<std::int64_t>(out.size());
   return vic().dma_from_vic().transfer(bytes, engine_.now()).complete;
 }
 
@@ -70,7 +69,7 @@ sim::Coro<std::vector<vic::Packet>> DvContext::fifo_wait() {
 sim::Coro<void> DvContext::dma_write_dv(std::uint32_t addr,
                                         std::span<const std::uint64_t> words) {
   const sim::Time t0 = engine_.now();
-  vic().memory().write_block(addr, words);
+  vic().memory().write_block(addr, std::as_bytes(words));
   const auto res =
       vic().dma_to_vic().transfer(static_cast<std::int64_t>(words.size()) * 8, t0);
   co_await engine_.resume_at(res.complete);
@@ -79,7 +78,7 @@ sim::Coro<void> DvContext::dma_write_dv(std::uint32_t addr,
 
 sim::Coro<void> DvContext::dma_read_dv(std::uint32_t addr, std::span<std::uint64_t> out) {
   const sim::Time t0 = engine_.now();
-  vic().memory().read_block(addr, out);
+  vic().memory().read_block(addr, std::as_writable_bytes(out));
   const auto bytes = static_cast<std::int64_t>(out.size()) * 8;
   // Tiny reads beat the DMA setup cost with plain PIO loads (the VIC's
   // host-pushed status lists exist for the same reason); big reads DMA.

@@ -18,6 +18,7 @@
 // scheme the paper's GUPS/BFS ports rely on: one PCIe crossing covers
 // packets bound for many different nodes.
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -85,7 +86,8 @@ class DvContext {
   sim::Coro<void> send_dma_batch(std::span<const vic::Packet> batch);
 
   /// DMA/Cached send of DV-memory runs: run k carries the next
-  /// `runs[k].words` words of `payload`. Timing, bursts and effects are
+  /// `runs[k].words` words of `payload`, 8 bytes each in host byte order
+  /// (a host buffer passes through std::as_bytes). Timing, bursts and effects are
   /// those of send_dma_batch over the equivalent packets, but only payload
   /// words are built and moved. Throws std::invalid_argument, before any
   /// PCIe time is charged, when a run names a destination outside
@@ -95,7 +97,7 @@ class DvContext {
   /// it has suspended: both must stay alive and unchanged until the awaited
   /// call returns.
   sim::Coro<void> send_dma_runs(std::span<const vic::Run> runs,
-                                std::span<const std::uint64_t> payload);
+                                std::span<const std::byte> payload);
 
   // --- remote memory ---------------------------------------------------------
 
@@ -156,9 +158,10 @@ class DvContext {
   /// its completion time WITHOUT blocking on it (paper §III: "incoming and
   /// outgoing DMA transfers can be overlapped, and multi-buffered DMAs
   /// enable better overlap ... with host computations"). The copy into
-  /// `out` happens immediately in simulation terms; virtual completion is
-  /// the returned time, and later DMA reads queue behind it.
-  sim::Time dma_read_dv_async(std::uint32_t addr, std::span<std::uint64_t> out);
+  /// `out` (whole words, through std::as_writable_bytes) happens
+  /// immediately in simulation terms; virtual completion is the returned
+  /// time, and later DMA reads queue behind it.
+  sim::Time dma_read_dv_async(std::uint32_t addr, std::span<std::byte> out);
 
   // --- statistics -------------------------------------------------------------
 

@@ -15,6 +15,10 @@
 
 namespace dvx::dvapi {
 
+namespace {
+constexpr auto kWord = static_cast<std::size_t>(vic::kWordBytes);
+}  // namespace
+
 sim::Coro<void> DvContext::send_direct(const vic::Packet& p) {
   co_await send_direct_batch(std::span<const vic::Packet>(&p, 1));
 }
@@ -85,7 +89,7 @@ sim::Coro<void> DvContext::send_dma_batch(std::span<const vic::Packet> batch) {
 }
 
 sim::Coro<void> DvContext::send_dma_runs(std::span<const vic::Run> runs,
-                                         std::span<const std::uint64_t> payload) {
+                                         std::span<const std::byte> payload) {
   std::size_t covered = 0;
   for (const vic::Run& r : runs) {
     if (r.dst < 0 || r.dst >= nodes()) {
@@ -99,10 +103,10 @@ sim::Coro<void> DvContext::send_dma_runs(std::span<const vic::Run> runs,
     }
     covered += r.words;
   }
-  if (covered != payload.size()) {
+  if (covered * kWord != payload.size()) {
     throw std::invalid_argument("send_dma_runs: runs cover " + std::to_string(covered) +
                                 " words of a " + std::to_string(payload.size()) +
-                                "-word payload");
+                                "-byte payload");
   }
   // Runs split at DMA-entry boundaries, exactly where the equivalent
   // packets would; (next, done) is the first run not yet fully handed off
@@ -110,7 +114,7 @@ sim::Coro<void> DvContext::send_dma_runs(std::span<const vic::Run> runs,
   std::size_t next = 0;
   std::uint32_t done = 0;
   std::vector<vic::Run> entry;
-  co_await dma_send(payload.size(), [&](std::size_t first, std::size_t n) {
+  co_await dma_send(covered, [&](std::size_t first, std::size_t n) {
     entry.clear();
     for (std::size_t left = n; left > 0;) {
       const vic::Run& r = runs[next];
@@ -124,14 +128,15 @@ sim::Coro<void> DvContext::send_dma_runs(std::span<const vic::Run> runs,
         done = 0;
       }
     }
-    fabric_.transmit(rank_, entry, payload.subspan(first, n), engine_.now());
+    fabric_.transmit(rank_, entry, payload.subspan(first * kWord, n * kWord),
+                     engine_.now());
   });
 }
 
 sim::Coro<void> DvContext::put(int dst, std::uint32_t addr,
                                std::span<const std::uint64_t> words, int counter) {
   const vic::Run run{dst, counter, addr, static_cast<std::uint32_t>(words.size())};
-  co_await send_dma_runs(std::span<const vic::Run>(&run, 1), words);
+  co_await send_dma_runs(std::span<const vic::Run>(&run, 1), std::as_bytes(words));
 }
 
 sim::Coro<std::uint64_t> DvContext::query(int dst, std::uint32_t addr) {

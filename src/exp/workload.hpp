@@ -15,15 +15,15 @@
 //             SplitMix64 sub-seed derived from the root `--seed`).
 //   execute — run ONE point. Pure: owns its own `sim::Engine` /
 //             `runtime::Cluster` and writes any human-readable output to
-//             the per-point log stream. The one object points share is
-//             fig8's graph cache (`apps::BfsGraphCache`), whose value is a
-//             pure function of its key.
+//             the per-point log stream. The only objects points share are
+//             the workloads' memos (`exp::Memo`: fig7's input, fig8's
+//             graphs), each value a pure function of its key.
 //   report  — consume the results (same order as the plan) to print the
 //             legacy tables and append records/anchors to the sink.
 //
-// Because every point is seeded from the plan alone, and the one shared
-// object hands every caller the same value for the same key, the results —
-// and therefore the emitted JSON — are byte-identical at any `--jobs` level.
+// Because every point is seeded from the plan alone, and a memo hands every
+// caller the same value for the same key, the results — and therefore the
+// emitted JSON — are byte-identical at any `--jobs` level.
 
 #include <cstdint>
 #include <iosfwd>
@@ -166,7 +166,7 @@ class Workload {
   /// Executes ONE planned point. Must be pure with respect to shared state:
   /// the only side channels are the returned metrics and `log` (shown by the
   /// reporting phase, in plan order). Shared state a point reads must be a
-  /// pure function of what the point asks for, as fig8's graph cache is.
+  /// pure function of what the point asks for, as a workload's memo is.
   /// The default forwards to run_backend.
   virtual MetricMap execute(const RunPoint& point, std::ostream& log) const;
 

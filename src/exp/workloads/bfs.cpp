@@ -10,6 +10,7 @@
 #include <iostream>
 
 #include "apps/bfs.hpp"
+#include "exp/memo.hpp"
 #include "exp/workload.hpp"
 #include "runtime/cluster.hpp"
 #include "sim/rng.hpp"
@@ -67,7 +68,7 @@ class BfsWorkload final : public Workload {
         .seed = static_cast<std::uint64_t>(params.at("seed")),
     };
     // Taken at execute time, not in plan(): planning builds nothing.
-    const auto graph = graphs_.get(bp, nodes);
+    const auto graph = graphs_.get({bp.scale, bp.edge_factor, bp.seed, nodes});
     const auto r = backend == Backend::kDv ? dvx::apps::run_bfs_dv(cluster, bp, *graph)
                                            : dvx::apps::run_bfs_mpi(cluster, bp, *graph);
     return {{"harmonic_mean_teps", r.harmonic_mean_teps},
@@ -148,9 +149,21 @@ class BfsWorkload final : public Workload {
   }
 
  private:
-  /// The one object points share (DESIGN.md §6.4): a graph is a pure
-  /// function of its key, so which point builds it cannot move a result.
-  mutable dvx::apps::BfsGraphCache graphs_;
+  /// What a graph is built from: its parameters and rank count.
+  struct GraphKey {
+    int scale = 0;
+    int edge_factor = 0;
+    std::uint64_t seed = 0;
+    int ranks = 0;
+    bool operator==(const GraphKey&) const = default;
+  };
+
+  /// Shared by the points (DESIGN.md §6.4): a graph is a pure function of
+  /// its key, so which point builds it cannot move a result.
+  mutable Memo<GraphKey, dvx::apps::BfsGraph> graphs_{[](const GraphKey& k) {
+    return dvx::apps::build_bfs_graph(
+        {.scale = k.scale, .edge_factor = k.edge_factor, .seed = k.seed}, k.ranks);
+  }};
 };
 
 }  // namespace

@@ -8,9 +8,12 @@
 
 #include <algorithm>
 #include <iostream>
+#include <utility>
 
 #include "apps/fft1d.hpp"
+#include "exp/memo.hpp"
 #include "exp/workload.hpp"
+#include "exp/workloads/fft1d.hpp"
 #include "runtime/cluster.hpp"
 
 namespace dvx::exp {
@@ -20,6 +23,8 @@ namespace runtime = dvx::runtime;
 
 class Fft1dWorkload final : public Workload {
  public:
+  explicit Fft1dWorkload(FftInputBuild build_input) : inputs_(std::move(build_input)) {}
+
   std::string name() const override { return "fft1d"; }
   std::string figure() const override { return "fig7"; }
   std::string title() const override { return "Figure 7 — FFT-1D aggregate GFLOPS"; }
@@ -54,8 +59,10 @@ class Fft1dWorkload final : public Workload {
     if (backend == Backend::kMpiTorus) config.mpi_fabric = runtime::MpiFabric::kTorus;
     runtime::Cluster cluster(config);
     dvx::apps::FftParams fp{.log_size = static_cast<int>(params.at("log_size"))};
-    const auto r = backend == Backend::kDv ? dvx::apps::run_fft_dv(cluster, fp)
-                                           : dvx::apps::run_fft_mpi(cluster, fp);
+    // Taken at execute time, not in plan(): planning builds nothing.
+    const auto input = inputs_.get(fp.log_size);
+    const auto r = backend == Backend::kDv ? dvx::apps::run_fft_dv(cluster, fp, *input)
+                                           : dvx::apps::run_fft_mpi(cluster, fp, *input);
     return {{"roi_seconds", r.seconds}, {"gflops", r.gflops()}};
   }
 
@@ -116,12 +123,21 @@ class Fft1dWorkload final : public Workload {
                                   "DV/IB GFLOPS ratio grows with node count"));
     }
   }
+
+ private:
+  /// Shared by the points (DESIGN.md §6.4): every point of a sweep has one
+  /// log_size, so a sweep builds its input once.
+  mutable Memo<int, std::vector<dvx::kernels::Complex>> inputs_;
 };
 
 }  // namespace
 
 std::unique_ptr<Workload> make_fft1d_workload() {
-  return std::make_unique<Fft1dWorkload>();
+  return make_fft1d_workload(dvx::apps::make_fft_input);
+}
+
+std::unique_ptr<Workload> make_fft1d_workload(FftInputBuild build_input) {
+  return std::make_unique<Fft1dWorkload>(std::move(build_input));
 }
 
 }  // namespace dvx::exp

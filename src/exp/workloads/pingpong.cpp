@@ -91,12 +91,14 @@ double pingpong_bw_dv(Path path, std::int64_t words, int reps) {
         // the drain DMA overlaps the next iteration's traffic; successive
         // drains queue on the engine, so sustained rates stay honest.
         std::vector<std::uint64_t> host(static_cast<std::size_t>(words));
-        ctx.dma_read_dv_async(dvapi::kFirstFreeDvWord, host);
+        ctx.dma_read_dv_async(dvapi::kFirstFreeDvWord,
+                              std::as_writable_bytes(std::span(host)));
       } else {
         co_await ctx.counter_wait_zero(kCtr);
         co_await ctx.counter_set_local(kCtr, static_cast<std::uint64_t>(words));
         std::vector<std::uint64_t> host(static_cast<std::size_t>(words));
-        ctx.dma_read_dv_async(dvapi::kFirstFreeDvWord, host);
+        ctx.dma_read_dv_async(dvapi::kFirstFreeDvWord,
+                              std::as_writable_bytes(std::span(host)));
         co_await send_one();
       }
     }

@@ -1,10 +1,26 @@
 #include "vic/dv_memory.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
 namespace dvx::vic {
+
+namespace {
+
+constexpr std::size_t kWord = sizeof(std::uint64_t);
+
+/// `bytes` in words; throws unless it is a whole number of them.
+std::size_t whole_words(std::size_t bytes) {
+  if (bytes % kWord != 0) {
+    throw std::invalid_argument("DvMemory: a block of " + std::to_string(bytes) +
+                                " bytes is not a whole number of words");
+  }
+  return bytes / kWord;
+}
+
+}  // namespace
 
 DvMemory::DvMemory(std::size_t words) : words_(words) {
   if (words == 0) throw std::invalid_argument("DvMemory: zero capacity");
@@ -36,33 +52,34 @@ void DvMemory::write(std::uint32_t addr, std::uint64_t value) {
   segment_for_write(addr / kSegmentWords)[addr % kSegmentWords] = value;
 }
 
-void DvMemory::write_block(std::uint32_t addr, std::span<const std::uint64_t> values) {
-  check(addr, values.size());
+void DvMemory::write_block(std::uint32_t addr, std::span<const std::byte> words) {
+  const std::size_t count = whole_words(words.size());
+  check(addr, count);
   std::size_t i = 0;
-  while (i < values.size()) {
+  while (i < count) {
     const std::size_t a = addr + i;
     const std::size_t seg = a / kSegmentWords;
     const std::size_t off = a % kSegmentWords;
-    const std::size_t n = std::min(values.size() - i, kSegmentWords - off);
-    std::copy_n(values.begin() + static_cast<std::ptrdiff_t>(i), n,
-                segment_for_write(seg) + off);
+    const std::size_t n = std::min(count - i, kSegmentWords - off);
+    std::memcpy(segment_for_write(seg) + off, words.data() + i * kWord, n * kWord);
     i += n;
   }
 }
 
-void DvMemory::read_block(std::uint32_t addr, std::span<std::uint64_t> out) const {
-  check(addr, out.size());
+void DvMemory::read_block(std::uint32_t addr, std::span<std::byte> out) const {
+  const std::size_t count = whole_words(out.size());
+  check(addr, count);
   std::size_t i = 0;
-  while (i < out.size()) {
+  while (i < count) {
     const std::size_t a = addr + i;
     const std::size_t seg = a / kSegmentWords;
     const std::size_t off = a % kSegmentWords;
-    const std::size_t n = std::min(out.size() - i, kSegmentWords - off);
+    const std::size_t n = std::min(count - i, kSegmentWords - off);
     const auto& p = segments_[seg];
     if (p) {
-      std::copy_n(p.get() + off, n, out.begin() + static_cast<std::ptrdiff_t>(i));
+      std::memcpy(out.data() + i * kWord, p.get() + off, n * kWord);
     } else {
-      std::fill_n(out.begin() + static_cast<std::ptrdiff_t>(i), n, 0);
+      std::memset(out.data() + i * kWord, 0, n * kWord);
     }
     i += n;
   }

@@ -9,6 +9,7 @@
 // materialize on first write (untouched words read as zero, matching
 // power-on state).
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -31,9 +32,12 @@ class DvMemory {
   std::uint64_t read(std::uint32_t addr) const;
   void write(std::uint32_t addr, std::uint64_t value);
 
-  /// Bulk accessors used by the DMA engines.
-  void write_block(std::uint32_t addr, std::span<const std::uint64_t> values);
-  void read_block(std::uint32_t addr, std::span<std::uint64_t> out) const;
+  /// Bulk accessors used by the DMA engines. A span holds whole words, each
+  /// in host byte order, so a host buffer of any trivially copyable type
+  /// passes through std::as_bytes; a span that is not a whole number of
+  /// words throws std::invalid_argument.
+  void write_block(std::uint32_t addr, std::span<const std::byte> words);
+  void read_block(std::uint32_t addr, std::span<std::byte> out) const;
 
   /// Number of materialized segments (diagnostics).
   std::size_t resident_segments() const noexcept;

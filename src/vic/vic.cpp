@@ -27,7 +27,7 @@ void Vic::deliver(const Packet& p, sim::Time arrival) {
   switch (p.header.kind) {
     case DestKind::kDvMemory:
       deliver_run(p.header.counter, p.header.addr,
-                  std::span<const std::uint64_t>(&p.payload, 1), arrival);
+                  std::as_bytes(std::span<const std::uint64_t>(&p.payload, 1)), arrival);
       return;
     case DestKind::kFifo:
       fifo_.deposit(arrival, p);
@@ -54,13 +54,15 @@ void Vic::deliver(const Packet& p, sim::Time arrival) {
   }
 }
 
-void Vic::deliver_run(int counter, std::uint32_t addr,
-                      std::span<const std::uint64_t> words, const ArrivalRamp& arrivals) {
+void Vic::deliver_run(int counter, std::uint32_t addr, std::span<const std::byte> words,
+                      const ArrivalRamp& arrivals) {
   const check::ScopedNode check_node(id_);
   // Nothing runs between the words of a run, so one block write and one
   // counted decrement leave what the per-word writes and decrements would.
   memory_.write_block(addr, words);
-  if (counter != kNoCounter) counters_.at(counter).decrement(arrivals, words.size());
+  if (counter != kNoCounter) {
+    counters_.at(counter).decrement(arrivals, words.size() / kWordBytes);
+  }
 }
 
 DvFabric::DvFabric(sim::Engine& engine, int nodes, DvFabricParams params)
@@ -108,7 +110,7 @@ void DvFabric::transmit(int src, std::span<const Packet> packets, sim::Time read
 }
 
 void DvFabric::transmit(int src, std::span<const Run> runs,
-                        std::span<const std::uint64_t> payload, sim::Time ready) {
+                        std::span<const std::byte> payload, sim::Time ready) {
   if (payload.empty()) return;
   if (ready <= engine_.now()) {
     transmit_now(src, runs, payload, ready);
@@ -140,7 +142,7 @@ void DvFabric::transmit_now(int src, std::span<const Packet> packets, sim::Time 
 }
 
 void DvFabric::transmit_now(int src, std::span<const Run> runs,
-                            std::span<const std::uint64_t> payload, sim::Time ready) {
+                            std::span<const std::byte> payload, sim::Time ready) {
   std::size_t i = 0;
   std::size_t word = 0;
   while (i < runs.size()) {
@@ -156,13 +158,14 @@ void DvFabric::transmit_now(int src, std::span<const Run> runs,
     for (; i < j; ++i) {
       const Run& r = runs[i];
       DVX_CHECK(r.words > 0) << "empty DV-memory run for VIC " << dst;
-      target.deliver_run(r.counter, r.addr, payload.subspan(word, r.words),
+      target.deliver_run(r.counter, r.addr,
+                         payload.subspan(word * kWordBytes, r.words * kWordBytes),
                          ArrivalRamp(timing.first_arrival, timing.last_arrival, n, offset));
       offset += r.words;
       word += r.words;
     }
   }
-  DVX_CHECK_EQ(word, payload.size()) << "runs do not cover their payload. ";
+  DVX_CHECK_EQ(word * kWordBytes, payload.size()) << "runs do not cover their payload. ";
 }
 
 void DvFabric::arrive_at_barrier() {

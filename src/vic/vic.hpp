@@ -18,6 +18,7 @@
 // bursts in O(1) instead of per-packet events, and DV-memory runs in one
 // block write.
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -62,13 +63,13 @@ class Vic {
   /// word now and sends the reply, host-free, when the query lands.
   void deliver(const Packet& p, sim::Time arrival);
 
-  /// Network ingress of one DV-memory run: `words` land at `addr`, `addr+1`,
-  /// ..., word k at `arrivals.at(k)`, each decrementing `counter`
-  /// (kNoCounter: none). One bounds-checked block write and one counted
-  /// decrement, with exactly the effects of delivering the words as
-  /// packets one at a time.
-  void deliver_run(int counter, std::uint32_t addr,
-                   std::span<const std::uint64_t> words, const ArrivalRamp& arrivals);
+  /// Network ingress of one DV-memory run: `words` (whole words, as
+  /// DvMemory::write_block takes them) land at `addr`, `addr+1`, ..., word k
+  /// at `arrivals.at(k)`, each decrementing `counter` (kNoCounter: none).
+  /// One bounds-checked block write and one counted decrement, with exactly
+  /// the effects of delivering the words as packets one at a time.
+  void deliver_run(int counter, std::uint32_t addr, std::span<const std::byte> words,
+                   const ArrivalRamp& arrivals);
 
  private:
   sim::Engine& engine_;
@@ -118,11 +119,11 @@ class DvFabric : public check::InvariantAuditor {
   void transmit(int src, std::span<const Packet> packets, sim::Time ready);
 
   /// The run form of transmit: run k carries the next `runs[k].words` words
-  /// of `payload`, and every run is non-empty. Moves exactly what the
-  /// equivalent kDvMemory packets would, in the same bursts, with the same
-  /// timing and the same span contract for both spans.
-  void transmit(int src, std::span<const Run> runs,
-                std::span<const std::uint64_t> payload, sim::Time ready);
+  /// (8 bytes each) of `payload`, and every run is non-empty. Moves exactly
+  /// what the equivalent kDvMemory packets would, in the same bursts, with
+  /// the same timing and the same span contract for both spans.
+  void transmit(int src, std::span<const Run> runs, std::span<const std::byte> payload,
+                sim::Time ready);
 
   /// Hardware barrier built on the two reserved counters: rank's VIC arrives
   /// at the current virtual time; every rank resumes at the last arrival
@@ -138,7 +139,7 @@ class DvFabric : public check::InvariantAuditor {
  private:
   void transmit_now(int src, std::span<const Packet> packets, sim::Time ready);
   void transmit_now(int src, std::span<const Run> runs,
-                    std::span<const std::uint64_t> payload, sim::Time ready);
+                    std::span<const std::byte> payload, sim::Time ready);
   /// Counts one barrier arrival at now(); the one that completes the phase
   /// releases every rank.
   void arrive_at_barrier();

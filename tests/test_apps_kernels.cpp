@@ -1,17 +1,13 @@
 // End-to-end tests of the kernel applications (GUPS, FFT-1D, BFS) on BOTH
 // network backends: numerics verified, plus DV-vs-MPI cross-checks and the
-// paper's qualitative performance relations; and the BFS graph split: the
-// runners' graph checks and the one-slot graph cache.
+// paper's qualitative performance relations; and the inputs the runners
+// take: the FFT input and the BFS graph, with the runners' checks of both.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <barrier>
-#include <latch>
-#include <memory>
 #include <set>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "apps/bfs.hpp"
@@ -81,11 +77,12 @@ TEST_P(FftAppBackends, DistributedMatchesSerialSixStep) {
   const int nodes = GetParam();
   auto cluster = make_cluster(nodes);
   apps::FftParams fp{.log_size = 12, .verify = true};
+  const auto input = apps::make_fft_input(fp.log_size);
   // The distributed six-step does the serial one's arithmetic in the same
   // order, so the two agree bit for bit.
-  const auto dv = apps::run_fft_dv(cluster, fp);
+  const auto dv = apps::run_fft_dv(cluster, fp, input);
   EXPECT_EQ(dv.max_error, 0.0) << "DV FFT numerics broken";
-  const auto mpi = apps::run_fft_mpi(cluster, fp);
+  const auto mpi = apps::run_fft_mpi(cluster, fp, input);
   EXPECT_EQ(mpi.max_error, 0.0) << "MPI FFT numerics broken";
   EXPECT_GT(dv.gflops(), 0.0);
   EXPECT_GT(mpi.gflops(), 0.0);
@@ -107,12 +104,36 @@ TEST(FftApp, InputPointDrawsTheImaginaryPartFirst) {
   }
 }
 
+TEST(FftApp, InputHoldsInputPointAtEveryIndex) {
+  for (const int log_size : {0, 1, 7, 14}) {
+    const auto input = apps::make_fft_input(log_size);
+    ASSERT_EQ(input.size(), std::size_t{1} << log_size);
+    for (std::size_t i = 0; i < input.size(); ++i) {
+      ASSERT_EQ(input[i], apps::fft_detail::input_point(i)) << "point " << i;
+    }
+  }
+  EXPECT_THROW(apps::make_fft_input(-1), std::invalid_argument);
+  EXPECT_THROW(apps::make_fft_input(63), std::invalid_argument);
+}
+
+TEST(FftApp, RunnersRejectAnInputOfAnotherSize) {
+  auto cluster = make_cluster(2);
+  const apps::FftParams fp{.log_size = 10};
+  const auto shorter = apps::make_fft_input(9);
+  const auto longer = apps::make_fft_input(11);
+  for (const auto* input : {&shorter, &longer}) {
+    EXPECT_THROW(apps::run_fft_dv(cluster, fp, *input), std::invalid_argument);
+    EXPECT_THROW(apps::run_fft_mpi(cluster, fp, *input), std::invalid_argument);
+  }
+}
+
 TEST(FftApp, DataVortexWinsAtScale) {
   // Fig. 7: DV aggregate GFLOPS above MPI at larger node counts.
   apps::FftParams fp{.log_size = 16};
+  const auto input = apps::make_fft_input(fp.log_size);
   auto c16 = make_cluster(16);
-  const auto dv = apps::run_fft_dv(c16, fp);
-  const auto mpi = apps::run_fft_mpi(c16, fp);
+  const auto dv = apps::run_fft_dv(c16, fp, input);
+  const auto mpi = apps::run_fft_mpi(c16, fp, input);
   EXPECT_GT(dv.gflops(), mpi.gflops());
 }
 
@@ -189,119 +210,6 @@ TEST(GupsApp, DataVortexStillRunsAt128Nodes) {
       c128, {.local_table_words = 1 << 8, .updates_per_node = 1 << 8, .verify = true});
   EXPECT_EQ(res.errors, 0u);
   EXPECT_GT(res.gups(), 0.0);
-}
-
-TEST(BfsGraphCache, OneKeyReturnsOneObject) {
-  apps::BfsGraphCache cache;
-  const apps::BfsParams bp{.scale = 9, .edge_factor = 8, .searches = 1, .seed = 2};
-  const auto a = cache.get(bp, 2);
-  EXPECT_EQ(cache.get(bp, 2), a);
-  ASSERT_EQ(a->ranks.size(), 2u);
-  EXPECT_EQ(a->seed, 2u);
-}
-
-TEST(BfsGraphCache, AnotherSeedOrRankCountReturnsAnotherObject) {
-  apps::BfsGraphCache cache;
-  const apps::BfsParams bp{.scale = 9, .edge_factor = 8, .searches = 1, .seed = 2};
-  apps::BfsParams other_seed = bp;
-  other_seed.seed = 3;
-  const auto a = cache.get(bp, 2);
-  const auto b = cache.get(other_seed, 2);
-  const auto c = cache.get(bp, 4);
-  EXPECT_NE(b, a);
-  EXPECT_EQ(b->seed, 3u);
-  EXPECT_NE(c, a);
-  EXPECT_EQ(c->ranks.size(), 4u);
-}
-
-TEST(BfsGraphCache, ConcurrentCallersOfTwoRankCountsGetTheirOwn) {
-  // Two keys fight over the one slot: a caller whose build another key's
-  // miss overtook must still return its own graph.
-  apps::BfsGraphCache cache;
-  const apps::BfsParams bp{.scale = 11, .edge_factor = 8, .searches = 1};
-  constexpr int kThreads = 8;
-  std::latch start(kThreads);
-  std::vector<std::vector<std::size_t>> got(kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      const int ranks = t % 2 == 0 ? 2 : 4;
-      start.arrive_and_wait();
-      for (int i = 0; i < 4; ++i) got[t].push_back(cache.get(bp, ranks)->ranks.size());
-    });
-  }
-  for (auto& th : threads) th.join();
-  for (int t = 0; t < kThreads; ++t) {
-    for (const std::size_t ranks : got[t]) {
-      EXPECT_EQ(ranks, t % 2 == 0 ? 2u : 4u) << "thread " << t;
-    }
-  }
-}
-
-TEST(BfsGraphCache, ConcurrentCallersOfOneKeyShareOneBuild) {
-  // Rounds alternate between the two rank counts; within a round every
-  // caller asks for one key at once, so all but the first wait for the
-  // build in flight and share its object.
-  apps::BfsGraphCache cache;
-  const apps::BfsParams bp{.scale = 11, .edge_factor = 8, .searches = 1};
-  constexpr int kThreads = 8;
-  constexpr int kRounds = 4;
-  std::barrier round(kThreads);
-  std::vector<std::vector<std::shared_ptr<const apps::BfsGraph>>> got(
-      kRounds, std::vector<std::shared_ptr<const apps::BfsGraph>>(kThreads));
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int r = 0; r < kRounds; ++r) {
-        round.arrive_and_wait();
-        got[r][t] = cache.get(bp, r % 2 == 0 ? 2 : 4);
-        round.arrive_and_wait();
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  for (int r = 0; r < kRounds; ++r) {
-    ASSERT_EQ(got[r][0]->ranks.size(), r % 2 == 0 ? 2u : 4u) << "round " << r;
-    for (int t = 1; t < kThreads; ++t) EXPECT_EQ(got[r][t], got[r][0]) << "round " << r;
-    if (r > 0) {
-      EXPECT_NE(got[r][0], got[r - 1][0]) << "round " << r;
-    }
-  }
-}
-
-TEST(BfsGraphCache, ThrowingBuildThrowsToItsCallersAndALaterKeyStillBuilds) {
-  apps::BfsGraphCache cache;
-  const apps::BfsParams bp{.scale = 9, .edge_factor = 8, .searches = 1};
-  // 3 ranks is not a power of two, so the build throws; every caller of
-  // that key gets the error.
-  constexpr int kThreads = 4;
-  std::latch start(kThreads);
-  std::vector<int> threw(kThreads, 0);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      start.arrive_and_wait();
-      try {
-        cache.get(bp, 3);
-      } catch (const std::invalid_argument&) {
-        threw[t] = 1;
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(std::count(threw.begin(), threw.end(), 1), kThreads);
-  EXPECT_EQ(cache.get(bp, 2)->ranks.size(), 2u);
-}
-
-TEST(BfsGraphCache, ANewKeyReleasesThePreviousGraph) {
-  apps::BfsGraphCache cache;
-  const apps::BfsParams bp{.scale = 9, .edge_factor = 8, .searches = 1};
-  auto a = cache.get(bp, 2);
-  const std::weak_ptr<const apps::BfsGraph> weak = a;
-  const auto b = cache.get(bp, 4);
-  EXPECT_FALSE(weak.expired());  // the test still holds it
-  a.reset();
-  EXPECT_TRUE(weak.expired());
 }
 
 TEST(BfsDistribution, MatchesCsrAtEveryRankCount) {

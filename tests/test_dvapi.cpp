@@ -534,7 +534,9 @@ class RealSide {
   Coro<void> send(int src, const RefSend& s) {
     dvapi::DvContext& ctx = ctxs_[static_cast<std::size_t>(src)];
     switch (s.path) {
-      case RefSend::Path::kDmaRuns: co_await ctx.send_dma_runs(s.runs, s.payload); break;
+      case RefSend::Path::kDmaRuns:
+        co_await ctx.send_dma_runs(s.runs, std::as_bytes(std::span(s.payload)));
+        break;
       case RefSend::Path::kDmaPackets: co_await ctx.send_dma_batch(s.packets); break;
       case RefSend::Path::kPioPackets: co_await ctx.send_direct_batch(s.packets); break;
     }
@@ -696,7 +698,7 @@ RefOutcome run_traffic(Engine& e, Side& side, const RefTraffic& t) {
   EXPECT_TRUE(e.all_done());
   for (int n = 0; n < kRefNodes; ++n) {
     out.memory.emplace_back(kRefWords);
-    side.memory(n).read_block(0, out.memory.back());
+    side.memory(n).read_block(0, std::as_writable_bytes(std::span(out.memory.back())));
     out.fifo.push_back(payloads(side.fifo(n).poll()));
     for (int c = 0; c < vic::kNumGroupCounters; ++c) {
       const vic::GroupCounter& gc = side.counter(n, c);

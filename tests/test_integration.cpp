@@ -57,8 +57,9 @@ TEST_P(TransposeProperty, DoubleTransposeIsIdentity) {
       const auto mine =
           random_matrix(rows / p * cols, 100 + static_cast<unsigned>(comm.rank()));
       std::vector<Complex> t, tt;
-      co_await apps::transpose_mpi(comm, node, mine, rows, cols, t);
-      co_await apps::transpose_mpi(comm, node, t, cols, rows, tt);
+      apps::TransposeBlocks blocks;
+      co_await apps::transpose_mpi(comm, node, mine, rows, cols, t, blocks);
+      co_await apps::transpose_mpi(comm, node, t, cols, rows, tt, blocks);
       err = std::max(err, dvx::kernels::max_abs_diff(tt, mine));
     });
     EXPECT_EQ(err, 0.0) << "MPI double transpose must be exact";
@@ -94,8 +95,10 @@ TEST(TransposeProperty, BackendsAgreeExactly) {
     cluster.run_mpi([&](dvx::mpi::Comm comm, runtime::NodeCtx& node) -> Coro<void> {
       const auto mine =
           random_matrix(rows / p * cols, 7 + static_cast<unsigned>(comm.rank()));
+      apps::TransposeBlocks blocks;
       co_await apps::transpose_mpi(comm, node, mine, rows, cols,
-                                   mpi_out[static_cast<std::size_t>(comm.rank())]);
+                                   mpi_out[static_cast<std::size_t>(comm.rank())],
+                                   blocks);
     });
   }
   {
@@ -148,9 +151,10 @@ TEST(TransposeProperty, MatchesExplicitReferenceIntoReusedOutput) {
     auto cluster = make_cluster(p);
     cluster.run_mpi([&](dvx::mpi::Comm comm, runtime::NodeCtx& node) -> Coro<void> {
       std::vector<Complex> out;
+      apps::TransposeBlocks blocks;
       for (const auto& m : inputs) {
         const auto mine = slice(m, comm.rank());
-        co_await apps::transpose_mpi(comm, node, mine, rows, cols, out);
+        co_await apps::transpose_mpi(comm, node, mine, rows, cols, out, blocks);
         mpi_bad += mismatches(m, comm.rank(), out);
       }
     });
@@ -182,7 +186,8 @@ TEST(TransposeProperty, OutputThatIsTheInputIsRejected) {
     EXPECT_THROW(
         cluster.run_mpi([&](dvx::mpi::Comm comm, runtime::NodeCtx& node) -> Coro<void> {
           auto mine = random_matrix(rows / p * cols, 5);
-          co_await apps::transpose_mpi(comm, node, mine, rows, cols, mine);
+          apps::TransposeBlocks blocks;
+          co_await apps::transpose_mpi(comm, node, mine, rows, cols, mine, blocks);
         }),
         std::invalid_argument);
   }
@@ -235,7 +240,7 @@ TEST(Determinism, FullStackGupsIsBitStable) {
 TEST(Tracing, DvRunsProduceStateIntervals) {
   runtime::Cluster cluster(runtime::ClusterConfig{.nodes = 4, .trace = true});
   apps::FftParams fp{.log_size = 12};
-  apps::run_fft_dv(cluster, fp);
+  apps::run_fft_dv(cluster, fp, apps::make_fft_input(fp.log_size));
   const auto summary = cluster.tracer().state_summary();
   ASSERT_EQ(summary.size(), 4u);
   for (const auto& [rank, s] : summary) {

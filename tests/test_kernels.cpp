@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <numbers>
 #include <numeric>
 #include <set>
 
@@ -149,6 +151,72 @@ TEST(Fft, BatchRowsAreBitIdenticalToSingleRows) {
   }
   std::vector<Complex> ragged(12);
   EXPECT_THROW(kernels::fft_rows(ragged, 8), std::invalid_argument);
+}
+
+/// The stage-by-stage radix-2 loop fft_rows ran before it fused stage
+/// pairs: the reference its output must equal bit for bit.
+void reference_fft_rows(std::span<Complex> data, std::int64_t n, bool inverse) {
+  const auto len = static_cast<std::size_t>(n);
+  std::vector<Complex> w(len / 2);
+  for (std::size_t k = 0; k < w.size(); ++k) {
+    const double ang = (inverse ? 1.0 : -1.0) * 2.0 * std::numbers::pi *
+                       static_cast<double>(k) / static_cast<double>(n);
+    w[k] = Complex(std::cos(ang), std::sin(ang));
+  }
+  std::vector<std::size_t> rev(len, 0);
+  const int bits = std::countr_zero(len);
+  for (std::size_t i = 1; i < len; ++i) {
+    rev[i] = (rev[i >> 1] >> 1) | ((i & 1) << (bits - 1));
+  }
+  const auto mul = [](Complex a, Complex b) {
+    return Complex(a.real() * b.real() - a.imag() * b.imag(),
+                   a.real() * b.imag() + a.imag() * b.real());
+  };
+  const double inv = 1.0 / static_cast<double>(n);
+  for (std::size_t row = 0; row < data.size(); row += len) {
+    Complex* x = data.data() + row;
+    for (std::size_t i = 1; i < len; ++i) {
+      if (i < rev[i]) std::swap(x[i], x[rev[i]]);
+    }
+    for (std::size_t half = 1, stride = len / 2; half < len; half <<= 1, stride >>= 1) {
+      for (std::size_t i = 0; i < len; i += 2 * half) {
+        for (std::size_t k = 0; k < half; ++k) {
+          const Complex u = x[i + k];
+          const Complex v = mul(x[i + k + half], w[k * stride]);
+          x[i + k] = u + v;
+          x[i + k + half] = u - v;
+        }
+      }
+    }
+    if (inverse) {
+      for (std::size_t i = 0; i < len; ++i) x[i] *= inv;
+    }
+  }
+}
+
+TEST(Fft, RowsAreBitIdenticalToTheStageByStageLoop) {
+  constexpr std::int64_t kRows = 3;
+  for (int log_len = 0; log_len <= 12; ++log_len) {
+    const std::int64_t len = std::int64_t{1} << log_len;
+    // Row 0 is random, row 1 all zeros of both signs, row 2 random with
+    // every third part an exact or signed zero.
+    auto orig = random_signal(static_cast<std::size_t>(len * kRows), 53 + log_len);
+    for (std::int64_t i = 0; i < len; ++i) {
+      const double sign = i % 2 == 0 ? 1.0 : -1.0;
+      orig[static_cast<std::size_t>(len + i)] = Complex(sign * 0.0, -sign * 0.0);
+      auto& z = orig[static_cast<std::size_t>(2 * len + i)];
+      if (i % 3 == 0) z = Complex(z.real(), sign * 0.0);
+      if (i % 3 == 1) z = Complex(-sign * 0.0, z.imag());
+    }
+    for (const bool inverse : {false, true}) {
+      auto got = orig;
+      kernels::fft_rows(got, len, inverse);
+      auto want = orig;
+      reference_fft_rows(want, len, inverse);
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(Complex)), 0)
+          << "len=" << len << " inverse=" << inverse;
+    }
+  }
 }
 
 TEST(Fft, TableTwiddlesMatchTheReference) {
