@@ -38,8 +38,10 @@ void SurpriseFifo::deposit(sim::Time at, Packet p) {
     obs_depth_->sample(static_cast<double>(buffered()));
   }
   // A deposit is made when its burst is injected, ahead of its physical
-  // arrival; notifying at the arrival time wakes pollers when it lands.
-  cond_.notify_all(at);
+  // arrival. Waiters wake when the first buffered packet lands: a waiter
+  // already sleeping toward an earlier arrival must not be moved to this
+  // one's, since a notify consumes the waiter's own deadline.
+  cond_.notify_all(earliest());
 }
 
 std::vector<Packet> SurpriseFifo::poll() {
