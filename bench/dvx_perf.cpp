@@ -257,16 +257,19 @@ BenchResult bfs_dv_point() {
 /// construction included: the host FFT numerics plus the three simulated
 /// pack/alltoall/unpack transposes. The input is built inside the timed
 /// region, so the row keeps timing its generation as it did when each rank
-/// generated its own slice. A fast fig7 point lasts only tens of ms, too
-/// short to time stably.
+/// generated its own slice, and so are the output and scratch, which the
+/// point zero-fills and faults in as a sweep's first point does. A fast fig7
+/// point lasts only tens of ms, too short to time stably.
 BenchResult fft_mpi_point() {
   namespace apps = dvx::apps;
   const apps::FftParams params{.log_size = 20};
+  const auto n = std::size_t{1} << params.log_size;
 
   const auto t0 = Clock::now();
   runtime::Cluster cluster(runtime::ClusterConfig{.nodes = 8});
-  const apps::FftResult result =
-      apps::run_fft_mpi(cluster, params, apps::make_fft_input(params.log_size));
+  std::vector<dvx::kernels::Complex> output(n), scratch(n);
+  const apps::FftResult result = apps::run_fft_mpi(
+      cluster, params, apps::make_fft_input(params.log_size), output, scratch);
   const double s = seconds_since(t0);
   if (!(result.gflops() > 0)) {
     std::cerr << "dvx_perf: fft_mpi_point transformed nothing\n";
@@ -278,16 +281,18 @@ BenchResult fft_mpi_point() {
 
 /// End-to-end fig7 canary over Data Vortex: the full-size FFT-1D point on 8
 /// nodes through apps::run_fft_dv, cluster construction included: the same
-/// numerics and input build as fft_mpi_point, with three scatter transposes
-/// whose words cross the fabric as DV-memory runs.
+/// numerics, input build and buffers as fft_mpi_point, with three scatter
+/// transposes whose words cross the fabric as DV-memory runs.
 BenchResult fft_dv_point() {
   namespace apps = dvx::apps;
   const apps::FftParams params{.log_size = 20};
+  const auto n = std::size_t{1} << params.log_size;
 
   const auto t0 = Clock::now();
   runtime::Cluster cluster(runtime::ClusterConfig{.nodes = 8});
-  const apps::FftResult result =
-      apps::run_fft_dv(cluster, params, apps::make_fft_input(params.log_size));
+  std::vector<dvx::kernels::Complex> output(n), scratch(n);
+  const apps::FftResult result = apps::run_fft_dv(
+      cluster, params, apps::make_fft_input(params.log_size), output, scratch);
   const double s = seconds_since(t0);
   if (!(result.gflops() > 0)) {
     std::cerr << "dvx_perf: fft_dv_point transformed nothing\n";

@@ -12,7 +12,9 @@
 // of the comparison, not the absolute GFLOPS, is the target).
 //
 // As with BFS's graph, the input is built once (`make_fft_input`) and then
-// transformed: both runners take it, so a sweep builds it once.
+// transformed: both runners take it, so a sweep builds it once. They also
+// take the output and scratch storage, so a sweep can lend every point the
+// same buffers (exp/pool.hpp).
 
 #include <cstdint>
 #include <span>
@@ -41,12 +43,18 @@ struct FftResult {
 /// in [0, 62].
 std::vector<kernels::Complex> make_fft_input(int log_size);
 
-/// Both runners transform `input`; each rank's first transpose reads its
-/// rows of it in place. They throw std::invalid_argument unless `input`
-/// holds 2^params.log_size points.
+/// Both runners transform `input` into `output`, in natural order; each
+/// rank's first transpose reads its rows of `input` in place. Rank r works
+/// in its N/P slices of `output` and `scratch`, so a run allocates no
+/// buffer of the transform's size, and it writes every element of both
+/// before reading it: what they held before cannot move a result. They
+/// throw std::invalid_argument unless all three hold 2^params.log_size
+/// points and no two of them overlap.
 FftResult run_fft_dv(runtime::Cluster& cluster, const FftParams& params,
-                     std::span<const kernels::Complex> input);
+                     std::span<const kernels::Complex> input,
+                     std::span<kernels::Complex> output, std::span<kernels::Complex> scratch);
 FftResult run_fft_mpi(runtime::Cluster& cluster, const FftParams& params,
-                      std::span<const kernels::Complex> input);
+                      std::span<const kernels::Complex> input,
+                      std::span<kernels::Complex> output, std::span<kernels::Complex> scratch);
 
 }  // namespace dvx::apps

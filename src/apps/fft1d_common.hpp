@@ -7,9 +7,11 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/fft1d.hpp"
+#include "apps/transpose.hpp"
 #include "kernels/fft.hpp"
 #include "runtime/node.hpp"
 #include "sim/rng.hpp"
@@ -19,29 +21,40 @@ namespace dvx::apps::fft_detail {
 using kernels::Complex;
 
 struct Shape {
-  std::int64_t n1, n2, rows_local;  // input matrix n1 x n2, rows per rank
+  std::int64_t n1, n2;  // input matrix n1 x n2
 };
 
-/// The shape of `input` over `ranks` ranks. Throws std::invalid_argument
-/// unless `input` holds 2^log_size points and `ranks` divides both extents.
-inline Shape shape_for(int log_size, int ranks, std::span<const Complex> input) {
+/// The shape of the transform over `ranks` ranks. Throws
+/// std::invalid_argument unless `input`, `output` and `scratch` each hold
+/// 2^log_size points, no two of them overlap, and `ranks` divides both
+/// extents.
+inline Shape shape_for(int log_size, int ranks, std::span<const Complex> input,
+                       std::span<const Complex> output, std::span<const Complex> scratch) {
   const std::int64_t n1 = std::int64_t{1} << ((log_size + 1) / 2);
   const std::int64_t n2 = std::int64_t{1} << (log_size / 2);
-  if (static_cast<std::int64_t>(input.size()) != n1 * n2) {
-    throw std::invalid_argument("fft1d: the input holds " + std::to_string(input.size()) +
-                                " points, not 2^" + std::to_string(log_size));
+  for (const auto& [what, buffer] : {std::pair{"input", input}, std::pair{"output", output},
+                                     std::pair{"scratch", scratch}}) {
+    if (static_cast<std::int64_t>(buffer.size()) != n1 * n2) {
+      throw std::invalid_argument(std::string("fft1d: the ") + what + " holds " +
+                                  std::to_string(buffer.size()) + " points, not 2^" +
+                                  std::to_string(log_size));
+    }
+  }
+  if (overlap(input, output) || overlap(input, scratch) || overlap(output, scratch)) {
+    throw std::invalid_argument("fft1d: the input, output and scratch must not overlap");
   }
   if (n1 % ranks != 0 || n2 % ranks != 0) {
     throw std::invalid_argument("fft1d: rank count must divide both matrix extents");
   }
-  return Shape{n1, n2, n1 / ranks};
+  return Shape{n1, n2};
 }
 
-/// This rank's slice of `input`: rows_local rows of length n2.
-inline std::span<const Complex> local_rows(std::span<const Complex> input, int rank,
-                                           const Shape& s) {
-  const auto count = static_cast<std::size_t>(s.rows_local * s.n2);
-  return input.subspan(static_cast<std::size_t>(rank) * count, count);
+/// Rank `rank`'s equal share of `buffer`: its rows of the input matrix, or
+/// its slice of the output and scratch.
+template <typename T>
+std::span<T> rank_slice(std::span<T> buffer, int rank, int ranks) {
+  const std::size_t count = buffer.size() / static_cast<std::size_t>(ranks);
+  return buffer.subspan(static_cast<std::size_t>(rank) * count, count);
 }
 
 /// Deterministic random point for global index i (same on every rank). The
@@ -55,7 +68,7 @@ inline Complex input_point(std::uint64_t i) {
 }
 
 /// Runs (and charges) one local FFT per row of length row_len.
-inline sim::Coro<void> fft_rows(runtime::NodeCtx& node, std::vector<Complex>& data,
+inline sim::Coro<void> fft_rows(runtime::NodeCtx& node, std::span<Complex> data,
                                 std::int64_t row_len) {
   const std::int64_t rows = static_cast<std::int64_t>(data.size()) / row_len;
   kernels::fft_rows(data, row_len);
@@ -63,7 +76,7 @@ inline sim::Coro<void> fft_rows(runtime::NodeCtx& node, std::vector<Complex>& da
 }
 
 /// Twiddle stage: element (global row gr, col c) scaled by W_N^{gr*c}.
-inline sim::Coro<void> twiddle_rows(runtime::NodeCtx& node, std::vector<Complex>& data,
+inline sim::Coro<void> twiddle_rows(runtime::NodeCtx& node, std::span<Complex> data,
                                     std::int64_t first_row, std::int64_t row_len,
                                     std::int64_t n) {
   kernels::twiddle_rows(data, first_row, row_len, n);
@@ -71,22 +84,9 @@ inline sim::Coro<void> twiddle_rows(runtime::NodeCtx& node, std::vector<Complex>
 }
 
 /// Max |distributed - serial| over the full output.
-inline double verify_against_serial(const Shape& s, int ranks,
-                                    std::span<const Complex> input,
-                                    const std::vector<std::vector<Complex>>& outputs) {
-  const std::int64_t n = s.n1 * s.n2;
-  const auto reference = kernels::six_step_fft(input, s.n1, s.n2);
-  double err = 0.0;
-  const std::int64_t slice = n / ranks;
-  for (int r = 0; r < ranks; ++r) {
-    const auto& out = outputs[static_cast<std::size_t>(r)];
-    if (static_cast<std::int64_t>(out.size()) != slice) return 1e300;
-    for (std::int64_t i = 0; i < slice; ++i) {
-      err = std::max(err, std::abs(out[static_cast<std::size_t>(i)] -
-                                   reference[static_cast<std::size_t>(r * slice + i)]));
-    }
-  }
-  return err;
+inline double verify_against_serial(const Shape& s, std::span<const Complex> input,
+                                    std::span<const Complex> output) {
+  return kernels::max_abs_diff(output, kernels::six_step_fft(input, s.n1, s.n2));
 }
 
 }  // namespace dvx::apps::fft_detail

@@ -15,12 +15,12 @@ using fft_detail::Shape;
 using kernels::Complex;
 
 FftResult run_fft_dv(runtime::Cluster& cluster, const FftParams& params,
-                     std::span<const Complex> input) {
+                     std::span<const Complex> input, std::span<Complex> output,
+                     std::span<Complex> scratch) {
   const int p = cluster.nodes();
-  const Shape s = fft_detail::shape_for(params.log_size, p, input);
+  const Shape s = fft_detail::shape_for(params.log_size, p, input, output, scratch);
   const std::int64_t n = s.n1 * s.n2;
 
-  std::vector<std::vector<Complex>> outputs(static_cast<std::size_t>(p));
   constexpr int kCtr = dvapi::kFirstFreeCounter;
   constexpr std::uint32_t kDvBase = dvapi::kFirstFreeDvWord;
 
@@ -31,12 +31,13 @@ FftResult run_fft_dv(runtime::Cluster& cluster, const FftParams& params,
         node.roi_begin();
 
         // The first transpose reads this rank's rows of `input` in place;
-        // the later ones ping-pong between `work` and `local`.
-        std::vector<Complex> work;
-        std::vector<Complex> local;
+        // the later ones ping-pong between `work` and `local`, this rank's
+        // slices of `output` and `scratch`.
+        const std::span<Complex> work = fft_detail::rank_slice(output, ctx.rank(), p);
+        const std::span<Complex> local = fft_detail::rank_slice(scratch, ctx.rank(), p);
         // Step 1: transpose n1 x n2 -> n2 x n1.
-        co_await transpose_dv(ctx, node, fft_detail::local_rows(input, ctx.rank(), s),
-                              s.n1, s.n2, kDvBase, kCtr, work);
+        co_await transpose_dv(ctx, node, fft_detail::rank_slice(input, ctx.rank(), p), s.n1,
+                              s.n2, kDvBase, kCtr, work);
         // Step 2: local FFTs of length n1.
         co_await fft_detail::fft_rows(node, work, s.n1);
         // Step 3: twiddle W_N^{row*col}.
@@ -53,14 +54,11 @@ FftResult run_fft_dv(runtime::Cluster& cluster, const FftParams& params,
 
         co_await ctx.barrier();
         node.roi_end();
-        outputs[static_cast<std::size_t>(ctx.rank())] = std::move(work);
       });
 
   result.seconds = run.roi_seconds();
   result.flops = kernels::fft_flops(n);
-  if (params.verify) {
-    result.max_error = fft_detail::verify_against_serial(s, p, input, outputs);
-  }
+  if (params.verify) result.max_error = fft_detail::verify_against_serial(s, input, output);
   return result;
 }
 

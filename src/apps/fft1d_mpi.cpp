@@ -13,12 +13,11 @@ using fft_detail::Shape;
 using kernels::Complex;
 
 FftResult run_fft_mpi(runtime::Cluster& cluster, const FftParams& params,
-                      std::span<const Complex> input) {
+                      std::span<const Complex> input, std::span<Complex> output,
+                      std::span<Complex> scratch) {
   const int p = cluster.nodes();
-  const Shape s = fft_detail::shape_for(params.log_size, p, input);
+  const Shape s = fft_detail::shape_for(params.log_size, p, input, output, scratch);
   const std::int64_t n = s.n1 * s.n2;
-
-  std::vector<std::vector<Complex>> outputs(static_cast<std::size_t>(p));
 
   FftResult result;
   const auto run = cluster.run_mpi(
@@ -27,12 +26,13 @@ FftResult run_fft_mpi(runtime::Cluster& cluster, const FftParams& params,
         node.roi_begin();
 
         // The first transpose reads this rank's rows of `input` in place;
-        // the later ones ping-pong between `work` and `local`. All three
-        // reuse one set of alltoall blocks.
-        std::vector<Complex> work;
-        std::vector<Complex> local;
+        // the later ones ping-pong between `work` and `local`, this rank's
+        // slices of `output` and `scratch`. All three reuse one set of
+        // alltoall blocks.
+        const std::span<Complex> work = fft_detail::rank_slice(output, comm.rank(), p);
+        const std::span<Complex> local = fft_detail::rank_slice(scratch, comm.rank(), p);
         TransposeBlocks blocks;
-        co_await transpose_mpi(comm, node, fft_detail::local_rows(input, comm.rank(), s),
+        co_await transpose_mpi(comm, node, fft_detail::rank_slice(input, comm.rank(), p),
                                s.n1, s.n2, work, blocks);
         co_await fft_detail::fft_rows(node, work, s.n1);
         const std::int64_t rows2_local = s.n2 / p;
@@ -45,14 +45,11 @@ FftResult run_fft_mpi(runtime::Cluster& cluster, const FftParams& params,
 
         co_await comm.barrier();
         node.roi_end();
-        outputs[static_cast<std::size_t>(comm.rank())] = std::move(work);
       });
 
   result.seconds = run.roi_seconds();
   result.flops = kernels::fft_flops(n);
-  if (params.verify) {
-    result.max_error = fft_detail::verify_against_serial(s, p, input, outputs);
-  }
+  if (params.verify) result.max_error = fft_detail::verify_against_serial(s, input, output);
   return result;
 }
 

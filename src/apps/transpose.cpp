@@ -41,7 +41,7 @@ void tiled(std::int64_t rows, std::int64_t cols, Copy&& copy) {
   }
 }
 
-void check_args(std::span<const Complex> local, const std::vector<Complex>& out,
+void check_args(std::span<const Complex> local, std::span<const Complex> out,
                 std::int64_t rows, std::int64_t cols, int ranks) {
   if (rows % ranks != 0 || cols % ranks != 0) {
     throw std::invalid_argument("transpose: the rank count must divide rows and cols");
@@ -49,19 +49,25 @@ void check_args(std::span<const Complex> local, const std::vector<Complex>& out,
   if (static_cast<std::int64_t>(local.size()) != rows / ranks * cols) {
     throw std::invalid_argument("transpose: local block size mismatch");
   }
-  // `out` is resized and written while `local` is still being read.
-  const std::less<> before;
-  if (before(local.data(), out.data() + out.size()) &&
-      before(out.data(), local.data() + local.size())) {
+  if (static_cast<std::int64_t>(out.size()) != cols / ranks * rows) {
+    throw std::invalid_argument("transpose: output size mismatch");
+  }
+  // `out` is written while `local` is still being read.
+  if (overlap(local, out)) {
     throw std::invalid_argument("transpose: the output must not overlap the input");
   }
 }
 
 }  // namespace
 
+bool overlap(std::span<const Complex> a, std::span<const Complex> b) {
+  const std::less<> before;
+  return before(a.data(), b.data() + b.size()) && before(b.data(), a.data() + a.size());
+}
+
 sim::Coro<void> transpose_mpi(mpi::Comm comm, runtime::NodeCtx& node,
                               std::span<const Complex> local, std::int64_t rows,
-                              std::int64_t cols, std::vector<Complex>& out,
+                              std::int64_t cols, std::span<Complex> out,
                               TransposeBlocks& blocks) {
   const int p = comm.size();
   check_args(local, out, rows, cols, p);
@@ -87,7 +93,6 @@ sim::Coro<void> transpose_mpi(mpi::Comm comm, runtime::NodeCtx& node,
 
   // Unpack: out is cols_block x rows (row-major); the block from `peer`
   // holds elements (r_global = peer*rows_local + r, c_local).
-  out.resize(static_cast<std::size_t>(cols_block * rows));
   for (int peer = 0; peer < p; ++peer) {
     const auto& blk = blocks[static_cast<std::size_t>(peer)];
     // Block conservation: each peer contributes exactly its rows_local x
@@ -106,7 +111,7 @@ sim::Coro<void> transpose_mpi(mpi::Comm comm, runtime::NodeCtx& node,
 sim::Coro<void> transpose_dv(dvapi::DvContext& ctx, runtime::NodeCtx& node,
                              std::span<const Complex> local, std::int64_t rows,
                              std::int64_t cols, std::uint32_t dv_base, int counter,
-                             std::vector<Complex>& out) {
+                             std::span<Complex> out) {
   const int p = ctx.nodes();
   const int rank = ctx.rank();
   check_args(local, out, rows, cols, p);
@@ -147,7 +152,6 @@ sim::Coro<void> transpose_dv(dvapi::DvContext& ctx, runtime::NodeCtx& node,
   // and columns (destination rows) go group-major so a receiver's first
   // sub-counter fires after ~1/groups of the stream — that is what lets the
   // drain DMA chase the arrivals.
-  out.resize(static_cast<std::size_t>(cols_block * rows));
   std::vector<vic::Run> runs;
   runs.reserve(static_cast<std::size_t>((p - 1) * cols_block));
   // `out` first stages the outgoing payload, (P-1)/P of its size, and then
@@ -182,8 +186,7 @@ sim::Coro<void> transpose_dv(dvapi::DvContext& ctx, runtime::NodeCtx& node,
   DVX_CHECK_EQ(static_cast<std::uint64_t>(payload_elems * 2),
                static_cast<std::uint64_t>((rows - rows_local) * cols_block * 2))
       << "transpose_dv: sender/receiver word accounting diverged. ";
-  const auto payload =
-      std::span<const Complex>(out).first(static_cast<std::size_t>(payload_elems));
+  const auto payload = out.first(static_cast<std::size_t>(payload_elems));
   co_await ctx.send_dma_runs(runs, std::as_bytes(payload));
 
   // Drain group by group into `out`: every payload word reached its
@@ -194,8 +197,8 @@ sim::Coro<void> transpose_dv(dvapi::DvContext& ctx, runtime::NodeCtx& node,
     const std::int64_t g0 = g * rows_per_group;
     const std::int64_t g1 = std::min(cols_block, g0 + rows_per_group);
     co_await ctx.counter_wait_zero(counter + static_cast<int>(g));
-    const auto group = std::span<Complex>(out).subspan(
-        static_cast<std::size_t>(g0 * rows), static_cast<std::size_t>((g1 - g0) * rows));
+    const auto group = out.subspan(static_cast<std::size_t>(g0 * rows),
+                                   static_cast<std::size_t>((g1 - g0) * rows));
     last_read = ctx.dma_read_dv_async(static_cast<std::uint32_t>(dv_base + g0 * rows * 2),
                                       std::as_writable_bytes(group));
   }

@@ -4,10 +4,11 @@
 //
 // A rows x cols complex matrix is distributed by whole rows over P ranks
 // (rows % P == 0, cols % P == 0). The transpose writes each rank's rows of
-// the cols x rows result into `out`, a buffer the caller owns: it is
-// resized to (cols/P)*rows elements, left unfilled when it already has that
-// size, and then every element is overwritten. `out` must not share storage
-// with the input (std::invalid_argument).
+// the cols x rows result into `out`, storage the caller owns of exactly
+// (cols/P)*rows elements, and overwrites every one of them without reading
+// it first, so the transpose allocates no output and what `out` held before
+// cannot move the result. Another size, or an `out` that shares storage with
+// the input, throws std::invalid_argument before any word moves.
 //
 //  * MPI: pack per-destination sub-blocks, pairwise alltoall, unpack — the
 //    standard approach; it pays two extra passes over the data (pack and
@@ -31,6 +32,9 @@
 
 namespace dvx::apps {
 
+/// Whether two buffers share storage.
+bool overlap(std::span<const kernels::Complex> a, std::span<const kernels::Complex> b);
+
 /// The per-peer word blocks an MPI transpose packs and its alltoall
 /// returns.
 using TransposeBlocks = std::vector<std::vector<std::uint64_t>>;
@@ -41,7 +45,7 @@ using TransposeBlocks = std::vector<std::vector<std::uint64_t>>;
 /// the same `blocks` to every call sizes them once.
 sim::Coro<void> transpose_mpi(mpi::Comm comm, runtime::NodeCtx& node,
                               std::span<const kernels::Complex> local, std::int64_t rows,
-                              std::int64_t cols, std::vector<kernels::Complex>& out,
+                              std::int64_t cols, std::span<kernels::Complex> out,
                               TransposeBlocks& blocks);
 
 /// Maximum row groups (and thus group counters) a DV transpose uses for its
@@ -56,6 +60,6 @@ inline constexpr int kTransposeGroups = 16;
 sim::Coro<void> transpose_dv(dvapi::DvContext& ctx, runtime::NodeCtx& node,
                              std::span<const kernels::Complex> local, std::int64_t rows,
                              std::int64_t cols, std::uint32_t dv_base, int counter,
-                             std::vector<kernels::Complex>& out);
+                             std::span<kernels::Complex> out);
 
 }  // namespace dvx::apps

@@ -46,7 +46,7 @@ VorticityResult run_vorticity_dv(runtime::Cluster& cluster,
         const std::int64_t row0 = static_cast<std::int64_t>(ctx.rank()) * rows_local;
         auto transpose = [&](std::vector<Complex> data, std::int64_t rows,
                              std::int64_t cols) -> sim::Coro<std::vector<Complex>> {
-          std::vector<Complex> out;
+          std::vector<Complex> out(static_cast<std::size_t>(cols / p * rows));
           co_await transpose_dv(ctx, node, data, rows, cols, kDvBase, kTransposeCtr, out);
           co_return out;
         };

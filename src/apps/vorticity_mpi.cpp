@@ -25,7 +25,7 @@ VorticityResult run_vorticity_mpi(runtime::Cluster& cluster,
         TransposeBlocks blocks;  // reused by every transpose of this rank
         auto transpose = [&](std::vector<Complex> data, std::int64_t rows,
                              std::int64_t cols) -> sim::Coro<std::vector<Complex>> {
-          std::vector<Complex> out;
+          std::vector<Complex> out(static_cast<std::size_t>(cols / p * rows));
           co_await transpose_mpi(comm, node, data, rows, cols, out, blocks);
           co_return out;
         };

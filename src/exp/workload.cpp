@@ -90,6 +90,14 @@ std::vector<Backend> Workload::selected_backends(const RunOptions& opt) const {
 
 std::vector<int> Workload::default_nodes(bool) const { return paper_node_counts(); }
 
+int Workload::one_node_count(const RunOptions& opt, int fallback) const {
+  if (opt.nodes.size() > 1) {
+    throw std::invalid_argument(figure() +
+                                " runs at one node count; pass one --nodes value");
+  }
+  return opt.nodes.empty() ? fallback : opt.nodes.front();
+}
+
 MetricMap Workload::execute(const RunPoint& point, std::ostream&) const {
   return run_backend(point.backend, point.nodes, point.params);
 }

@@ -17,12 +17,15 @@
 //             `runtime::Cluster` and writes any human-readable output to
 //             the per-point log stream. The only objects points share are
 //             the workloads' memos (`exp::Memo`: fig7's input, fig8's
-//             graphs), each value a pure function of its key.
+//             graphs), each value a pure function of its key, and fig7's
+//             buffer pool (`exp::Pool`), whose objects one point holds at
+//             a time and which carry nothing between points.
 //   report  — consume the results (same order as the plan) to print the
 //             legacy tables and append records/anchors to the sink.
 //
-// Because every point is seeded from the plan alone, and a memo hands every
-// caller the same value for the same key, the results — and therefore the
+// Because every point is seeded from the plan alone, a memo hands every
+// caller the same value for the same key, and a point writes every element
+// of a pooled object before reading it, the results — and therefore the
 // emitted JSON — are byte-identical at any `--jobs` level.
 
 #include <cstdint>
@@ -151,6 +154,12 @@ class Workload {
   /// The node counts plan() sweeps when RunOptions::nodes is empty.
   virtual std::vector<int> default_nodes(bool fast) const;
 
+  /// The node count of a figure that runs at one cluster size: `fallback`
+  /// when RunOptions::nodes is empty, else its one entry. A longer list
+  /// throws std::invalid_argument, so plan() refuses it instead of running
+  /// its first entry only.
+  int one_node_count(const RunOptions& opt, int fallback) const;
+
   /// Runs ONE measurement point: `nodes` simulated nodes, `backend`'s
   /// implementation, parameters from `params` (missing keys take the
   /// workload defaults per metric_specs/param_specs). Returns the metric
@@ -166,8 +175,10 @@ class Workload {
   /// Executes ONE planned point. Must be pure with respect to shared state:
   /// the only side channels are the returned metrics and `log` (shown by the
   /// reporting phase, in plan order). Shared state a point reads must be a
-  /// pure function of what the point asks for, as a workload's memo is.
-  /// The default forwards to run_backend.
+  /// pure function of what the point asks for, as a workload's memo is; an
+  /// object a point borrows from a workload's pool it must write before it
+  /// reads, so which point held it before cannot move a result. The default
+  /// forwards to run_backend.
   virtual MetricMap execute(const RunPoint& point, std::ostream& log) const;
 
   /// Prints the figure's banner, tables, and paper-anchor notes from the

@@ -108,10 +108,10 @@ class AblationAggregationWorkload final : public Workload {
   }
 
   std::vector<RunPoint> plan(const RunOptions& opt) const override {
+    const int nodes = one_node_count(opt, default_nodes(opt.fast).front());
     PlanBuilder builder(*this, opt);
     if (selected_backends(opt).empty()) return builder.take();  // dv filtered out
     ParamMap params = default_params(opt.fast);
-    const int nodes = opt.nodes.empty() ? default_nodes(opt.fast).front() : opt.nodes.front();
     for (int buf : {1024, 128, 16}) {
       params["buffer_limit"] = buf;
       builder.add(Backend::kDv, nodes, params, "buffer_sweep");
@@ -143,7 +143,7 @@ class AblationAggregationWorkload final : public Workload {
       os << "\n(no points: this ablation only has a dv series)\n";
       return;
     }
-    const int nodes = opt.nodes.empty() ? default_nodes(opt.fast).front() : opt.nodes.front();
+    const int nodes = results.front().point.nodes;  // the buffer sweep's, planned first
 
     runtime::Table t1("GUPS-DV vs PCIe aggregation (" + std::to_string(nodes) +
                           " nodes): update-buffer sweep",

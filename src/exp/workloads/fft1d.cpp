@@ -8,10 +8,12 @@
 
 #include <algorithm>
 #include <iostream>
+#include <span>
 #include <utility>
 
 #include "apps/fft1d.hpp"
 #include "exp/memo.hpp"
+#include "exp/pool.hpp"
 #include "exp/workload.hpp"
 #include "exp/workloads/fft1d.hpp"
 #include "runtime/cluster.hpp"
@@ -23,7 +25,8 @@ namespace runtime = dvx::runtime;
 
 class Fft1dWorkload final : public Workload {
  public:
-  explicit Fft1dWorkload(FftInputBuild build_input) : inputs_(std::move(build_input)) {}
+  Fft1dWorkload(FftInputBuild build_input, FftBuffersMake make_buffers)
+      : inputs_(std::move(build_input)), buffers_(std::move(make_buffers)) {}
 
   std::string name() const override { return "fft1d"; }
   std::string figure() const override { return "fig7"; }
@@ -61,8 +64,13 @@ class Fft1dWorkload final : public Workload {
     dvx::apps::FftParams fp{.log_size = static_cast<int>(params.at("log_size"))};
     // Taken at execute time, not in plan(): planning builds nothing.
     const auto input = inputs_.get(fp.log_size);
-    const auto r = backend == Backend::kDv ? dvx::apps::run_fft_dv(cluster, fp, *input)
-                                           : dvx::apps::run_fft_mpi(cluster, fp, *input);
+    const auto buffers = buffers_.take();
+    buffers->resize(2 * input->size());  // a no-op on a set an earlier point sized
+    const auto output = std::span(*buffers).first(input->size());
+    const auto scratch = std::span(*buffers).last(input->size());
+    const auto r = backend == Backend::kDv
+                       ? dvx::apps::run_fft_dv(cluster, fp, *input, output, scratch)
+                       : dvx::apps::run_fft_mpi(cluster, fp, *input, output, scratch);
     return {{"roi_seconds", r.seconds}, {"gflops", r.gflops()}};
   }
 
@@ -128,16 +136,20 @@ class Fft1dWorkload final : public Workload {
   /// Shared by the points (DESIGN.md §6.4): every point of a sweep has one
   /// log_size, so a sweep builds its input once.
   mutable Memo<int, std::vector<dvx::kernels::Complex>> inputs_;
+  /// Lent to one point at a time: a serial sweep makes one buffer set and
+  /// faults its pages in once, not at every point.
+  mutable Pool<FftBuffers> buffers_;
 };
 
 }  // namespace
 
 std::unique_ptr<Workload> make_fft1d_workload() {
-  return make_fft1d_workload(dvx::apps::make_fft_input);
+  return make_fft1d_workload(dvx::apps::make_fft_input, [] { return FftBuffers{}; });
 }
 
-std::unique_ptr<Workload> make_fft1d_workload(FftInputBuild build_input) {
-  return std::make_unique<Fft1dWorkload>(std::move(build_input));
+std::unique_ptr<Workload> make_fft1d_workload(FftInputBuild build_input,
+                                              FftBuffersMake make_buffers) {
+  return std::make_unique<Fft1dWorkload>(std::move(build_input), std::move(make_buffers));
 }
 
 }  // namespace dvx::exp

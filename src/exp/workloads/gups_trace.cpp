@@ -136,8 +136,8 @@ class GupsTraceWorkload final : public Workload {
   }
 
   std::vector<RunPoint> plan(const RunOptions& opt) const override {
+    const int nodes = one_node_count(opt, default_nodes(opt.fast).front());
     PlanBuilder builder(*this, opt);
-    const int nodes = opt.nodes.empty() ? default_nodes(opt.fast).front() : opt.nodes.front();
     for (const Backend b : selected_backends(opt)) {
       builder.add(b, nodes, default_params(opt.fast));
     }

@@ -15,7 +15,6 @@
 #include <cmath>
 #include <iostream>
 #include <map>
-#include <stdexcept>
 #include <string>
 
 #include "exp/workload.hpp"
@@ -119,13 +118,8 @@ class ServingWorkload final : public Workload {
   std::vector<RunPoint> plan(const RunOptions& opt) const override {
     // The load ladder runs at one node count: its report has no node axis,
     // and its aggregate offered rates are calibrated for one cluster size.
-    if (opt.nodes.size() > 1) {
-      throw std::invalid_argument(
-          "serving: the load ladder runs at one node count; pass one --nodes value");
-    }
+    const int nodes = one_node_count(opt, default_nodes(opt.fast).front());
     PlanBuilder builder(*this, opt);
-    const int nodes =
-        opt.nodes.empty() ? default_nodes(opt.fast).front() : opt.nodes.front();
     ParamMap params = default_params(opt.fast);
     const auto backends = selected_backends(opt);
     const auto levels = static_cast<std::size_t>(params.at("levels"));

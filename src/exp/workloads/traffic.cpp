@@ -124,8 +124,8 @@ class TrafficWorkload final : public Workload {
   }
 
   std::vector<RunPoint> plan(const RunOptions& opt) const override {
+    const int nodes = one_node_count(opt, 32);
     PlanBuilder builder(*this, opt);
-    const int nodes = opt.nodes.empty() ? 32 : opt.nodes.front();
     ParamMap params = default_params(opt.fast);
     const auto backends = selected_backends(opt);
     for (std::size_t i = 0; i < std::size(kPatterns); ++i) {

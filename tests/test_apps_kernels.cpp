@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -75,20 +78,39 @@ class FftAppBackends : public ::testing::TestWithParam<int> {};
 
 TEST_P(FftAppBackends, DistributedMatchesSerialSixStep) {
   const int nodes = GetParam();
-  auto cluster = make_cluster(nodes);
   apps::FftParams fp{.log_size = 12, .verify = true};
   const auto input = apps::make_fft_input(fp.log_size);
+  const auto serial = kernels::six_step_fft(input, 64, 64);
   // The distributed six-step does the serial one's arithmetic in the same
-  // order, so the two agree bit for bit.
-  const auto dv = apps::run_fft_dv(cluster, fp, input);
-  EXPECT_EQ(dv.max_error, 0.0) << "DV FFT numerics broken";
-  const auto mpi = apps::run_fft_mpi(cluster, fp, input);
-  EXPECT_EQ(mpi.max_error, 0.0) << "MPI FFT numerics broken";
-  EXPECT_GT(dv.gflops(), 0.0);
-  EXPECT_GT(mpi.gflops(), 0.0);
+  // order, so the two agree bit for bit. The output and scratch start as
+  // NaN or as zeros: a run writes every element before reading it, so what
+  // they held before, as a pooled buffer holds an earlier point's, cannot
+  // move a bit.
+  struct Backend {
+    const char* name;
+    bool dv;
+    runtime::MpiFabric fabric;
+  };
+  const Backend backends[] = {{"dv", true, runtime::MpiFabric::kIb},
+                              {"mpi-ib", false, runtime::MpiFabric::kIb},
+                              {"mpi-torus", false, runtime::MpiFabric::kTorus}};
+  for (const double fill : {std::numeric_limits<double>::quiet_NaN(), 0.0}) {
+    for (const Backend& b : backends) {
+      runtime::Cluster cluster(runtime::ClusterConfig{.nodes = nodes, .mpi_fabric = b.fabric});
+      std::vector<kernels::Complex> output(input.size(), kernels::Complex(fill, fill));
+      std::vector<kernels::Complex> scratch(output);
+      const auto res = b.dv ? apps::run_fft_dv(cluster, fp, input, output, scratch)
+                            : apps::run_fft_mpi(cluster, fp, input, output, scratch);
+      EXPECT_EQ(res.max_error, 0.0) << b.name << ", fill " << fill;
+      EXPECT_GT(res.gflops(), 0.0) << b.name << ", fill " << fill;
+      EXPECT_EQ(std::memcmp(output.data(), serial.data(), serial.size() * sizeof(serial[0])),
+                0)
+          << b.name << ", fill " << fill;
+    }
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Nodes, FftAppBackends, ::testing::Values(1, 2, 4, 8),
+INSTANTIATE_TEST_SUITE_P(Nodes, FftAppBackends, ::testing::Values(1, 2, 4, 8, 16, 32),
                          ::testing::PrintToStringParamName());
 
 // The FFT input names its two draws, so their order does not rest on the
@@ -117,13 +139,46 @@ TEST(FftApp, InputHoldsInputPointAtEveryIndex) {
 }
 
 TEST(FftApp, RunnersRejectAnInputOfAnotherSize) {
+  using kernels::Complex;
   auto cluster = make_cluster(2);
   const apps::FftParams fp{.log_size = 10};
+  constexpr std::size_t kN = 1024;
+  const auto input = apps::make_fft_input(10);
   const auto shorter = apps::make_fft_input(9);
   const auto longer = apps::make_fft_input(11);
-  for (const auto* input : {&shorter, &longer}) {
-    EXPECT_THROW(apps::run_fft_dv(cluster, fp, *input), std::invalid_argument);
-    EXPECT_THROW(apps::run_fft_mpi(cluster, fp, *input), std::invalid_argument);
+  std::vector<Complex> output(kN), scratch(kN), small(kN - 1), large(kN + 1);
+  // One buffer that the overlapping cases carve up: [0, 2N) is the input,
+  // N/2 into it a span that overlaps it, and [2N, 3N) a span of its own.
+  std::vector<Complex> shared(3 * kN);
+  const std::span<Complex> all(shared);
+  const std::span<const Complex> shared_input = all.first(kN);
+  struct Case {
+    const char* what;
+    std::span<const Complex> input;
+    std::span<Complex> output, scratch;
+  };
+  const Case cases[] = {
+      {"a shorter input", shorter, output, scratch},
+      {"a longer input", longer, output, scratch},
+      {"a shorter output", input, small, scratch},
+      {"a longer output", input, large, scratch},
+      {"a shorter scratch", input, output, small},
+      {"a longer scratch", input, output, large},
+      {"the output as scratch", input, output, output},
+      {"an output that overlaps the scratch", input, all.subspan(kN, kN),
+       all.subspan(kN + kN / 2, kN)},
+      {"an output that overlaps the input", shared_input, all.subspan(kN / 2, kN),
+       all.subspan(2 * kN, kN)},
+      {"a scratch that overlaps the input", shared_input, all.subspan(2 * kN, kN),
+       all.subspan(kN / 2, kN)},
+  };
+  for (const Case& c : cases) {
+    EXPECT_THROW(apps::run_fft_dv(cluster, fp, c.input, c.output, c.scratch),
+                 std::invalid_argument)
+        << c.what;
+    EXPECT_THROW(apps::run_fft_mpi(cluster, fp, c.input, c.output, c.scratch),
+                 std::invalid_argument)
+        << c.what;
   }
 }
 
@@ -132,8 +187,9 @@ TEST(FftApp, DataVortexWinsAtScale) {
   apps::FftParams fp{.log_size = 16};
   const auto input = apps::make_fft_input(fp.log_size);
   auto c16 = make_cluster(16);
-  const auto dv = apps::run_fft_dv(c16, fp, input);
-  const auto mpi = apps::run_fft_mpi(c16, fp, input);
+  std::vector<kernels::Complex> output(input.size()), scratch(input.size());
+  const auto dv = apps::run_fft_dv(c16, fp, input, output, scratch);
+  const auto mpi = apps::run_fft_mpi(c16, fp, input, output, scratch);
   EXPECT_GT(dv.gflops(), mpi.gflops());
 }
 

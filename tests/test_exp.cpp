@@ -24,6 +24,7 @@
 #include "apps/fft1d.hpp"
 #include "exp/driver.hpp"
 #include "exp/memo.hpp"
+#include "exp/pool.hpp"
 #include "exp/scheduler.hpp"
 #include "exp/workload.hpp"
 #include "exp/workloads/fft1d.hpp"
@@ -254,24 +255,26 @@ TEST(Driver, JsonWithoutSelectionPrintsUsage) {
 }
 
 TEST(Driver, ServingRefusesANodeListItWouldTruncate) {
-  // The serving ladder runs at one node count; a list used to lose all but
-  // its first entry while the run exited 0.
-  const auto* serving = exp::Registry::instance().find("serving");
-  ASSERT_NE(serving, nullptr);
-  exp::RunOptions opt;
-  opt.fast = true;
-  opt.nodes = {64, 128};
-  try {
-    serving->plan(opt);
-    ADD_FAILURE() << "a two-entry node list planned";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("one node count"), std::string::npos)
-        << e.what();
+  // These figures run at one node count; a list used to lose all but its
+  // first entry while the run exited 0.
+  for (const char* figure : {"serving", "fig5", "traffic", "ablation_aggregation"}) {
+    const auto* workload = exp::Registry::instance().find(figure);
+    ASSERT_NE(workload, nullptr) << figure;
+    exp::RunOptions opt;
+    opt.fast = true;
+    opt.nodes = {8, 16};
+    try {
+      workload->plan(opt);
+      ADD_FAILURE() << figure << ": a two-entry node list planned";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("one node count"), std::string::npos)
+          << e.what();
+    }
+    opt.nodes = {8};
+    EXPECT_FALSE(workload->plan(opt).empty()) << figure;
+    EXPECT_EQ(cli({"--figure", figure, "--fast", "--nodes", "8,16", "--no-figure-json"}), 1)
+        << figure;
   }
-  opt.nodes = {8};
-  EXPECT_FALSE(serving->plan(opt).empty());
-  EXPECT_EQ(
-      cli({"--figure", "serving", "--fast", "--nodes", "8,16", "--no-figure-json"}), 1);
 }
 
 TEST(Driver, ListSucceeds) { EXPECT_EQ(cli({"--list"}), 0); }
@@ -595,23 +598,159 @@ TEST(Memo, ANewKeyReleasesThePreviousValue) {
   EXPECT_TRUE(weak.expired());
 }
 
+/// How many Tracked objects were made, are alive, and were ever alive at
+/// once.
+struct TrackedCounts {
+  std::atomic<int> made{0};
+  std::atomic<int> alive{0};
+  std::atomic<int> peak{0};
+};
+
+/// A pooled object that keeps TrackedCounts up to date.
+class Tracked {
+ public:
+  explicit Tracked(TrackedCounts& counts) : counts_(counts), id_(++counts.made) {
+    const int now = ++counts_.alive;
+    int peak = counts_.peak.load();
+    while (now > peak && !counts_.peak.compare_exchange_weak(peak, now)) {
+    }
+  }
+  Tracked(const Tracked&) = delete;
+  Tracked& operator=(const Tracked&) = delete;
+  ~Tracked() { --counts_.alive; }
+
+  int id() const { return id_; }
+  int holder = -1;  ///< written by whoever holds the lease
+
+ private:
+  TrackedCounts& counts_;
+  const int id_;
+};
+
+/// Tracked can be neither copied nor moved, so the pool's make hands each
+/// one back inside an owner that can.
+using TrackedPool = exp::Pool<std::unique_ptr<Tracked>>;
+
+TrackedPool tracked_pool(TrackedCounts& counts) {
+  return TrackedPool([&counts] { return std::make_unique<Tracked>(counts); });
+}
+
+TEST(Pool, EachOutstandingLeaseHoldsItsOwnObject) {
+  TrackedCounts counts;
+  auto pool = tracked_pool(counts);
+  auto a = pool.take();
+  auto b = pool.take();
+  EXPECT_NE((*a)->id(), (*b)->id());
+  EXPECT_EQ(counts.made.load(), 2);
+}
+
+TEST(Pool, AReturnedObjectIsLentAgain) {
+  TrackedCounts counts;
+  auto pool = tracked_pool(counts);
+  const Tracked* first = nullptr;
+  {
+    const auto lease = pool.take();
+    first = lease->get();
+  }
+  const auto again = pool.take();
+  EXPECT_EQ(again->get(), first);
+  EXPECT_EQ(counts.made.load(), 1);
+}
+
+TEST(Pool, AtMostOneIdleObjectIsKept) {
+  TrackedCounts counts;
+  auto pool = tracked_pool(counts);
+  {
+    auto a = pool.take();
+    auto b = pool.take();
+    auto c = pool.take();
+    EXPECT_EQ(counts.alive.load(), 3);
+  }
+  EXPECT_EQ(counts.alive.load(), 1) << "the pool kept more than one idle object";
+  auto d = pool.take();
+  auto e = pool.take();
+  EXPECT_EQ(counts.made.load(), 4);
+  EXPECT_LE((*d)->id(), 3) << "the idle object was not lent";
+  EXPECT_EQ((*e)->id(), 4);
+}
+
+TEST(Pool, FourThreadsTakeAndReturnConcurrently) {
+  // Every holder writes its mark and reads it back, so two leases sharing
+  // an object would show; with at most one lease per thread, no more than
+  // four objects are ever alive, however the returns interleave.
+  TrackedCounts counts;
+  auto pool = tracked_pool(counts);
+  constexpr int kThreads = 4;
+  std::latch start(kThreads);
+  std::vector<int> shared(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (int i = 0; i < 200; ++i) {
+        const auto lease = pool.take();
+        (*lease)->holder = t;
+        std::this_thread::yield();
+        shared[t] += (*lease)->holder != t;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(shared[t], 0) << "thread " << t;
+  EXPECT_LE(counts.peak.load(), kThreads);
+  EXPECT_EQ(counts.alive.load(), 1);
+}
+
+TEST(Pool, ALeaseEndedByAnExceptionReturnsItsObject) {
+  TrackedCounts counts;
+  auto pool = tracked_pool(counts);
+  const Tracked* lent = nullptr;
+  try {
+    const auto lease = pool.take();
+    lent = lease->get();
+    throw std::runtime_error("the point failed");
+  } catch (const std::runtime_error&) {
+  }
+  EXPECT_EQ(pool.take()->get(), lent);
+  EXPECT_EQ(counts.made.load(), 1);
+}
+
 TEST(Fft1dWorkload, ASweepBuildsItsInputOnceAndPlanBuildsNothing) {
   for (const int jobs : {1, 4}) {
     std::atomic<int> builds{0};
-    const auto fig7 = exp::make_fft1d_workload([&](int log_size) {
-      ++builds;
-      return dvx::apps::make_fft_input(log_size);
-    });
+    std::atomic<int> buffer_sets{0};
+    const auto fig7 = exp::make_fft1d_workload(
+        [&](int log_size) {
+          ++builds;
+          return dvx::apps::make_fft_input(log_size);
+        },
+        [&] {
+          ++buffer_sets;
+          return exp::FftBuffers{};
+        });
     std::ostringstream tables;
     exp::RunOptions opt;
     opt.fast = true;
     opt.backends = exp::all_backends();
     opt.out = &tables;
-    ASSERT_EQ(fig7->plan(opt).size(), 15u);
+    const auto points = fig7->plan(opt);
+    ASSERT_EQ(points.size(), 15u);
     EXPECT_EQ(builds.load(), 0) << "plan() built the input";
+    EXPECT_EQ(buffer_sets.load(), 0) << "plan() took a buffer set";
     dvx::runtime::ResultSink sink;
     EXPECT_EQ(exp::run_workloads({fig7.get()}, opt, jobs, sink), 0);
     EXPECT_EQ(builds.load(), 1) << "jobs " << jobs;
+    // One set serves the whole serial sweep. At --jobs 4 a set returned
+    // while another is idle is dropped, so how many the sweep makes depends
+    // on how the points' ends interleave; four hold at most four at once
+    // (Pool.FourThreadsTakeAndReturnConcurrently), and the first take
+    // after any point ends reuses a set, so 15 points make fewer than 15.
+    if (jobs == 1) {
+      EXPECT_EQ(buffer_sets.load(), 1);
+    } else {
+      EXPECT_GE(buffer_sets.load(), 1);
+      EXPECT_LT(buffer_sets.load(), static_cast<int>(points.size()));
+    }
   }
 }
 

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "apps/fft1d.hpp"
 #include "apps/gups.hpp"
@@ -56,7 +58,7 @@ TEST_P(TransposeProperty, DoubleTransposeIsIdentity) {
     cluster.run_mpi([&](dvx::mpi::Comm comm, runtime::NodeCtx& node) -> Coro<void> {
       const auto mine =
           random_matrix(rows / p * cols, 100 + static_cast<unsigned>(comm.rank()));
-      std::vector<Complex> t, tt;
+      std::vector<Complex> t(mine.size()), tt(mine.size());
       apps::TransposeBlocks blocks;
       co_await apps::transpose_mpi(comm, node, mine, rows, cols, t, blocks);
       co_await apps::transpose_mpi(comm, node, t, cols, rows, tt, blocks);
@@ -71,7 +73,7 @@ TEST_P(TransposeProperty, DoubleTransposeIsIdentity) {
     cluster.run_dv([&](dvapi::DvContext& ctx, runtime::NodeCtx& node) -> Coro<void> {
       const auto mine =
           random_matrix(rows / p * cols, 100 + static_cast<unsigned>(ctx.rank()));
-      std::vector<Complex> t, tt;
+      std::vector<Complex> t(mine.size()), tt(mine.size());
       co_await apps::transpose_dv(ctx, node, mine, rows, cols, dvapi::kFirstFreeDvWord,
                                   dvapi::kFirstFreeCounter, t);
       co_await apps::transpose_dv(ctx, node, t, cols, rows, dvapi::kFirstFreeDvWord,
@@ -89,7 +91,8 @@ INSTANTIATE_TEST_SUITE_P(Ranks, TransposeProperty, ::testing::Values(1, 2, 4, 8)
 TEST(TransposeProperty, BackendsAgreeExactly) {
   const int p = 4;
   const std::int64_t rows = 32, cols = 64;
-  std::vector<std::vector<Complex>> mpi_out(p), dv_out(p);
+  std::vector<std::vector<Complex>> mpi_out(p, std::vector<Complex>(cols / p * rows));
+  auto dv_out = mpi_out;
   {
     auto cluster = make_cluster(p);
     cluster.run_mpi([&](dvx::mpi::Comm comm, runtime::NodeCtx& node) -> Coro<void> {
@@ -135,7 +138,6 @@ TEST(TransposeProperty, MatchesExplicitReferenceIntoReusedOutput) {
   // Elements of `rank`'s output that differ from the reference.
   const auto mismatches = [&](const std::vector<Complex>& m, int rank,
                               const std::vector<Complex>& out) {
-    if (out.size() != static_cast<std::size_t>(cols_block * rows)) return cols_block * rows;
     std::int64_t bad = 0;
     for (std::int64_t cl = 0; cl < cols_block; ++cl) {
       for (std::int64_t gr = 0; gr < rows; ++gr) {
@@ -150,7 +152,7 @@ TEST(TransposeProperty, MatchesExplicitReferenceIntoReusedOutput) {
   {
     auto cluster = make_cluster(p);
     cluster.run_mpi([&](dvx::mpi::Comm comm, runtime::NodeCtx& node) -> Coro<void> {
-      std::vector<Complex> out;
+      std::vector<Complex> out(cols_block * rows);
       apps::TransposeBlocks blocks;
       for (const auto& m : inputs) {
         const auto mine = slice(m, comm.rank());
@@ -163,7 +165,7 @@ TEST(TransposeProperty, MatchesExplicitReferenceIntoReusedOutput) {
   {
     auto cluster = make_cluster(p);
     cluster.run_dv([&](dvapi::DvContext& ctx, runtime::NodeCtx& node) -> Coro<void> {
-      std::vector<Complex> out;
+      std::vector<Complex> out(cols_block * rows);
       for (const auto& m : inputs) {
         const auto mine = slice(m, ctx.rank());
         co_await apps::transpose_dv(ctx, node, mine, rows, cols, dvapi::kFirstFreeDvWord,
@@ -176,30 +178,49 @@ TEST(TransposeProperty, MatchesExplicitReferenceIntoReusedOutput) {
   EXPECT_EQ(dv_bad, 0) << "DV transpose misplaced elements";
 }
 
-// The output may not be the input's own storage: both backends reject it
-// before any word moves.
-TEST(TransposeProperty, OutputThatIsTheInputIsRejected) {
+// The output must hold exactly (cols/P)*rows elements and may not share the
+// input's storage: both backends reject it before any word moves.
+TEST(TransposeProperty, OutputOfAnotherSizeOrSharingTheInputIsRejected) {
   constexpr int p = 2;
   constexpr std::int64_t rows = 8, cols = 4;
-  {
-    auto cluster = make_cluster(p);
-    EXPECT_THROW(
-        cluster.run_mpi([&](dvx::mpi::Comm comm, runtime::NodeCtx& node) -> Coro<void> {
-          auto mine = random_matrix(rows / p * cols, 5);
-          apps::TransposeBlocks blocks;
-          co_await apps::transpose_mpi(comm, node, mine, rows, cols, mine, blocks);
-        }),
-        std::invalid_argument);
-  }
-  {
-    auto cluster = make_cluster(p);
-    EXPECT_THROW(
-        cluster.run_dv([&](dvapi::DvContext& ctx, runtime::NodeCtx& node) -> Coro<void> {
-          auto mine = random_matrix(rows / p * cols, 5);
-          co_await apps::transpose_dv(ctx, node, mine, rows, cols, dvapi::kFirstFreeDvWord,
-                                      dvapi::kFirstFreeCounter, mine);
-        }),
-        std::invalid_argument);
+  constexpr std::size_t in = rows / p * cols, out = cols / p * rows;
+  // The input is the front of one buffer; the output is [first, first + size)
+  // of the same buffer.
+  struct Case {
+    const char* what;
+    std::size_t first, size;
+  };
+  const Case cases[] = {
+      {"the input itself", 0, out},
+      {"overlapping the input's tail", in / 2, out},
+      {"one element short", in, out - 1},
+      {"one element long", in, out + 1},
+  };
+  for (const Case& c : cases) {
+    {
+      auto cluster = make_cluster(p);
+      EXPECT_THROW(
+          cluster.run_mpi([&](dvx::mpi::Comm comm, runtime::NodeCtx& node) -> Coro<void> {
+            auto buffer = random_matrix(in + out + 1, 5);
+            apps::TransposeBlocks blocks;
+            co_await apps::transpose_mpi(comm, node, std::span(buffer).first(in), rows, cols,
+                                         std::span(buffer).subspan(c.first, c.size), blocks);
+          }),
+          std::invalid_argument)
+          << c.what;
+    }
+    {
+      auto cluster = make_cluster(p);
+      EXPECT_THROW(
+          cluster.run_dv([&](dvapi::DvContext& ctx, runtime::NodeCtx& node) -> Coro<void> {
+            auto buffer = random_matrix(in + out + 1, 5);
+            co_await apps::transpose_dv(ctx, node, std::span(buffer).first(in), rows, cols,
+                                        dvapi::kFirstFreeDvWord, dvapi::kFirstFreeCounter,
+                                        std::span(buffer).subspan(c.first, c.size));
+          }),
+          std::invalid_argument)
+          << c.what;
+    }
   }
 }
 
@@ -240,7 +261,8 @@ TEST(Determinism, FullStackGupsIsBitStable) {
 TEST(Tracing, DvRunsProduceStateIntervals) {
   runtime::Cluster cluster(runtime::ClusterConfig{.nodes = 4, .trace = true});
   apps::FftParams fp{.log_size = 12};
-  apps::run_fft_dv(cluster, fp, apps::make_fft_input(fp.log_size));
+  std::vector<Complex> output(std::size_t{1} << fp.log_size), scratch(output.size());
+  apps::run_fft_dv(cluster, fp, apps::make_fft_input(fp.log_size), output, scratch);
   const auto summary = cluster.tracer().state_summary();
   ASSERT_EQ(summary.size(), 4u);
   for (const auto& [rank, s] : summary) {
