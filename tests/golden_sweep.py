@@ -3,11 +3,16 @@
 
 Regenerates
 
-    dvx_bench --all --backends dv,mpi-ib,mpi-torus --no-figure-json --json OUT
+    dvx_bench --all --backends dv,mpi-ib,mpi-torus --no-figure-json \
+        --json bench_full_3way.json
 
-at full size in a temporary directory and compares OUT byte for byte with
-the committed golden (tests/golden/bench_full_3way.json). On any difference
-it prints every moved metric and anchor, then fails.
+at full size in a temporary directory, which is also its working directory.
+It compares the JSON byte for byte with the committed golden
+(tests/golden/bench_full_3way.json), and the printed tables, the stdout,
+with tests/golden/bench_full_3way.txt. The JSON path is relative, so the
+stdout's last line names no temporary path. On a JSON difference it prints
+every moved metric and anchor; on a table difference, a unified diff. Any
+difference fails.
 
 Results pass through libm (std::cos, std::log, std::exp, ...), whose last
 bits glibc does not promise across versions, and through the compiler. The
@@ -16,19 +21,22 @@ compiler or glibc the test exits with SKIP_CODE, which ctest reports as
 skipped, and names both toolchains.
 
     python3 tests/golden_sweep.py --bench build/bench/dvx_bench \
-        --golden tests/golden/bench_full_3way.json --compiler "GNU 12.2.0"
+        --golden tests/golden/bench_full_3way.json \
+        --golden-text tests/golden/bench_full_3way.txt --compiler "GNU 12.2.0"
 
-To regenerate the golden after an intended change, run the same sweep
-with the golden as --json, from a scratch directory (the sweep also
-writes fig5's trace CSV to its working directory) and with DVX_BENCH_FAST
-unset:
+To regenerate both goldens after an intended change, run the same sweep
+from a scratch directory (the sweep also writes fig5's trace CSV to its
+working directory) with DVX_BENCH_FAST unset, then copy its two outputs
+over the goldens:
 
     cd "$(mktemp -d)" && env -u DVX_BENCH_FAST REPO/build/bench/dvx_bench \
         --all --backends dv,mpi-ib,mpi-torus --no-figure-json \
-        --json REPO/tests/golden/bench_full_3way.json
+        --json bench_full_3way.json > bench_full_3way.txt \
+      && cp bench_full_3way.json bench_full_3way.txt REPO/tests/golden/
 """
 
 import argparse
+import difflib
 import json
 import os
 import subprocess
@@ -38,7 +46,9 @@ import tempfile
 SKIP_CODE = 77
 PINNED_COMPILER = ("GNU", "12.2")
 PINNED_GLIBC = "2.36"
-BENCH_ARGS = ["--all", "--backends", "dv,mpi-ib,mpi-torus", "--no-figure-json"]
+JSON_NAME = "bench_full_3way.json"
+BENCH_ARGS = ["--all", "--backends", "dv,mpi-ib,mpi-torus", "--no-figure-json",
+              "--json", JSON_NAME]
 
 
 def glibc_version():
@@ -97,10 +107,35 @@ def moved_metrics(old_doc, new_doc):
     return lines
 
 
+def json_differences(golden_path, new_bytes):
+    """Lines naming what moved in the JSON; empty when it matches."""
+    with open(golden_path, "rb") as f:
+        old_bytes = f.read()
+    if new_bytes == old_bytes:
+        return []
+    lines = moved_metrics(json.loads(old_bytes), json.loads(new_bytes))
+    return lines or ["(no metric or anchor moved; the bytes differ elsewhere)"]
+
+
+def table_differences(golden_path, new_bytes):
+    """A unified diff of the printed tables; empty when they match."""
+    with open(golden_path, "rb") as f:
+        old_bytes = f.read()
+    if new_bytes == old_bytes:
+        return []
+    lines = list(difflib.unified_diff(
+        old_bytes.decode("utf-8", "replace").splitlines(),
+        new_bytes.decode("utf-8", "replace").splitlines(),
+        fromfile=golden_path, tofile="dvx_bench stdout", lineterm=""))
+    return lines or ["(the lines match; the bytes differ, e.g. in line endings)"]
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--bench", required=True, help="path to dvx_bench")
     ap.add_argument("--golden", required=True, help="committed golden JSON")
+    ap.add_argument("--golden-text", required=True,
+                    help="committed golden stdout (the printed tables)")
     ap.add_argument("--compiler", required=True,
                     help='compiler id and version of the build, e.g. "GNU 12.2.0"')
     args = ap.parse_args()
@@ -115,31 +150,35 @@ def main():
     env = dict(os.environ)
     env.pop("DVX_BENCH_FAST", None)  # the golden is full size
     with tempfile.TemporaryDirectory(prefix="dvx_golden_") as tmp:
-        out = os.path.join(tmp, "bench_full_3way.json")
-        proc = subprocess.run([os.path.abspath(args.bench), *BENCH_ARGS, "--json", out],
-                              cwd=tmp, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.PIPE, text=True, check=False)
+        proc = subprocess.run([os.path.abspath(args.bench), *BENCH_ARGS],
+                              cwd=tmp, env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, check=False)
         if proc.returncode != 0:
-            sys.stderr.write(proc.stderr)
+            sys.stderr.write(proc.stderr.decode("utf-8", "replace"))
             print(f"dvx_bench exited {proc.returncode}")
             return 1
-        with open(out, "rb") as f:
-            new_bytes = f.read()
+        with open(os.path.join(tmp, JSON_NAME), "rb") as f:
+            new_json = f.read()
 
-    with open(args.golden, "rb") as f:
-        old_bytes = f.read()
-    if new_bytes == old_bytes:
-        print(f"golden sweep matches {args.golden}")
-        return 0
-    lines = moved_metrics(json.loads(old_bytes), json.loads(new_bytes))
-    print(f"golden sweep differs from {args.golden}: {len(lines)} moved")
-    for line in lines:
-        print("  " + line)
-    if not lines:
-        print("  (no metric or anchor moved; the bytes differ elsewhere)")
-    print("If the move is intended, regenerate the golden (see this script's "
-          "docstring) and say why in the change.")
-    return 1
+    failed = False
+    moved = json_differences(args.golden, new_json)
+    if moved:
+        failed = True
+        print(f"golden sweep differs from {args.golden}: {len(moved)} moved")
+        for line in moved:
+            print("  " + line)
+    diff = table_differences(args.golden_text, proc.stdout)
+    if diff:
+        failed = True
+        print(f"printed tables differ from {args.golden_text}:")
+        for line in diff:
+            print(line)
+    if failed:
+        print("If the change is intended, regenerate the goldens (see this "
+              "script's docstring) and say why in the change.")
+        return 1
+    print(f"golden sweep matches {args.golden} and {args.golden_text}")
+    return 0
 
 
 if __name__ == "__main__":
