@@ -1,7 +1,8 @@
 // Tests for the experiment layer: workload registry completeness, parameter
 // resolution, per-point entry points, the plan/execute/report split with its
-// parallel point scheduler, the one-slot memo through which points share a
-// value, and the dvx_bench driver end-to-end (CLI parsing, table output, and
+// parallel point scheduler, the node-sweep figures (fig6-fig8) under every
+// backend selection, the one-slot memo through which points share a value,
+// and the dvx_bench driver end-to-end (CLI parsing, table output, and
 // machine-readable JSON emission).
 
 #include <gtest/gtest.h>
@@ -13,7 +14,9 @@
 #include <cstdio>
 #include <fstream>
 #include <latch>
+#include <map>
 #include <memory>
+#include <regex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -434,20 +437,32 @@ TEST(Parallel, ThrowingPointFailsOnlyItsOwnFigure) {
 }
 
 TEST(Parallel, SubSeedsAreDerivedPerPointAndStable) {
-  const auto* fig8 = exp::Registry::instance().find("fig8");
-  ASSERT_NE(fig8, nullptr);
   exp::RunOptions opt;
   opt.fast = true;
   opt.nodes = {2, 4};
   opt.seed = 99;
-  const auto plan_a = fig8->plan(opt);
-  const auto plan_b = fig8->plan(opt);
-  ASSERT_EQ(plan_a.size(), 4u);  // dv/mpi pairs at two node counts
-  for (std::size_t i = 0; i < plan_a.size(); ++i) {
-    EXPECT_EQ(plan_a[i].seed, plan_b[i].seed) << i;   // stable across plans
-    EXPECT_NE(plan_a[i].seed, 0u) << i;
+  for (const char* figure : {"fig6", "fig7", "fig8"}) {
+    const auto* w = exp::Registry::instance().find(figure);
+    ASSERT_NE(w, nullptr) << figure;
+    const auto plan_a = w->plan(opt);
+    const auto plan_b = w->plan(opt);
+    ASSERT_EQ(plan_a.size(), 4u) << figure;  // dv/mpi pairs at two node counts
+    for (std::size_t i = 0; i < plan_a.size(); ++i) {
+      EXPECT_EQ(plan_a[i].seed, plan_b[i].seed) << figure << " " << i;  // stable
+      EXPECT_NE(plan_a[i].seed, 0u) << figure << " " << i;
+    }
+    EXPECT_NE(plan_a[0].seed, plan_a[1].seed) << figure;  // distinct streams per point
   }
-  EXPECT_NE(plan_a[0].seed, plan_a[1].seed);  // distinct streams per point
+  // fig6 and fig7 declare no seed parameter, so --seed leaves their params at
+  // the defaults.
+  for (const char* figure : {"fig6", "fig7"}) {
+    const auto* w = exp::Registry::instance().find(figure);
+    for (const auto& point : w->plan(opt)) {
+      EXPECT_EQ(point.params, w->default_params(true)) << figure << " " << point.index;
+    }
+  }
+  const auto* fig8 = exp::Registry::instance().find("fig8");
+  const auto plan_a = fig8->plan(opt);
   // The dv/mpi pair at one node count searches the same graph...
   EXPECT_EQ(plan_a[0].params.at("seed"), plan_a[1].params.at("seed"));
   // ...and different node counts get different graphs, none the default 2.
@@ -458,6 +473,179 @@ TEST(Parallel, SubSeedsAreDerivedPerPointAndStable) {
   const auto plan_default = fig8->plan(opt);
   EXPECT_EQ(plan_default[0].seed, 0u);
   EXPECT_EQ(plan_default[0].params.at("seed"), 2.0);
+}
+
+// -- the node-sweep figures ----------------------------------------------------
+
+/// What fig6, fig7 or fig8 prints and checks: each table's title with whether
+/// it carries the DV/IB column, and the anchors in the order they are emitted.
+struct SweepFigure {
+  const char* figure;
+  std::vector<std::pair<std::string, bool>> tables;
+  std::vector<std::string> anchors;
+};
+
+std::vector<SweepFigure> sweep_figures() {
+  return {
+      {"fig6",
+       {{"Fig 6a — updates per second per PE (MUPS)", false},
+        {"Fig 6b — aggregated updates per second (MUPS)", true}},
+       {"dv_ib_gap_widens", "dv_above_ib_at_scale"}},
+      {"fig7", {{"Fig 7 — aggregate GFLOPS vs nodes", true}}, {"dv_ib_gap_widens"}},
+      {"fig8",
+       {{"Fig 8 — harmonic-mean MTEPS vs nodes", true}},
+       {"dv_above_ib_everywhere", "dv_ib_gap_widens"}},
+  };
+}
+
+/// Every non-empty subset of the backends, each in canonical order.
+std::vector<std::vector<exp::Backend>> backend_subsets() {
+  const auto& all = exp::all_backends();
+  std::vector<std::vector<exp::Backend>> out;
+  for (unsigned mask = 1; mask < (1u << all.size()); ++mask) {
+    std::vector<exp::Backend> subset;
+    for (std::size_t b = 0; b < all.size(); ++b) {
+      if (mask & (1u << b)) subset.push_back(all[b]);
+    }
+    out.push_back(subset);
+  }
+  return out;
+}
+
+/// The header cells of every table printed in `text`, keyed by its title.
+std::map<std::string, std::vector<std::string>> table_headers(const std::string& text) {
+  const std::regex cell(R"(\S+(?: \S+)*)");  // cells are two or more spaces apart
+  std::map<std::string, std::vector<std::string>> out;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.size() < 6 || line.rfind("== ", 0) != 0) continue;
+    std::string header;
+    std::getline(in, header);
+    auto& cells = out[line.substr(3, line.size() - 6)];
+    for (auto it = std::sregex_iterator(header.begin(), header.end(), cell);
+         it != std::sregex_iterator(); ++it) {
+      cells.push_back(it->str());
+    }
+  }
+  return out;
+}
+
+/// Executes `w` at `nodes` on every backend, the points a report of any
+/// backend subset at those node counts can read.
+std::vector<exp::PointResult> run_every_backend(const exp::Workload& w,
+                                                const std::vector<int>& nodes) {
+  exp::RunOptions opt;
+  opt.fast = true;
+  opt.nodes = nodes;
+  opt.backends = exp::all_backends();
+  std::vector<exp::PointResult> out;
+  for (const auto& point : w.plan(opt)) {
+    out.push_back(exp::execute_point(w, point));
+    EXPECT_FALSE(out.back().failed()) << w.figure() << ": " << out.back().error;
+  }
+  return out;
+}
+
+/// Plans `w` under `opt` and reports it from `executed`: each planned point
+/// takes the executed result of its backend and node count.
+void report_from(const exp::Workload& w, const exp::RunOptions& opt,
+                 const std::vector<exp::PointResult>& executed,
+                 dvx::runtime::ResultSink& sink) {
+  std::vector<exp::PointResult> results;
+  for (const auto& point : w.plan(opt)) {
+    const exp::PointResult* r = exp::find_result(executed, point.backend, point.nodes);
+    ASSERT_NE(r, nullptr) << w.figure() << " " << exp::to_string(point.backend);
+    results.push_back(*r);
+    results.back().point = point;
+  }
+  w.report(opt, results, sink);
+}
+
+bool has(const std::vector<exp::Backend>& backends, exp::Backend b) {
+  return std::find(backends.begin(), backends.end(), b) != backends.end();
+}
+
+TEST(NodeSweep, TablesRecordsAndAnchorsFollowTheSelectedBackends) {
+  const std::vector<int> nodes = {4, 8};
+  for (const SweepFigure& fig : sweep_figures()) {
+    const auto* w = exp::Registry::instance().find(fig.figure);
+    ASSERT_NE(w, nullptr) << fig.figure;
+    const auto executed = run_every_backend(*w, nodes);
+    for (const auto& subset : backend_subsets()) {
+      std::string label = fig.figure;
+      for (const exp::Backend b : subset) label += std::string(" ") + exp::to_string(b);
+      exp::RunOptions opt;
+      opt.fast = true;
+      opt.nodes = nodes;
+      opt.backends = subset;
+      std::ostringstream tables;
+      opt.out = &tables;
+
+      // One point per (node count, backend): node-major, backends in order.
+      const auto plan = w->plan(opt);
+      ASSERT_EQ(plan.size(), nodes.size() * subset.size()) << label;
+      for (std::size_t i = 0; i < plan.size(); ++i) {
+        EXPECT_EQ(plan[i].index, i) << label;
+        EXPECT_EQ(plan[i].nodes, nodes[i / subset.size()]) << label;
+        EXPECT_EQ(plan[i].backend, subset[i % subset.size()]) << label;
+        EXPECT_TRUE(plan[i].variant.empty()) << label;
+      }
+
+      dvx::runtime::ResultSink sink;
+      report_from(*w, opt, executed, sink);
+      const bool dv_ib = has(subset, exp::Backend::kDv) && has(subset, exp::Backend::kMpiIb);
+
+      // Each node count's records in plan order, then its DV/IB ratio record
+      // when dv and mpi-ib both ran.
+      std::vector<std::pair<std::string, int>> want, got;
+      for (const int n : nodes) {
+        for (const exp::Backend b : subset) want.emplace_back(exp::to_string(b), n);
+        if (dv_ib) want.emplace_back("derived", n);
+      }
+      for (const auto& r : sink.records()) {
+        got.emplace_back(r.backend, r.nodes);
+        if (r.backend == "derived") {
+          EXPECT_EQ(r.metrics.size(), 1u) << label;
+          EXPECT_EQ(r.metrics.count("dv_ib_ratio"), 1u) << label;
+        }
+      }
+      EXPECT_EQ(got, want) << label;
+
+      std::vector<std::string> anchors;
+      for (const auto& a : sink.anchors()) anchors.push_back(a.name);
+      EXPECT_EQ(anchors, dv_ib ? fig.anchors : std::vector<std::string>{}) << label;
+
+      // The DV/IB column only on the headline table, and only with dv and
+      // mpi-ib both selected.
+      const auto headers = table_headers(tables.str());
+      EXPECT_EQ(headers.size(), fig.tables.size()) << label;
+      for (const auto& [title, ratio_column] : fig.tables) {
+        std::vector<std::string> cells{"nodes"};
+        for (const exp::Backend b : subset) cells.push_back(exp::display_name(b));
+        if (ratio_column && dv_ib) cells.push_back("DV/IB");
+        ASSERT_EQ(headers.count(title), 1u) << label << ": " << title;
+        EXPECT_EQ(headers.at(title), cells) << label << ": " << title;
+      }
+    }
+  }
+}
+
+TEST(NodeSweep, OneNodeCountGivesNoAnchor) {
+  for (const SweepFigure& fig : sweep_figures()) {
+    const auto* w = exp::Registry::instance().find(fig.figure);
+    ASSERT_NE(w, nullptr) << fig.figure;
+    exp::RunOptions opt;
+    opt.fast = true;
+    opt.nodes = {4};
+    std::ostringstream tables;
+    opt.out = &tables;
+    dvx::runtime::ResultSink sink;
+    report_from(*w, opt, run_every_backend(*w, opt.nodes), sink);
+    ASSERT_EQ(sink.records().size(), 3u) << fig.figure;  // dv, mpi, derived
+    EXPECT_EQ(sink.records().back().backend, "derived") << fig.figure;
+    EXPECT_TRUE(sink.anchors().empty()) << fig.figure;
+  }
 }
 
 /// A memoised value: its key and which build of the memo made it.
