@@ -231,7 +231,7 @@ bool parse_args(int argc, const char* const* argv, CliOptions& opt, std::ostream
 }
 
 int run_with(CliOptions opt) {
-  std::ostream& os = opt.run.out ? *opt.run.out : std::cout;
+  std::ostream& os = std::cout;  // the CLI prints its tables to stdout
   if (opt.list) {
     print_list(os);
     return 0;

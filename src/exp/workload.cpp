@@ -1,5 +1,6 @@
 #include "exp/workload.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
@@ -8,6 +9,7 @@
 #include "obs/collector.hpp"
 #include "obs/snapshot.hpp"
 #include "obs/trace_export.hpp"
+#include "runtime/cluster.hpp"
 #include "runtime/constants.hpp"
 #include "sim/rng.hpp"
 
@@ -65,6 +67,12 @@ const char* display_name(Backend b) {
   return "?";  // unreachable; keeps -Wreturn-type quiet
 }
 
+runtime::ClusterConfig cluster_config(Backend backend, int nodes) {
+  runtime::ClusterConfig config{.nodes = nodes};
+  if (backend == Backend::kMpiTorus) config.mpi_fabric = runtime::MpiFabric::kTorus;
+  return config;
+}
+
 std::vector<Backend> Workload::default_backends() const {
   std::vector<Backend> out;
   for (Backend b : {Backend::kDv, Backend::kMpiIb}) {
@@ -88,7 +96,16 @@ std::vector<Backend> Workload::selected_backends(const RunOptions& opt) const {
   return out;
 }
 
+bool Workload::selects(const RunOptions& opt, Backend b) const {
+  const auto backends = selected_backends(opt);
+  return std::find(backends.begin(), backends.end(), b) != backends.end();
+}
+
 std::vector<int> Workload::default_nodes(bool) const { return paper_node_counts(); }
+
+std::vector<int> Workload::node_counts(const RunOptions& opt) const {
+  return opt.nodes.empty() ? default_nodes(opt.fast) : opt.nodes;
+}
 
 int Workload::one_node_count(const RunOptions& opt, int fallback) const {
   if (opt.nodes.size() > 1) {
@@ -98,8 +115,13 @@ int Workload::one_node_count(const RunOptions& opt, int fallback) const {
   return opt.nodes.empty() ? fallback : opt.nodes.front();
 }
 
-MetricMap Workload::execute(const RunPoint& point, std::ostream&) const {
-  return run_backend(point.backend, point.nodes, point.params);
+int Workload::fixed_node_count(const RunOptions& opt, int fixed) const {
+  if (!opt.nodes.empty() && opt.nodes != std::vector<int>{fixed}) {
+    const std::string n = std::to_string(fixed);
+    throw std::invalid_argument(figure() + " runs at " + n + " nodes only; pass --nodes " +
+                                n + " or none");
+  }
+  return fixed;
 }
 
 ParamMap Workload::default_params(bool fast) const {
@@ -110,27 +132,22 @@ ParamMap Workload::default_params(bool fast) const {
   return out;
 }
 
-void Workload::banner(std::ostream& os) const {
+std::ostream& Workload::banner(const RunOptions& opt) const {
+  std::ostream& os = opt.out ? *opt.out : std::cout;
   runtime::figure_banner(os, title(), paper_anchor());
-}
-
-runtime::BenchRecord Workload::make_record(Backend backend, int nodes,
-                                           const ParamMap& params, MetricMap metrics,
-                                           std::string variant) const {
-  runtime::BenchRecord r;
-  r.figure = figure();
-  r.workload = name();
-  r.backend = to_string(backend);
-  r.variant = std::move(variant);
-  r.nodes = nodes;
-  r.config = params;
-  r.metrics = std::move(metrics);
-  return r;
+  return os;
 }
 
 runtime::BenchRecord Workload::make_record(const PointResult& result) const {
-  return make_record(result.point.backend, result.point.nodes, result.point.params,
-                     result.metrics, result.point.variant);
+  runtime::BenchRecord r;
+  r.figure = figure();
+  r.workload = name();
+  r.backend = to_string(result.point.backend);
+  r.variant = result.point.variant;
+  r.nodes = result.point.nodes;
+  r.config = result.point.params;
+  r.metrics = result.metrics;
+  return r;
 }
 
 runtime::BenchRecord Workload::make_derived_record(int nodes, MetricMap metrics,

@@ -13,15 +13,20 @@
 //   plan    — enumerate the figure's `RunPoint`s in canonical order:
 //             (backend, nodes, fully resolved params, variant label, and a
 //             SplitMix64 sub-seed derived from the root `--seed`).
-//   execute — run ONE point. Pure: owns its own `sim::Engine` /
-//             `runtime::Cluster` and writes any human-readable output to
-//             the per-point log stream. The only objects points share are
-//             the workloads' memos (`exp::Memo`: fig7's input, fig8's
-//             graphs), each value a pure function of its key, and fig7's
-//             buffer pool (`exp::Pool`), whose objects one point holds at
-//             a time and which carry nothing between points.
+//   execute — run ONE point; the only per-point entry. Pure: owns its own
+//             `sim::Engine` / `runtime::Cluster` and writes any
+//             human-readable output to the per-point log stream. The only
+//             objects points share are the workloads' memos (`exp::Memo`:
+//             fig7's input, fig8's graphs), each value a pure function of
+//             its key, and fig7's buffer pool (`exp::Pool`), whose objects
+//             one point holds at a time and which carry nothing between
+//             points.
 //   report  — consume the results (same order as the plan) to print the
 //             legacy tables and append records/anchors to the sink.
+//
+// fig6, fig7 and fig8 share one shape, `exp::NodeSweep`
+// (exp/node_sweep.hpp), which writes all three phases from what each
+// figure declares.
 //
 // Because every point is seeded from the plan alone, a memo hands every
 // caller the same value for the same key, and a point writes every element
@@ -37,6 +42,10 @@
 #include <vector>
 
 #include "runtime/report.hpp"
+
+namespace dvx::runtime {
+struct ClusterConfig;
+}
 
 namespace dvx::exp {
 
@@ -62,6 +71,10 @@ const std::vector<Backend>& all_backends();
 
 /// Human-readable table-column name: "Data Vortex", "Infiniband", "3D Torus".
 const char* display_name(Backend b);
+
+/// The cluster a point of `backend` runs on: `nodes` nodes, with the torus
+/// as its MPI fabric for kMpiTorus and the fat-tree otherwise.
+runtime::ClusterConfig cluster_config(Backend backend, int nodes);
 
 /// One named workload parameter with its defaults. Parameters are doubles
 /// (counts, sizes, log-sizes); the fast-mode default shrinks the problem so
@@ -151,8 +164,15 @@ class Workload {
   /// backends this workload implements, in canonical order.
   std::vector<Backend> selected_backends(const RunOptions& opt) const;
 
+  /// Whether selected_backends(opt) holds `b`.
+  bool selects(const RunOptions& opt, Backend b) const;
+
   /// The node counts plan() sweeps when RunOptions::nodes is empty.
   virtual std::vector<int> default_nodes(bool fast) const;
+
+  /// The node counts plan() sweeps: RunOptions::nodes, or default_nodes()
+  /// when it is empty.
+  std::vector<int> node_counts(const RunOptions& opt) const;
 
   /// The node count of a figure that runs at one cluster size: `fallback`
   /// when RunOptions::nodes is empty, else its one entry. A longer list
@@ -160,26 +180,25 @@ class Workload {
   /// its first entry only.
   int one_node_count(const RunOptions& opt, int fallback) const;
 
-  /// Runs ONE measurement point: `nodes` simulated nodes, `backend`'s
-  /// implementation, parameters from `params` (missing keys take the
-  /// workload defaults per metric_specs/param_specs). Returns the metric
-  /// map declared by metric_specs(). Returns an empty map for a backend
-  /// the workload does not implement.
-  virtual MetricMap run_backend(Backend backend, int nodes,
-                                const ParamMap& params) const = 0;
+  /// The node count of a figure that runs at one size only: `fixed`, when
+  /// RunOptions::nodes is empty or names exactly that count. Anything else
+  /// throws std::invalid_argument naming the count, so plan() refuses a
+  /// --nodes it would ignore.
+  int fixed_node_count(const RunOptions& opt, int fixed) const;
 
   /// Enumerates the figure's measurement points in canonical order,
   /// honouring `opt.nodes` where the figure has a node sweep.
   virtual std::vector<RunPoint> plan(const RunOptions& opt) const = 0;
 
-  /// Executes ONE planned point. Must be pure with respect to shared state:
-  /// the only side channels are the returned metrics and `log` (shown by the
-  /// reporting phase, in plan order). Shared state a point reads must be a
-  /// pure function of what the point asks for, as a workload's memo is; an
-  /// object a point borrows from a workload's pool it must write before it
-  /// reads, so which point held it before cannot move a result. The default
-  /// forwards to run_backend.
-  virtual MetricMap execute(const RunPoint& point, std::ostream& log) const;
+  /// Executes ONE planned point and returns the metrics metric_specs()
+  /// declares; the only per-point entry. Must be pure with respect to
+  /// shared state: the only side channels are the returned metrics and
+  /// `log` (shown by the reporting phase, in plan order). Shared state a
+  /// point reads must be a pure function of what the point asks for, as a
+  /// workload's memo is; an object a point borrows from a workload's pool
+  /// it must write before it reads, so which point held it before cannot
+  /// move a result.
+  virtual MetricMap execute(const RunPoint& point, std::ostream& log) const = 0;
 
   /// Prints the figure's banner, tables, and paper-anchor notes from the
   /// executed results (`results[i].point.index == i`, all successful) and
@@ -191,14 +210,11 @@ class Workload {
 
   /// Defaults for this mode, i.e. {key -> full_value or fast_value}.
   ParamMap default_params(bool fast) const;
-  /// Prints the standard banner for this workload.
-  void banner(std::ostream& os) const;
-  /// A record pre-filled with figure/workload tags.
-  runtime::BenchRecord make_record(Backend backend, int nodes,
-                                   const ParamMap& params,
-                                   MetricMap metrics,
-                                   std::string variant = {}) const;
-  /// A record for an executed point (same tags, the point's params/variant).
+  /// Prints the standard banner for this workload to its table stream,
+  /// RunOptions::out or std::cout when that is unset, and returns the stream.
+  std::ostream& banner(const RunOptions& opt) const;
+  /// A record for an executed point: figure/workload tags, the point's
+  /// backend, nodes, params and variant, and its metrics.
   runtime::BenchRecord make_record(const PointResult& result) const;
   /// A cross-backend ("derived") record, e.g. a DV/IB ratio row.
   runtime::BenchRecord make_derived_record(int nodes, MetricMap metrics,

@@ -8,7 +8,7 @@
 //     three API paths — the DMA/Cached path is the only one that feeds the
 //     fabric at line rate (paper §V).
 
-#include <iostream>
+#include <ostream>
 #include <vector>
 
 #include "apps/gups.hpp"
@@ -94,19 +94,6 @@ class AblationAggregationWorkload final : public Workload {
   // comparison in it, so it only has a dv series.
   bool has_backend(Backend b) const override { return b == Backend::kDv; }
 
-  MetricMap run_backend(Backend backend, int nodes,
-                        const ParamMap& params) const override {
-    if (backend != Backend::kDv) return {};  // the ablation probes DV choices
-    runtime::Cluster cluster(runtime::ClusterConfig{.nodes = nodes});
-    dvx::apps::GupsParams gp{
-        .local_table_words = static_cast<std::uint64_t>(params.at("local_table_words")),
-        .updates_per_node = static_cast<std::uint64_t>(params.at("updates_per_node")),
-        .buffer_limit = static_cast<int>(params.at("buffer_limit")),
-    };
-    const auto res = dvx::apps::run_gups_dv(cluster, gp);
-    return {{"aggregate_mups", res.gups() * 1e3}};
-  }
-
   std::vector<RunPoint> plan(const RunOptions& opt) const override {
     const int nodes = one_node_count(opt, default_nodes(opt.fast).front());
     PlanBuilder builder(*this, opt);
@@ -124,21 +111,28 @@ class AblationAggregationWorkload final : public Workload {
     return builder.take();
   }
 
-  // The put-path points measure a bulk put outside run_backend's GUPS probe;
-  // dispatch on the variant the plan assigned.
-  MetricMap execute(const RunPoint& point, std::ostream& log) const override {
-    if (point.variant == "buffer_sweep") return Workload::execute(point, log);
-    const auto words = static_cast<std::int64_t>(point.params.at("put_words"));
-    const double s =
-        put_path_seconds(static_cast<int>(point.params.at("path")), words);
+  // The buffer-sweep points run GUPS on the Data Vortex and the put-path
+  // points time a bulk put; dispatch on the variant the plan assigned.
+  MetricMap execute(const RunPoint& point, std::ostream&) const override {
+    const ParamMap& params = point.params;
+    if (point.variant == "buffer_sweep") {
+      runtime::Cluster cluster(runtime::ClusterConfig{.nodes = point.nodes});
+      dvx::apps::GupsParams gp{
+          .local_table_words = static_cast<std::uint64_t>(params.at("local_table_words")),
+          .updates_per_node = static_cast<std::uint64_t>(params.at("updates_per_node")),
+          .buffer_limit = static_cast<int>(params.at("buffer_limit")),
+      };
+      return {{"aggregate_mups", dvx::apps::run_gups_dv(cluster, gp).gups() * 1e3}};
+    }
+    const auto words = static_cast<std::int64_t>(params.at("put_words"));
+    const double s = put_path_seconds(static_cast<int>(params.at("path")), words);
     return {{"put_seconds", s},
             {"put_bytes_per_sec", static_cast<double>(words * 8) / s}};
   }
 
   void report(const RunOptions& opt, const std::vector<PointResult>& results,
               runtime::ResultSink& sink) const override {
-    std::ostream& os = opt.out ? *opt.out : std::cout;
-    banner(os);
+    std::ostream& os = banner(opt);
     if (results.empty()) {  // e.g. --backends without dv
       os << "\n(no points: this ablation only has a dv series)\n";
       return;

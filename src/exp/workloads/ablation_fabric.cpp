@@ -16,8 +16,7 @@
 //   * hotspot — the Data Vortex absorbs converging traffic as deflections
 //     (~2 extra hops, paper §II) instead of queueing delay.
 
-#include <algorithm>
-#include <iostream>
+#include <ostream>
 #include <string>
 
 #include "dvnet/cycle_switch.hpp"
@@ -266,43 +265,40 @@ class AblationFabricWorkload final : public Workload {
   }
   std::vector<int> default_nodes(bool) const override { return {32}; }
 
-  MetricMap run_backend(Backend backend, int /*nodes*/,
-                        const ParamMap& params) const override {
-    if (backend != Backend::kDv) return {};
-    const auto p = measure(params.at("offered_load"),
-                           static_cast<std::uint64_t>(params.at("cycles")));
-    return {{"cycle_latency", p.cycle_latency},
-            {"cycle_deflections", p.cycle_deflections},
-            {"analytic_latency", p.analytic_latency},
-            {"latency_ratio", p.analytic_latency / p.cycle_latency}};
-  }
-
   std::vector<RunPoint> plan(const RunOptions& opt) const override {
+    // The validation sweep drives one 32-port switch, whatever --nodes says.
+    const int nodes = fixed_node_count(opt, 32);
     PlanBuilder builder(*this, opt);
     ParamMap params = default_params(opt.fast);
-    const auto backends = selected_backends(opt);
-    const bool want_dv =
-        std::find(backends.begin(), backends.end(), Backend::kDv) != backends.end();
-    if (want_dv) {
+    if (selects(opt, Backend::kDv)) {
       for (double load : {0.02, 0.05, 0.10, 0.15, 0.20}) {
         params["offered_load"] = load;
-        builder.add(Backend::kDv, 32, params);
+        builder.add(Backend::kDv, nodes, params);
       }
     }
     // The three-way signature probe only runs when the CLI asked for
     // specific backends; the default figure stays the dv model validation.
     if (!opt.backends.empty()) {
       params = default_params(opt.fast);
-      for (const Backend b : backends) builder.add(b, 32, params, "contention");
+      for (const Backend b : selected_backends(opt)) {
+        builder.add(b, nodes, params, "contention");
+      }
     }
     return builder.take();
   }
 
-  // The "contention" points measure fabric signatures outside run_backend's
-  // model-validation probe; dispatch on the variant the plan assigned.
-  MetricMap execute(const RunPoint& point, std::ostream& log) const override {
-    if (point.variant != "contention") return Workload::execute(point, log);
+  // The sweep points validate the analytic model on the Data Vortex and the
+  // "contention" points measure fabric signatures; dispatch on the variant
+  // the plan assigned.
+  MetricMap execute(const RunPoint& point, std::ostream&) const override {
     const auto cycles = static_cast<std::uint64_t>(point.params.at("cycles"));
+    if (point.variant != "contention") {
+      const auto p = measure(point.params.at("offered_load"), cycles);
+      return {{"cycle_latency", p.cycle_latency},
+              {"cycle_deflections", p.cycle_deflections},
+              {"analytic_latency", p.analytic_latency},
+              {"latency_ratio", p.analytic_latency / p.cycle_latency}};
+    }
     Signatures s;
     switch (point.backend) {
       case Backend::kDv:
@@ -324,9 +320,7 @@ class AblationFabricWorkload final : public Workload {
 
   void report(const RunOptions& opt, const std::vector<PointResult>& results,
               runtime::ResultSink& sink) const override {
-    std::ostream& os = opt.out ? *opt.out : std::cout;
-    banner(os);
-    (void)opt;
+    std::ostream& os = banner(opt);
 
     runtime::Table t("uniform random traffic, 32-port (H=8, A=4) switch",
                      {"offered load", "cycle lat (cyc)", "defl/pkt", "analytic lat (cyc)",

@@ -11,8 +11,7 @@
 // without binding either number to either application; EXPERIMENTS.md
 // records the mapping this reproduction observes.
 
-#include <algorithm>
-#include <iostream>
+#include <ostream>
 
 #include "apps/heat.hpp"
 #include "apps/snap.hpp"
@@ -70,10 +69,10 @@ class AppsWorkload final : public Workload {
     return false;
   }
 
-  MetricMap run_backend(Backend backend, int nodes,
-                        const ParamMap& params) const override {
-    runtime::Cluster cluster(runtime::ClusterConfig{.nodes = nodes});
-    const bool dv = backend == Backend::kDv;
+  MetricMap execute(const RunPoint& point, std::ostream&) const override {
+    runtime::Cluster cluster(cluster_config(point.backend, point.nodes));
+    const ParamMap& params = point.params;
+    const bool dv = point.backend == Backend::kDv;
     double seconds = 0.0;
     switch (static_cast<App>(static_cast<int>(params.at("app")))) {
       case kSnap: {
@@ -105,9 +104,8 @@ class AppsWorkload final : public Workload {
   std::vector<RunPoint> plan(const RunOptions& opt) const override {
     PlanBuilder builder(*this, opt);
     ParamMap params = default_params(opt.fast);
-    const auto nodes_list = opt.nodes.empty() ? default_nodes(opt.fast) : opt.nodes;
     const auto backends = selected_backends(opt);
-    for (const int nodes : nodes_list) {
+    for (const int nodes : node_counts(opt)) {
       for (int app = 0; app < 3; ++app) {
         params["app"] = app;
         for (const Backend b : backends) builder.add(b, nodes, params, kAppNames[app]);
@@ -118,21 +116,15 @@ class AppsWorkload final : public Workload {
 
   void report(const RunOptions& opt, const std::vector<PointResult>& results,
               runtime::ResultSink& sink) const override {
-    std::ostream& os = opt.out ? *opt.out : std::cout;
-    banner(os);
-    const auto nodes_list = opt.nodes.empty() ? default_nodes(opt.fast) : opt.nodes;
-    const auto backends = selected_backends(opt);
-    const auto has = [&](Backend b) {
-      return std::find(backends.begin(), backends.end(), b) != backends.end();
-    };
-    const bool want_dv = has(Backend::kDv);
-    const bool want_ib = has(Backend::kMpiIb);
+    std::ostream& os = banner(opt);
+    const bool want_dv = selects(opt, Backend::kDv);
+    const bool want_ib = selects(opt, Backend::kMpiIb);
     const double paper_speedup[3] = {runtime::paper::kSnapSpeedup,
                                      runtime::paper::kVorticitySpeedup,
                                      runtime::paper::kHeatSpeedup};
     const char* paper_label[3] = {"1.19", "3.41", "2.46"};
 
-    for (int nodes : nodes_list) {
+    for (const int nodes : node_counts(opt)) {
       std::vector<std::string> cols{"application"};
       if (want_dv) cols.push_back("DV time");
       if (want_ib) cols.push_back("MPI time");

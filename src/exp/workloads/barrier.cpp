@@ -5,8 +5,7 @@
 // in-house all-to-all "FastBarrier", and MPI over InfiniBand (grows
 // markedly with node count; ~13 us at 32 nodes in the paper).
 
-#include <algorithm>
-#include <iostream>
+#include <ostream>
 
 #include "dvapi/context.hpp"
 #include "exp/workload.hpp"
@@ -89,46 +88,39 @@ class BarrierWorkload final : public Workload {
     return false;
   }
 
-  MetricMap run_backend(Backend backend, int nodes,
-                        const ParamMap& params) const override {
-    const int reps = static_cast<int>(params.at("reps"));
-    if (backend == Backend::kMpiIb) return {{"latency_us", mpi_barrier_us(nodes, reps)}};
-    const bool fast_barrier = params.count("fast_barrier") && params.at("fast_barrier") != 0;
-    return {{"latency_us", dv_barrier_us(nodes, fast_barrier, reps)}};
+  MetricMap execute(const RunPoint& point, std::ostream&) const override {
+    const int reps = static_cast<int>(point.params.at("reps"));
+    if (point.backend == Backend::kMpiIb) {
+      return {{"latency_us", mpi_barrier_us(point.nodes, reps)}};
+    }
+    const bool fast_barrier = point.params.at("fast_barrier") != 0;
+    return {{"latency_us", dv_barrier_us(point.nodes, fast_barrier, reps)}};
   }
 
   std::vector<RunPoint> plan(const RunOptions& opt) const override {
     PlanBuilder builder(*this, opt);
     ParamMap params = default_params(opt.fast);
-    const auto nodes = opt.nodes.empty() ? default_nodes(opt.fast) : opt.nodes;
-    const auto backends = selected_backends(opt);
-    const auto has = [&](Backend b) {
-      return std::find(backends.begin(), backends.end(), b) != backends.end();
-    };
-    for (const int n : nodes) {
-      if (has(Backend::kDv)) {
+    const bool want_dv = selects(opt, Backend::kDv);
+    const bool want_ib = selects(opt, Backend::kMpiIb);
+    for (const int n : node_counts(opt)) {
+      if (want_dv) {
         params["fast_barrier"] = 0;
         builder.add(Backend::kDv, n, params, "intrinsic");
         params["fast_barrier"] = 1;
         builder.add(Backend::kDv, n, params, "fast_barrier");
         params["fast_barrier"] = 0;
       }
-      if (has(Backend::kMpiIb)) builder.add(Backend::kMpiIb, n, params);
+      if (want_ib) builder.add(Backend::kMpiIb, n, params);
     }
     return builder.take();
   }
 
   void report(const RunOptions& opt, const std::vector<PointResult>& results,
               runtime::ResultSink& sink) const override {
-    std::ostream& os = opt.out ? *opt.out : std::cout;
-    banner(os);
-    const auto nodes = opt.nodes.empty() ? default_nodes(opt.fast) : opt.nodes;
-    const auto backends = selected_backends(opt);
-    const auto has = [&](Backend b) {
-      return std::find(backends.begin(), backends.end(), b) != backends.end();
-    };
-    const bool want_dv = has(Backend::kDv);
-    const bool want_ib = has(Backend::kMpiIb);
+    std::ostream& os = banner(opt);
+    const auto nodes = node_counts(opt);
+    const bool want_dv = selects(opt, Backend::kDv);
+    const bool want_ib = selects(opt, Backend::kMpiIb);
 
     std::vector<std::string> cols{"nodes"};
     if (want_dv) cols.insert(cols.end(), {"Data Vortex", "FastBarrier"});

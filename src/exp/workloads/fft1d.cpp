@@ -6,24 +6,19 @@
 // alltoalls, and unpacks. Paper: DV above IB with a gap that widens with
 // node count. (Paper size 2^33 points; reproduction default 2^20.)
 
-#include <algorithm>
-#include <iostream>
 #include <span>
 #include <utility>
 
 #include "apps/fft1d.hpp"
 #include "exp/memo.hpp"
+#include "exp/node_sweep.hpp"
 #include "exp/pool.hpp"
-#include "exp/workload.hpp"
 #include "exp/workloads/fft1d.hpp"
-#include "runtime/cluster.hpp"
 
 namespace dvx::exp {
 namespace {
 
-namespace runtime = dvx::runtime;
-
-class Fft1dWorkload final : public Workload {
+class Fft1dWorkload final : public NodeSweep {
  public:
   Fft1dWorkload(FftInputBuild build_input, FftBuffersMake make_buffers)
       : inputs_(std::move(build_input)), buffers_(std::move(make_buffers)) {}
@@ -46,93 +41,36 @@ class Fft1dWorkload final : public Workload {
     };
   }
 
-  bool has_backend(Backend b) const override {
-    switch (b) {
-      case Backend::kDv:
-      case Backend::kMpiIb:
-      case Backend::kMpiTorus:
-        return true;
-    }
-    return false;
-  }
-
-  MetricMap run_backend(Backend backend, int nodes,
-                        const ParamMap& params) const override {
-    runtime::ClusterConfig config{.nodes = nodes};
-    if (backend == Backend::kMpiTorus) config.mpi_fabric = runtime::MpiFabric::kTorus;
-    runtime::Cluster cluster(config);
-    dvx::apps::FftParams fp{.log_size = static_cast<int>(params.at("log_size"))};
+ private:
+  MetricMap run(runtime::Cluster& cluster, const RunPoint& point) const override {
+    dvx::apps::FftParams fp{.log_size = static_cast<int>(point.params.at("log_size"))};
     // Taken at execute time, not in plan(): planning builds nothing.
     const auto input = inputs_.get(fp.log_size);
     const auto buffers = buffers_.take();
     buffers->resize(2 * input->size());  // a no-op on a set an earlier point sized
     const auto output = std::span(*buffers).first(input->size());
     const auto scratch = std::span(*buffers).last(input->size());
-    const auto r = backend == Backend::kDv
+    const auto r = point.backend == Backend::kDv
                        ? dvx::apps::run_fft_dv(cluster, fp, *input, output, scratch)
                        : dvx::apps::run_fft_mpi(cluster, fp, *input, output, scratch);
     return {{"roi_seconds", r.seconds}, {"gflops", r.gflops()}};
   }
 
-  std::vector<RunPoint> plan(const RunOptions& opt) const override {
-    PlanBuilder builder(*this, opt);
-    const ParamMap params = default_params(opt.fast);
-    const auto nodes = opt.nodes.empty() ? default_nodes(opt.fast) : opt.nodes;
-    const auto backends = selected_backends(opt);
-    for (const int n : nodes) {
-      for (const Backend b : backends) builder.add(b, n, params);
-    }
-    return builder.take();
+  std::vector<SweepTable> tables() const override {
+    return {{"Fig 7 — aggregate GFLOPS vs nodes", "gflops",
+             [](double gflops) { return gflops; }}};
+  }
+  std::string headline_metric() const override { return "gflops"; }
+  // This reproduction observes a crossover at ~16 nodes (EXPERIMENTS.md);
+  // the paper-regime anchor is the widening gap and a DV lead at 32.
+  std::vector<RatioAnchor> anchors() const override {
+    return {{RatioClaim::kGapWidens, "DV/IB GFLOPS ratio grows with node count"}};
+  }
+  std::string note() const override {
+    return "both curves rise with node count; DV consistently\n"
+           "above IB and the DV/IB ratio grows with nodes.\n";
   }
 
-  void report(const RunOptions& opt, const std::vector<PointResult>& results,
-              runtime::ResultSink& sink) const override {
-    std::ostream& os = opt.out ? *opt.out : std::cout;
-    banner(os);
-    const auto nodes = opt.nodes.empty() ? default_nodes(opt.fast) : opt.nodes;
-    const auto backends = selected_backends(opt);
-    const auto has = [&](Backend b) {
-      return std::find(backends.begin(), backends.end(), b) != backends.end();
-    };
-    const bool dv_ib = has(Backend::kDv) && has(Backend::kMpiIb);
-
-    std::vector<std::string> cols{"nodes"};
-    for (const Backend b : backends) cols.push_back(display_name(b));
-    if (dv_ib) cols.push_back("DV/IB");
-    runtime::Table t("Fig 7 — aggregate GFLOPS vs nodes", cols);
-    double first_ratio = 0, last_ratio = 0;
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      const int n = nodes[i];
-      std::vector<std::string> row{std::to_string(n)};
-      for (const Backend b : backends) {
-        const PointResult* r = find_result(results, b, n);
-        row.push_back(runtime::fmt(r->metrics.at("gflops")));
-        sink.add(make_record(*r));
-      }
-      if (dv_ib) {
-        const double ratio = find_result(results, Backend::kDv, n)->metrics.at("gflops") /
-                             find_result(results, Backend::kMpiIb, n)->metrics.at("gflops");
-        row.push_back(runtime::fmt(ratio));
-        sink.add(make_derived_record(n, {{"dv_ib_ratio", ratio}}));
-        if (i == 0) first_ratio = ratio;
-        last_ratio = ratio;
-      }
-      t.row(row);
-    }
-    t.print(os);
-    os << "\npaper anchors: both curves rise with node count; DV consistently\n"
-          "above IB and the DV/IB ratio grows with nodes.\n";
-
-    if (dv_ib && nodes.size() >= 2) {
-      // This reproduction observes a crossover at ~16 nodes (EXPERIMENTS.md);
-      // the paper-regime anchor is the widening gap and a DV lead at 32.
-      sink.add_anchor(make_anchor("dv_ib_gap_widens", last_ratio, first_ratio,
-                                  last_ratio > first_ratio,
-                                  "DV/IB GFLOPS ratio grows with node count"));
-    }
-  }
-
- private:
   /// Shared by the points (DESIGN.md §6.4): every point of a sweep has one
   /// log_size, so a sweep builds its input once.
   mutable Memo<int, std::vector<dvx::kernels::Complex>> inputs_;

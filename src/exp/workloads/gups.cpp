@@ -5,19 +5,13 @@
 // while the Data Vortex implementation stays roughly flat.
 // (b) aggregate MUPS: DV far above IB, with the gap widening with nodes.
 
-#include <algorithm>
-#include <iostream>
-
 #include "apps/gups.hpp"
-#include "exp/workload.hpp"
-#include "runtime/cluster.hpp"
+#include "exp/node_sweep.hpp"
 
 namespace dvx::exp {
 namespace {
 
-namespace runtime = dvx::runtime;
-
-class GupsWorkload final : public Workload {
+class GupsWorkload final : public NodeSweep {
  public:
   std::string name() const override { return "gups"; }
   std::string figure() const override { return "fig6"; }
@@ -45,100 +39,36 @@ class GupsWorkload final : public Workload {
 
   std::vector<int> default_nodes(bool) const override { return paper_node_counts(4); }
 
-  bool has_backend(Backend b) const override {
-    switch (b) {
-      case Backend::kDv:
-      case Backend::kMpiIb:
-      case Backend::kMpiTorus:
-        return true;
-    }
-    return false;
-  }
-
-  MetricMap run_backend(Backend backend, int nodes,
-                        const ParamMap& params) const override {
-    runtime::ClusterConfig config{.nodes = nodes};
-    if (backend == Backend::kMpiTorus) config.mpi_fabric = runtime::MpiFabric::kTorus;
-    runtime::Cluster cluster(config);
+ private:
+  MetricMap run(runtime::Cluster& cluster, const RunPoint& point) const override {
     dvx::apps::GupsParams gp{
-        .local_table_words = static_cast<std::uint64_t>(params.at("local_table_words")),
-        .updates_per_node = static_cast<std::uint64_t>(params.at("updates_per_node")),
-        .buffer_limit = static_cast<int>(params.at("buffer_limit")),
+        .local_table_words = static_cast<std::uint64_t>(point.params.at("local_table_words")),
+        .updates_per_node = static_cast<std::uint64_t>(point.params.at("updates_per_node")),
+        .buffer_limit = static_cast<int>(point.params.at("buffer_limit")),
     };
-    const auto r = backend == Backend::kDv ? dvx::apps::run_gups_dv(cluster, gp)
-                                           : dvx::apps::run_gups_mpi(cluster, gp);
+    const auto r = point.backend == Backend::kDv ? dvx::apps::run_gups_dv(cluster, gp)
+                                                 : dvx::apps::run_gups_mpi(cluster, gp);
     return {{"roi_seconds", r.seconds},
             {"gups", r.gups()},
-            {"mups_per_pe", r.mups_per_pe(nodes)}};
+            {"mups_per_pe", r.mups_per_pe(point.nodes)}};
   }
 
-  std::vector<RunPoint> plan(const RunOptions& opt) const override {
-    PlanBuilder builder(*this, opt);
-    const ParamMap params = default_params(opt.fast);
-    const auto nodes = opt.nodes.empty() ? default_nodes(opt.fast) : opt.nodes;
-    const auto backends = selected_backends(opt);
-    for (const int n : nodes) {
-      for (const Backend b : backends) builder.add(b, n, params);
-    }
-    return builder.take();
+  std::vector<SweepTable> tables() const override {
+    return {{"Fig 6a — updates per second per PE (MUPS)", "mups_per_pe",
+             [](double mups) { return mups; }},
+            {"Fig 6b — aggregated updates per second (MUPS)", "gups",
+             [](double gups) { return gups * 1e3; }}};
   }
-
-  void report(const RunOptions& opt, const std::vector<PointResult>& results,
-              runtime::ResultSink& sink) const override {
-    std::ostream& os = opt.out ? *opt.out : std::cout;
-    banner(os);
-    const auto nodes = opt.nodes.empty() ? default_nodes(opt.fast) : opt.nodes;
-    const auto backends = selected_backends(opt);
-    const auto has = [&](Backend b) {
-      return std::find(backends.begin(), backends.end(), b) != backends.end();
-    };
-    const bool dv_ib = has(Backend::kDv) && has(Backend::kMpiIb);
-
-    std::vector<std::string> pe_cols{"nodes"};
-    std::vector<std::string> agg_cols{"nodes"};
-    for (const Backend b : backends) {
-      pe_cols.push_back(display_name(b));
-      agg_cols.push_back(display_name(b));
-    }
-    if (dv_ib) agg_cols.push_back("DV/IB");
-    runtime::Table per_pe("Fig 6a — updates per second per PE (MUPS)", pe_cols);
-    runtime::Table agg("Fig 6b — aggregated updates per second (MUPS)", agg_cols);
-    double first_ratio = 0, last_ratio = 0;
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      const int n = nodes[i];
-      std::vector<std::string> pe_row{std::to_string(n)};
-      std::vector<std::string> agg_row{std::to_string(n)};
-      for (const Backend b : backends) {
-        const PointResult* r = find_result(results, b, n);
-        pe_row.push_back(runtime::fmt(r->metrics.at("mups_per_pe")));
-        agg_row.push_back(runtime::fmt(r->metrics.at("gups") * 1e3));
-        sink.add(make_record(*r));
-      }
-      if (dv_ib) {
-        const double ratio = find_result(results, Backend::kDv, n)->metrics.at("gups") /
-                             find_result(results, Backend::kMpiIb, n)->metrics.at("gups");
-        agg_row.push_back(runtime::fmt(ratio));
-        sink.add(make_derived_record(n, {{"dv_ib_ratio", ratio}}));
-        if (i == 0) first_ratio = ratio;
-        last_ratio = ratio;
-      }
-      per_pe.row(pe_row);
-      agg.row(agg_row);
-    }
-    per_pe.print(os);
-    agg.print(os);
-    os << "\npaper anchors: IB per-PE MUPS decrease steadily 4 -> 32 nodes;\n"
-          "DV stays ~constant (small dip 4 -> 8); the aggregate gap grows\n"
-          "with node count.\n";
-
-    if (dv_ib && nodes.size() >= 2) {
-      sink.add_anchor(make_anchor("dv_ib_gap_widens", last_ratio, first_ratio,
-                                  last_ratio > first_ratio,
-                                  "aggregate DV/IB ratio grows with node count"));
-      sink.add_anchor(make_anchor("dv_above_ib_at_scale", last_ratio, 1.0,
-                                  last_ratio > 1.0,
-                                  "DV aggregate rate above IB at the largest sweep point"));
-    }
+  std::string headline_metric() const override { return "gups"; }
+  std::vector<RatioAnchor> anchors() const override {
+    return {{RatioClaim::kGapWidens, "aggregate DV/IB ratio grows with node count"},
+            {RatioClaim::kAboveAtScale,
+             "DV aggregate rate above IB at the largest sweep point"}};
+  }
+  std::string note() const override {
+    return "IB per-PE MUPS decrease steadily 4 -> 32 nodes;\n"
+           "DV stays ~constant (small dip 4 -> 8); the aggregate gap grows\n"
+           "with node count.\n";
   }
 };
 

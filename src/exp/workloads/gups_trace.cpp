@@ -10,7 +10,7 @@
 
 #include <algorithm>
 #include <array>
-#include <iostream>
+#include <ostream>
 
 #include "apps/gups.hpp"
 #include "exp/workload.hpp"
@@ -23,12 +23,8 @@ namespace {
 namespace runtime = dvx::runtime;
 namespace sim = dvx::sim;
 
-struct TraceOut {
-  MetricMap metrics;
-};
-
-/// Runs the traced MPI GUPS; prints the figure panels when `os` is set.
-TraceOut run_trace(int nodes, const ParamMap& params, std::ostream* os) {
+/// Runs the traced MPI GUPS and prints the figure panels to `os`.
+MetricMap run_trace(int nodes, const ParamMap& params, std::ostream& os) {
   runtime::Cluster cluster(runtime::ClusterConfig{.nodes = nodes, .trace = true});
   dvx::apps::GupsParams gp{
       .local_table_words = static_cast<std::uint64_t>(params.at("local_table_words")),
@@ -37,18 +33,15 @@ TraceOut run_trace(int nodes, const ParamMap& params, std::ostream* os) {
   const auto res = dvx::apps::run_gups_mpi(cluster, gp);
 
   const auto& tracer = cluster.tracer();
-  if (os) {
-    *os << "\n-- execution timeline (Fig 5a analogue) --\n" << tracer.ascii_timeline(100);
-    *os << "\n-- per-node state breakdown --\n";
-    for (const auto& [node, summary] : tracer.state_summary()) {
-      *os << "node " << node << ":";
-      for (std::size_t s = 0; s < sim::kNodeStateCount; ++s) {
-        *os << "  " << sim::to_string(static_cast<sim::NodeState>(s)) << "="
-            << runtime::fmt(100.0 * summary.fraction(static_cast<sim::NodeState>(s)), 1)
-            << "%";
-      }
-      *os << "\n";
+  os << "\n-- execution timeline (Fig 5a analogue) --\n" << tracer.ascii_timeline(100);
+  os << "\n-- per-node state breakdown --\n";
+  for (const auto& [node, summary] : tracer.state_summary()) {
+    os << "node " << node << ":";
+    for (std::size_t s = 0; s < sim::kNodeStateCount; ++s) {
+      os << "  " << sim::to_string(static_cast<sim::NodeState>(s)) << "="
+         << runtime::fmt(100.0 * summary.fraction(static_cast<sim::NodeState>(s)), 1) << "%";
     }
+    os << "\n";
   }
 
   const double reg = tracer.destination_regularity(16);
@@ -72,27 +65,24 @@ TraceOut run_trace(int nodes, const ParamMap& params, std::ostream* os) {
     update_reg /= kWindows;
   }
 
-  if (os) {
-    *os << "\n-- message statistics (Fig 5b analogue) --\n";
-    *os << "messages traced:        " << tracer.messages().size() << "\n";
-    *os << "destination regularity: " << runtime::fmt(reg, 3)
-        << "  (1.0 = aggregatable by destination; "
-        << runtime::fmt(1.0 / (nodes - 1), 3) << " = uniform scatter over " << nodes - 1
-        << " peers)\n";
-    *os << "update-level regularity: " << runtime::fmt(update_reg, 3)
-        << "  (HPCC rule caps buffering at 1024 updates, so no\n"
-           "                         destination accumulates a useful batch)\n";
-    const std::string csv = "fig5_gups_trace.csv";
-    tracer.write_csv(csv);
-    *os << "full trace written to " << csv << "\n";
-  }
+  os << "\n-- message statistics (Fig 5b analogue) --\n";
+  os << "messages traced:        " << tracer.messages().size() << "\n";
+  os << "destination regularity: " << runtime::fmt(reg, 3)
+     << "  (1.0 = aggregatable by destination; " << runtime::fmt(1.0 / (nodes - 1), 3)
+     << " = uniform scatter over " << nodes - 1 << " peers)\n";
+  os << "update-level regularity: " << runtime::fmt(update_reg, 3)
+     << "  (HPCC rule caps buffering at 1024 updates, so no\n"
+        "                         destination accumulates a useful batch)\n";
+  const std::string csv = "fig5_gups_trace.csv";
+  tracer.write_csv(csv);
+  os << "full trace written to " << csv << "\n";
 
-  return {{
+  return {
       {"roi_seconds", res.seconds},
       {"messages_traced", static_cast<double>(tracer.messages().size())},
       {"destination_regularity", reg},
       {"update_level_regularity", update_reg},
-  }};
+  };
 }
 
 class GupsTraceWorkload final : public Workload {
@@ -129,12 +119,6 @@ class GupsTraceWorkload final : public Workload {
   bool has_backend(Backend b) const override { return b == Backend::kMpiIb; }
   std::vector<int> default_nodes(bool) const override { return {8}; }
 
-  MetricMap run_backend(Backend backend, int nodes,
-                        const ParamMap& params) const override {
-    if (backend != Backend::kMpiIb) return {};
-    return run_trace(nodes, params, nullptr).metrics;
-  }
-
   std::vector<RunPoint> plan(const RunOptions& opt) const override {
     const int nodes = one_node_count(opt, default_nodes(opt.fast).front());
     PlanBuilder builder(*this, opt);
@@ -148,13 +132,12 @@ class GupsTraceWorkload final : public Workload {
   // from the same traced run as the metrics, so they are rendered into the
   // per-point log during execution and replayed by report().
   MetricMap execute(const RunPoint& point, std::ostream& log) const override {
-    return run_trace(point.nodes, point.params, &log).metrics;
+    return run_trace(point.nodes, point.params, log);
   }
 
   void report(const RunOptions& opt, const std::vector<PointResult>& results,
               runtime::ResultSink& sink) const override {
-    std::ostream& os = opt.out ? *opt.out : std::cout;
-    banner(os);
+    std::ostream& os = banner(opt);
     if (results.empty()) {  // e.g. --backends without mpi-ib
       os << "\n(no points: this figure only has an mpi-ib series)\n";
       return;

@@ -7,8 +7,7 @@
 // words; IB reaches only ~72%; direct writes plateau at the 0.5 GB/s PCIe
 // lane limit; IB leads in the 32-128-word range and beyond 512 words.
 
-#include <algorithm>
-#include <iostream>
+#include <ostream>
 #include <vector>
 
 #include "dvapi/collectives.hpp"
@@ -153,54 +152,48 @@ class PingpongWorkload final : public Workload {
     return false;
   }
 
-  MetricMap run_backend(Backend backend, int /*nodes*/,
-                        const ParamMap& params) const override {
-    const auto words = static_cast<std::int64_t>(params.at("words"));
-    const int reps = static_cast<int>(params.at("reps"));
+  MetricMap execute(const RunPoint& point, std::ostream&) const override {
+    const auto words = static_cast<std::int64_t>(point.params.at("words"));
+    const int reps = static_cast<int>(point.params.at("reps"));
     double bw = 0.0;
     double peak = runtime::paper::kDvPeakBw;
-    if (backend == Backend::kMpiIb) {
+    if (point.backend == Backend::kMpiIb) {
       bw = pingpong_bw_mpi(words, reps);
       peak = runtime::paper::kIbPeakBw;
     } else {
-      bw = pingpong_bw_dv(static_cast<Path>(static_cast<int>(params.at("path"))), words,
-                          reps);
+      bw = pingpong_bw_dv(static_cast<Path>(static_cast<int>(point.params.at("path"))),
+                          words, reps);
     }
     return {{"bytes_per_sec", bw}, {"fraction_of_peak", bw / peak}};
   }
 
   std::vector<RunPoint> plan(const RunOptions& opt) const override {
+    // The ping-pong is between two nodes, whatever --nodes says.
+    const int nodes = fixed_node_count(opt, 2);
     PlanBuilder builder(*this, opt);
     ParamMap params = default_params(opt.fast);
     const int max_log = static_cast<int>(params.at("max_log_words"));
-    const auto backends = selected_backends(opt);
-    const auto has = [&](Backend b) {
-      return std::find(backends.begin(), backends.end(), b) != backends.end();
-    };
+    const bool dv = selects(opt, Backend::kDv);
+    const bool ib = selects(opt, Backend::kMpiIb);
     for (int lg = 0; lg <= max_log; lg += 2) {
       params["words"] = static_cast<double>(1LL << lg);
-      if (has(Backend::kDv)) {
+      if (dv) {
         for (int p = 0; p < 3; ++p) {
           params["path"] = p;
-          builder.add(Backend::kDv, 2, params, kPathNames[p]);
+          builder.add(Backend::kDv, nodes, params, kPathNames[p]);
         }
       }
-      if (has(Backend::kMpiIb)) builder.add(Backend::kMpiIb, 2, params);
+      if (ib) builder.add(Backend::kMpiIb, nodes, params);
     }
     return builder.take();
   }
 
   void report(const RunOptions& opt, const std::vector<PointResult>& results,
               runtime::ResultSink& sink) const override {
-    std::ostream& os = opt.out ? *opt.out : std::cout;
-    banner(os);
+    std::ostream& os = banner(opt);
     const int max_log = static_cast<int>(default_params(opt.fast).at("max_log_words"));
-    const auto backends = selected_backends(opt);
-    const auto has = [&](Backend b) {
-      return std::find(backends.begin(), backends.end(), b) != backends.end();
-    };
-    const bool dv = has(Backend::kDv);
-    const bool ib = has(Backend::kMpiIb);
+    const bool dv = selects(opt, Backend::kDv);
+    const bool ib = selects(opt, Backend::kMpiIb);
 
     std::vector<std::string> cols{"words"};
     if (dv) cols.insert(cols.end(), {"DWr/NoCached", "DWr/Cached", "DMA/Cached"});

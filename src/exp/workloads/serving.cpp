@@ -13,8 +13,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iostream>
 #include <map>
+#include <ostream>
 #include <string>
 
 #include "exp/workload.hpp"
@@ -106,13 +106,35 @@ class ServingWorkload final : public Workload {
     return false;
   }
 
-  MetricMap run_backend(Backend backend, int nodes,
-                        const ParamMap& params) const override {
-    return run_point(backend, nodes, params, 0);
-  }
-
   MetricMap execute(const RunPoint& point, std::ostream&) const override {
-    return run_point(point.backend, point.nodes, point.params, point.seed);
+    const ParamMap& params = point.params;
+    serve::ArrivalConfig acfg;
+    acfg.seed = point.seed != 0 ? point.seed : kServingSeed;
+    acfg.nodes = point.nodes;
+    acfg.horizon_us = params.at("horizon_us");
+    // rate_krps is the AGGREGATE offered rate across the default tenant mix;
+    // unit_rate_rps is per unit weight, so divide by the mix's total weight.
+    double total_weight = 0.0;
+    for (const serve::TenantSpec& t : serve::default_tenants()) {
+      total_weight += t.rate_weight;
+    }
+    acfg.unit_rate_rps =
+        params.at("rate_krps") * 1e3 * params.at("load") / total_weight;
+    const serve::ArrivalTrace trace = serve::generate_arrivals(acfg);
+
+    serve::SessionConfig scfg;
+    const int admission = static_cast<int>(params.at("admission"));
+    scfg.admission.token_bucket = admission >= 1;
+    scfg.admission.queue_shed = admission >= 2;
+    scfg.admission.bucket_rate_frac = params.at("bucket_frac");
+    scfg.admission.bucket_burst = params.at("bucket_burst");
+    scfg.admission.max_queue_depth = static_cast<int>(params.at("queue_depth"));
+
+    runtime::Cluster cluster(cluster_config(point.backend, point.nodes));
+    const serve::ServeReport rep =
+        point.backend == Backend::kDv ? serve::run_serve_dv(cluster, trace, scfg)
+                                      : serve::run_serve_mpi(cluster, trace, scfg);
+    return metrics_from(trace, rep);
   }
 
   std::vector<RunPoint> plan(const RunOptions& opt) const override {
@@ -143,8 +165,7 @@ class ServingWorkload final : public Workload {
 
   void report(const RunOptions& opt, const std::vector<PointResult>& results,
               runtime::ResultSink& sink) const override {
-    std::ostream& os = opt.out ? *opt.out : std::cout;
-    banner(os);
+    std::ostream& os = banner(opt);
 
     runtime::Table t("open-loop serving sweep (per backend x offered load)",
                      {"load", "net", "offered krps", "achieved krps", "p50 us",
@@ -222,39 +243,6 @@ class ServingWorkload final : public Workload {
   }
 
  private:
-  MetricMap run_point(Backend backend, int nodes, const ParamMap& params,
-                      std::uint64_t seed) const {
-    serve::ArrivalConfig acfg;
-    acfg.seed = seed != 0 ? seed : kServingSeed;
-    acfg.nodes = nodes;
-    acfg.horizon_us = params.at("horizon_us");
-    // rate_krps is the AGGREGATE offered rate across the default tenant mix;
-    // unit_rate_rps is per unit weight, so divide by the mix's total weight.
-    double total_weight = 0.0;
-    for (const serve::TenantSpec& t : serve::default_tenants()) {
-      total_weight += t.rate_weight;
-    }
-    acfg.unit_rate_rps =
-        params.at("rate_krps") * 1e3 * params.at("load") / total_weight;
-    const serve::ArrivalTrace trace = serve::generate_arrivals(acfg);
-
-    serve::SessionConfig scfg;
-    const int admission = static_cast<int>(params.at("admission"));
-    scfg.admission.token_bucket = admission >= 1;
-    scfg.admission.queue_shed = admission >= 2;
-    scfg.admission.bucket_rate_frac = params.at("bucket_frac");
-    scfg.admission.bucket_burst = params.at("bucket_burst");
-    scfg.admission.max_queue_depth = static_cast<int>(params.at("queue_depth"));
-
-    runtime::ClusterConfig config{.nodes = nodes};
-    if (backend == Backend::kMpiTorus) config.mpi_fabric = runtime::MpiFabric::kTorus;
-    runtime::Cluster cluster(config);
-    const serve::ServeReport rep =
-        backend == Backend::kDv ? serve::run_serve_dv(cluster, trace, scfg)
-                                : serve::run_serve_mpi(cluster, trace, scfg);
-    return metrics_from(trace, rep);
-  }
-
   MetricMap metrics_from(const serve::ArrivalTrace& trace,
                          const serve::ServeReport& rep) const {
     const double horizon_s = trace.horizon_us * 1e-6;

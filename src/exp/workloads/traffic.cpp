@@ -11,7 +11,7 @@
 // two hops": the hotspot point's measured mean extra hops must straddle
 // FabricParams::contended_extra_hops = 2.0.
 
-#include <iostream>
+#include <ostream>
 
 #include "dvnet/fabric_model.hpp"
 #include "dvnet/traffic.hpp"
@@ -108,17 +108,16 @@ class TrafficWorkload final : public Workload {
     return false;
   }
 
-  MetricMap run_backend(Backend backend, int nodes,
-                        const ParamMap& params) const override {
-    const auto cycles = static_cast<std::uint64_t>(params.at("cycles"));
-    const dvnet::TrafficConfig cfg = config_from(params);
-    switch (backend) {
+  MetricMap execute(const RunPoint& point, std::ostream&) const override {
+    const auto cycles = static_cast<std::uint64_t>(point.params.at("cycles"));
+    const dvnet::TrafficConfig cfg = config_from(point.params);
+    switch (point.backend) {
       case Backend::kDv:
-        return run_dv(nodes, cfg, cycles);
+        return run_dv(point.nodes, cfg, cycles);
       case Backend::kMpiIb:
-        return run_mpi(nodes, cfg, cycles);
+        return run_mpi(point.nodes, cfg, cycles);
       case Backend::kMpiTorus:
-        return run_torus(nodes, cfg, cycles);
+        return run_torus(point.nodes, cfg, cycles);
     }
     return {};
   }
@@ -138,8 +137,7 @@ class TrafficWorkload final : public Workload {
 
   void report(const RunOptions& opt, const std::vector<PointResult>& results,
               runtime::ResultSink& sink) const override {
-    std::ostream& os = opt.out ? *opt.out : std::cout;
-    banner(os);
+    std::ostream& os = banner(opt);
 
     runtime::Table t("synthetic traffic, 32 ports/nodes",
                      {"pattern", "net", "delivered", "hops", "extra", "defl/pkt",

@@ -91,17 +91,22 @@ TEST(Registry, FastDefaultsShrinkTheGupsProblem) {
   EXPECT_EQ(fast.at("buffer_limit"), 1024);
 }
 
-TEST(Workload, BarrierRunBackendMeasuresBothNetworks) {
+TEST(Workload, BarrierExecuteMeasuresBothNetworks) {
   const auto* barrier = exp::Registry::instance().find("barrier");
   ASSERT_NE(barrier, nullptr);
-  auto params = barrier->default_params(true);
-  const auto dv = barrier->run_backend(exp::Backend::kDv, 2, params);
-  const auto mpi = barrier->run_backend(exp::Backend::kMpiIb, 2, params);
+  exp::RunPoint point;
+  point.nodes = 2;
+  point.params = barrier->default_params(true);
+  std::ostringstream log;
+  point.backend = exp::Backend::kDv;
+  const auto dv = barrier->execute(point, log);
+  point.backend = exp::Backend::kMpiIb;
+  const auto mpi = barrier->execute(point, log);
   EXPECT_GT(dv.at("latency_us"), 0.0);
   EXPECT_GT(mpi.at("latency_us"), 0.0);
   // The same point is deterministic across calls.
-  EXPECT_EQ(barrier->run_backend(exp::Backend::kDv, 2, params).at("latency_us"),
-            dv.at("latency_us"));
+  point.backend = exp::Backend::kDv;
+  EXPECT_EQ(barrier->execute(point, log).at("latency_us"), dv.at("latency_us"));
 }
 
 TEST(Workload, TraceWorkloadIsMpiOnly) {
@@ -110,7 +115,11 @@ TEST(Workload, TraceWorkloadIsMpiOnly) {
   EXPECT_TRUE(trace->has_backend(exp::Backend::kMpiIb));
   EXPECT_FALSE(trace->has_backend(exp::Backend::kDv));
   EXPECT_FALSE(trace->has_backend(exp::Backend::kMpiTorus));
-  EXPECT_TRUE(trace->run_backend(exp::Backend::kDv, 8, trace->default_params(true)).empty());
+  // Asked for the other backends only, it plans nothing.
+  exp::RunOptions opt;
+  opt.fast = true;
+  opt.backends = {exp::Backend::kDv, exp::Backend::kMpiTorus};
+  EXPECT_TRUE(trace->plan(opt).empty());
 }
 
 TEST(Workload, BackendIdsRoundTripAndAliasParses) {
@@ -278,6 +287,33 @@ TEST(Driver, ServingRefusesANodeListItWouldTruncate) {
     EXPECT_EQ(cli({"--figure", figure, "--fast", "--nodes", "8,16", "--no-figure-json"}), 1)
         << figure;
   }
+  // These run at one fixed node count and used to ignore --nodes: they
+  // refuse any other count, and a list.
+  const std::pair<const char*, int> fixed[] = {{"fig3", 2}, {"ablation_fabric", 32}};
+  for (const auto& [figure, nodes] : fixed) {
+    const auto* workload = exp::Registry::instance().find(figure);
+    ASSERT_NE(workload, nullptr) << figure;
+    exp::RunOptions opt;
+    opt.fast = true;
+    for (const std::vector<int>& refused : {std::vector<int>{8, 16}, std::vector<int>{4},
+                                            std::vector<int>{nodes, nodes}}) {
+      opt.nodes = refused;
+      try {
+        workload->plan(opt);
+        ADD_FAILURE() << figure << ": a --nodes it ignores planned";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("runs at " + std::to_string(nodes) + " nodes"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+    opt.nodes = {nodes};
+    EXPECT_FALSE(workload->plan(opt).empty()) << figure;
+    EXPECT_EQ(cli({"--figure", figure, "--fast", "--nodes", "8,16", "--no-figure-json"}), 1)
+        << figure;
+    EXPECT_EQ(cli({"--figure", figure, "--fast", "--nodes", "4", "--no-figure-json"}), 1)
+        << figure;
+  }
 }
 
 TEST(Driver, ListSucceeds) { EXPECT_EQ(cli({"--list"}), 0); }
@@ -389,10 +425,9 @@ class FailingWorkload final : public exp::Workload {
     return {{"value", "", "synthetic metric"}};
   }
   bool has_backend(exp::Backend b) const override { return b == exp::Backend::kDv; }
-  exp::MetricMap run_backend(exp::Backend, int nodes,
-                             const exp::ParamMap&) const override {
-    if (nodes == 2) throw std::runtime_error("injected point failure");
-    return {{"value", static_cast<double>(nodes)}};
+  exp::MetricMap execute(const exp::RunPoint& point, std::ostream&) const override {
+    if (point.nodes == 2) throw std::runtime_error("injected point failure");
+    return {{"value", static_cast<double>(point.nodes)}};
   }
   std::vector<exp::RunPoint> plan(const exp::RunOptions& opt) const override {
     exp::PlanBuilder builder(*this, opt);
