@@ -24,7 +24,7 @@ namespace dvx::exp {
 struct SweepTable {
   std::string title;
   std::string metric;
-  double (*display)(double value);
+  double (*display)(double value) = nullptr;
 };
 
 /// A claim about the DV/IB ratios of the headline metric, one per node
@@ -37,7 +37,7 @@ enum class RatioClaim {
 
 /// A claim the figure checks, with the detail its anchor carries.
 struct RatioAnchor {
-  RatioClaim claim;
+  RatioClaim claim{};
   std::string detail;
 };
 

@@ -287,8 +287,8 @@ TEST(Driver, ServingRefusesANodeListItWouldTruncate) {
     EXPECT_EQ(cli({"--figure", figure, "--fast", "--nodes", "8,16", "--no-figure-json"}), 1)
         << figure;
   }
-  // These run at one fixed node count and used to ignore --nodes: they
-  // refuse any other count, and a list.
+  // These run at one fixed node count: they refuse any other count, and a
+  // list, instead of ignoring it.
   const std::pair<const char*, int> fixed[] = {{"fig3", 2}, {"ablation_fabric", 32}};
   for (const auto& [figure, nodes] : fixed) {
     const auto* workload = exp::Registry::instance().find(figure);
