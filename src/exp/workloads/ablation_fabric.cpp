@@ -24,7 +24,6 @@
 #include "dvnet/traffic.hpp"
 #include "exp/workload.hpp"
 #include "ib/topology.hpp"
-#include "sim/rng.hpp"
 #include "sim/stats.hpp"
 #include "torus/fabric.hpp"
 
@@ -42,42 +41,27 @@ struct LoadPoint {
 };
 
 LoadPoint measure(double load, std::uint64_t cycles) {
-  dvnet::Geometry g{8, 4};
+  const dvnet::Geometry g{8, 4};
+  const auto offers =
+      dvnet::synthetic_offers({.offered_load = load}, g.ports(), cycles, 7);
   LoadPoint out{0, 0, 0};
   // Cycle-accurate measurement.
   {
     dvnet::CycleSwitch sw(g);
-    sim::Xoshiro256 rng(7);
-    for (std::uint64_t c = 0; c < cycles; ++c) {
-      for (int p = 0; p < g.ports(); ++p) {
-        if (rng.uniform() < load) {
-          sw.inject(p, static_cast<int>(rng.below(static_cast<std::uint64_t>(g.ports()))));
-        }
-      }
-      sw.step();
-    }
-    sw.drain(10'000'000);
-    out.cycle_latency = sw.latency_stats().mean();
-    out.cycle_deflections = sw.deflection_stats().mean();
+    const dvnet::TrafficResult r = dvnet::run_synthetic(sw, offers, cycles);
+    out.cycle_latency = r.latency.mean();
+    out.cycle_deflections = r.deflections.mean();
   }
-  // Analytic equivalent: same per-port word rate; latency in cycle units.
+  // Analytic equivalent: the same offers, one round per word time; latency
+  // in cycle units.
   {
-    dvnet::FabricParams fp{.geometry = g};
-    dvnet::FabricModel fm(fp);
-    sim::Xoshiro256 rng(7);
+    dvnet::FabricModel fm(dvnet::FabricParams{.geometry = g});
     sim::RunningStats lat;
-    sim::Time now = 0;
     const auto word = fm.word_time();
-    for (std::uint64_t c = 0; c < cycles; ++c) {
-      for (int p = 0; p < g.ports(); ++p) {
-        if (rng.uniform() < load) {
-          const auto t = fm.send_burst(
-              p, static_cast<int>(rng.below(static_cast<std::uint64_t>(g.ports()))), 1,
-              now);
-          lat.add(static_cast<double>(t.first_arrival - now) / static_cast<double>(word));
-        }
-      }
-      now += word;
+    for (const dvnet::Offer& o : offers) {
+      const sim::Time now = static_cast<sim::Time>(o.round) * word;
+      const auto t = fm.send_burst(o.src, o.dst, 1, now);
+      lat.add(static_cast<double>(t.first_arrival - now) / static_cast<double>(word));
     }
     out.analytic_latency = lat.mean();
   }
@@ -134,17 +118,16 @@ Signatures signatures_dv(int nodes, std::uint64_t cycles) {
                            .hotspot_fraction = 0.3};
   dvnet::TrafficConfig hot = uni;
   hot.pattern = dvnet::TrafficPattern::kHotspot;
-  const double base = dvnet::FabricParams{.geometry = g}.derived_base_hops();
-  {
+  const auto run = [&](const dvnet::TrafficConfig& cfg) {
     dvnet::CycleSwitch sw(g);
-    out.uniform_defl = dvnet::run_synthetic(sw, uni, cycles, 29).deflections.mean();
-  }
-  {
-    dvnet::CycleSwitch sw(g);
-    const auto r = dvnet::run_synthetic(sw, hot, cycles, 29);
-    out.hotspot_defl = r.deflections.mean();
-    out.hotspot_extra_hops = r.hops.mean() - base;
-  }
+    const auto offers = dvnet::synthetic_offers(cfg, g.ports(), cycles, 29);
+    return dvnet::run_synthetic(sw, offers, cycles);
+  };
+  out.uniform_defl = run(uni).deflections.mean();
+  const dvnet::TrafficResult r = run(hot);
+  out.hotspot_defl = r.deflections.mean();
+  out.hotspot_extra_hops =
+      r.hops.mean() - dvnet::FabricParams{.geometry = g}.derived_base_hops();
   return out;
 }
 
