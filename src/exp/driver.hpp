@@ -9,8 +9,8 @@
 // Every run prints the legacy tables and writes one machine-readable
 // `BENCH_<figure>.json` per figure (schema in DESIGN.md §6); `--json PATH`
 // additionally writes the combined document. Measurement points run on a
-// PointScheduler thread pool (`--jobs N` / DVX_BENCH_JOBS, default
-// hardware_concurrency); output is byte-identical at any parallelism.
+// PointScheduler thread pool (`--jobs N`, default hardware_concurrency);
+// output is byte-identical at any parallelism.
 
 #include <functional>
 #include <string>

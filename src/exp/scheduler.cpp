@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
-#include <cstdlib>
-#include <cstring>
 #include <thread>
 
 namespace dvx::exp {
@@ -34,12 +31,6 @@ void PointScheduler::run(const std::vector<std::function<void()>>& tasks) const 
 }
 
 int PointScheduler::default_jobs() {
-  if (const char* env = std::getenv("DVX_BENCH_JOBS")) {
-    int n = 0;
-    const char* end = env + std::strlen(env);
-    const auto [ptr, ec] = std::from_chars(env, end, n);
-    if (ec == std::errc() && ptr == end && n >= 1) return n;
-  }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
 }

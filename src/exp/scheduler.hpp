@@ -29,8 +29,7 @@ class PointScheduler {
   /// capture failures into your result slot (see exp::execute_point).
   void run(const std::vector<std::function<void()>>& tasks) const;
 
-  /// The default parallelism: DVX_BENCH_JOBS when set to a valid positive
-  /// integer, otherwise std::thread::hardware_concurrency() (min 1).
+  /// The default parallelism: std::thread::hardware_concurrency() (min 1).
   static int default_jobs();
 
  private:

@@ -26,10 +26,9 @@ skipped, and names both toolchains.
 
 To regenerate both goldens after an intended change, run the same sweep
 from a scratch directory (the sweep also writes fig5's trace CSV to its
-working directory) with DVX_BENCH_FAST unset, then copy its two outputs
-over the goldens:
+working directory), then copy its two outputs over the goldens:
 
-    cd "$(mktemp -d)" && env -u DVX_BENCH_FAST REPO/build/bench/dvx_bench \
+    cd "$(mktemp -d)" && REPO/build/bench/dvx_bench \
         --all --backends dv,mpi-ib,mpi-torus --no-figure-json \
         --json bench_full_3way.json > bench_full_3way.txt \
       && cp bench_full_3way.json bench_full_3way.txt REPO/tests/golden/
@@ -147,11 +146,9 @@ def main():
               f"this build uses {args.compiler} with glibc {glibc}")
         return SKIP_CODE
 
-    env = dict(os.environ)
-    env.pop("DVX_BENCH_FAST", None)  # the golden is full size
     with tempfile.TemporaryDirectory(prefix="dvx_golden_") as tmp:
         proc = subprocess.run([os.path.abspath(args.bench), *BENCH_ARGS],
-                              cwd=tmp, env=env, stdout=subprocess.PIPE,
+                              cwd=tmp, stdout=subprocess.PIPE,
                               stderr=subprocess.PIPE, check=False)
         if proc.returncode != 0:
             sys.stderr.write(proc.stderr.decode("utf-8", "replace"))
