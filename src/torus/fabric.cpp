@@ -28,10 +28,9 @@ std::array<int, 3> factorize(int n) {
 
 }  // namespace
 
-Fabric::Fabric(int nodes, TorusParams params) : nodes_(nodes), params_(params) {
-  if (nodes <= 0) {
-    throw std::invalid_argument("torus::Fabric: need at least one node");
-  }
+Fabric::Fabric(int nodes, TorusParams params)
+    : net::Interconnect(nodes, static_cast<std::size_t>(nodes) * 6, params.link),
+      params_(params) {
   const auto& d = params_.dims;
   if (d[0] == 0 && d[1] == 0 && d[2] == 0) {
     dims_ = factorize(nodes);
@@ -46,27 +45,17 @@ Fabric::Fabric(int nodes, TorusParams params) : nodes_(nodes), params_(params) {
     }
     dims_ = d;
   }
-  link_free_.assign(static_cast<std::size_t>(nodes_) * 6, 0);
-  nic_gate_.assign(static_cast<std::size_t>(nodes_), 0);
   if (obs::Registry* m = obs::metrics()) {
     obs_hops_[0] = m->counter("torus.hops", {{"dim", "x"}});
     obs_hops_[1] = m->counter("torus.hops", {{"dim", "y"}});
     obs_hops_[2] = m->counter("torus.hops", {{"dim", "z"}});
     obs_msgs_ = m->counter("torus.msgs");
-    obs_link_wait_ns_ = m->histogram("torus.link.wait_ns");
+    link_wait_ns_ = m->histogram("torus.link.wait_ns");
   }
 }
 
-void Fabric::reset() {
-  std::fill(link_free_.begin(), link_free_.end(), 0);
-  std::fill(nic_gate_.begin(), nic_gate_.end(), 0);
-  bytes_sent_ = 0;
-  link_bytes_ = 0;
-  expected_link_bytes_ = 0;
-}
-
 std::array<int, 3> Fabric::coords(int node) const {
-  if (node < 0 || node >= nodes_) {
+  if (node < 0 || node >= nodes()) {
     throw std::out_of_range("torus::Fabric::coords: node out of range");
   }
   return {node % dims_[0], (node / dims_[0]) % dims_[1],
@@ -93,7 +82,7 @@ std::array<int, 3> Fabric::dim_hops(int src, int dst) const {
   return out;
 }
 
-int Fabric::hops(int src, int dst) const {
+int Fabric::path_links(int src, int dst) const {
   const auto h = dim_hops(src, dst);
   return h[0] + h[1] + h[2];
 }
@@ -120,28 +109,7 @@ void Fabric::build_path(int src, int dst, std::vector<std::size_t>& path) const 
   }
 }
 
-MsgTiming Fabric::send_message(int src, int dst, std::int64_t bytes,
-                               sim::Time ready) {
-  if (src < 0 || src >= nodes_ || dst < 0 || dst >= nodes_) {
-    throw std::out_of_range("torus::Fabric::send_message: node out of range");
-  }
-  if (bytes <= 0) bytes = 1;
-  bytes_sent_ += bytes;
-
-  if (src == dst) {
-    // Loopback: the MPI runtime short-circuits through shared memory; pure
-    // local math.
-      const sim::Time done = ready + sim::transfer_time(bytes, params_.memcpy_bw);
-    return MsgTiming{done, done};
-  }
-
-  // Message-rate gate: the NIC cannot start messages faster than msg_rate.
-  auto& gate = nic_gate_[static_cast<std::size_t>(src)];
-  const auto gap = static_cast<sim::Duration>(1e12 / params_.msg_rate);
-  const sim::Time start = std::max(ready, gate);
-  gate = start + gap;
-
-  std::vector<std::size_t> path;
+sim::Duration Fabric::route(int src, int dst, std::vector<std::size_t>& path) {
   build_path(src, dst, path);
   const auto per_dim = dim_hops(src, dst);
   // Dimension-order routing is minimal: the path is exactly the wraparound
@@ -157,47 +125,7 @@ MsgTiming Fabric::send_message(int src, int dst, std::int64_t bytes,
     if (c != nullptr) c->add(static_cast<std::uint64_t>(per_dim[static_cast<std::size_t>(d)]));
   }
   if (obs_msgs_ != nullptr) obs_msgs_->inc();
-
-  // Every traversed link ends in a router (or the destination NIC), so the
-  // head pays hop_latency per link on top of per-link serialization.
-  const auto hop_lat =
-      params_.hop_latency * static_cast<sim::Duration>(path.size());
-  MsgTiming out{0, 0};
-  std::int64_t remaining = bytes;
-  sim::Time chunk_ready = start;
-  bool first = true;
-  while (remaining > 0) {
-    const std::int64_t chunk = std::min(remaining, params_.mtu);
-    // Per-chunk NIC processing (packet formation) before serialization.
-    sim::Time t = chunk_ready + params_.chunk_overhead;
-    for (std::size_t link : path) {
-      auto& free = link_free_[link];
-      if (obs_link_wait_ns_ != nullptr && free > t) {
-        obs_link_wait_ns_->observe(static_cast<std::uint64_t>((free - t) / 1000));
-      }
-      t = std::max(t, free);
-      t += sim::transfer_time(chunk, params_.link_bw);
-      free = t;
-      link_bytes_ += chunk;
-    }
-    t += hop_lat + params_.wire_latency;
-    if (first) {
-      out.first_arrival = t;
-      first = false;
-    }
-    out.last_arrival = t;
-    // Next chunk can start forming once this one left the source NIC.
-    chunk_ready = link_free_[path.front()];
-    remaining -= chunk;
-  }
-  expected_link_bytes_ += bytes * static_cast<std::int64_t>(path.size());
-  // Conservation: every payload byte is serialized on exactly hops() links —
-  // nothing vanishes and nothing is double-counted.
-  DVX_CHECK_SOON_EQ(link_bytes_, expected_link_bytes_)
-      << "torus link-byte conservation broken";
-  DVX_CHECK(out.first_arrival >= start && out.last_arrival >= out.first_arrival)
-      << "torus arrivals not monotonic";
-  return out;
+  return params_.hop_latency * static_cast<sim::Duration>(path.size());
 }
 
 }  // namespace dvx::torus

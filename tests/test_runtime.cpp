@@ -106,7 +106,7 @@ TEST(PaperConstants, SanityAgainstModelDefaults) {
   dvx::vic::PcieParams pcie;
   EXPECT_DOUBLE_EQ(pcie.direct_write_bw, runtime::paper::kPcieDirectWriteBw);
   dvx::ib::IbParams ibp;
-  EXPECT_DOUBLE_EQ(ibp.link_bw, runtime::paper::kIbPeakBw);
+  EXPECT_DOUBLE_EQ(ibp.link.link_bw, runtime::paper::kIbPeakBw);
 }
 
 }  // namespace
